@@ -15,7 +15,6 @@ from .bandit import (
     dual_ascent,
     dual_lower_bound,
     dual_update,
-    gain_index,
     relative_value_iteration,
 )
 from .errors import ConfigError, ConvergenceError, ValidationError
@@ -34,26 +33,13 @@ from .markov import (
     build_row_chain,
     identity_safety_map,
     is_primitive,
-    safety_distribution,
-    sample_next,
     stationary_distribution,
-    step_distribution,
 )
-from .policies import (
-    POLICY_KEYS,
-    AgentState,
-    PolicyDecision,
-    UpdateQueue,
-    maf_select,
-    mgf_select,
-    queue_policy_step,
-    randomized_select,
-)
+from .policies import POLICY_KEYS
 from .simulate import (
     SimConfig,
     SimRecord,
     SolvedSystem,
-    advance_aoi,
     run_paired,
     run_simulation,
     run_sweep,
@@ -64,7 +50,6 @@ from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
 __all__ = [
     "__version__",
     "AgentClassSpec",
-    "AgentState",
     "BanditSolution",
     "ConfigError",
     "ConvergenceError",
@@ -74,15 +59,12 @@ __all__ = [
     "MarkovSource",
     "POLICY_KEYS",
     "PenaltyTable",
-    "PolicyDecision",
     "SafetyMap",
     "SimConfig",
     "SimRecord",
     "SolvedSystem",
     "SolverSettings",
-    "UpdateQueue",
     "ValidationError",
-    "advance_aoi",
     "banded_safety_map",
     "build_row_chain",
     "build_tables",
@@ -90,24 +72,16 @@ __all__ = [
     "dual_ascent",
     "dual_lower_bound",
     "dual_update",
-    "gain_index",
     "identity_safety_map",
     "is_primitive",
     "loss_01",
     "loss_quadratic",
     "loss_safety_example",
-    "maf_select",
-    "mgf_select",
     "optimal_estimate",
-    "queue_policy_step",
-    "randomized_select",
     "relative_value_iteration",
     "run_paired",
     "run_simulation",
     "run_sweep",
-    "safety_distribution",
-    "sample_next",
     "solve_system",
     "stationary_distribution",
-    "step_distribution",
 ]

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .markov import MarkovSource, cumulative_rows, is_primitive, stationary_distribution
+from .markov import (
+    MarkovSource,
+    cumulative_rows,
+    is_primitive,
+    stack_padded,
+    stationary_distribution,
+    step_states,
+)
 from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 DEFAULT_TOL = 1e-9
@@ -207,15 +214,6 @@ def relative_value_iteration(
     )
 
 
-def gain_index(solution: BanditSolution, delta: int, x: int) -> float:
-    """Look up the gain of transmitting in state (delta, x)."""
-    if not 1 <= delta <= solution.delta_bound:
-        raise IndexError(f"age {delta} outside [1, {solution.delta_bound}]")
-    if not 0 <= x < solution.gain.shape[1]:
-        raise IndexError(f"state {x} outside [0, {solution.gain.shape[1]})")
-    return float(solution.gain[delta, x])
-
-
 def dual_update(lam: float, step: float, activation_rate: float, channels: int) -> float:
     """One projected subgradient step on the transmission price."""
     return max(0.0, lam + step * (activation_rate - channels))
@@ -273,43 +271,19 @@ class _RelaxedRollout:
             x[members] = rng_init.choice(c.source.state_count, size=members.sum(), p=self.init_law[i])
         x_obs = x.copy()
         delta = np.ones(n, dtype=int)
-        mask_stack = _pad_masks(active_masks)  # class, age, x
-        cum_stack = _pad_cum(self.cum)
+        mask_stack = stack_padded(active_masks, False)  # class, age, x
+        cum_stack = stack_padded(self.cum, 1.0)
         u_motion = rng_motion.random((self.horizon, n))
         u_channel = rng_channel.random((self.horizon, n))
         activations = 0
         for t in range(self.horizon):
             pull = mask_stack[self.cls_of_agent, delta, x_obs]
             activations += int(pull.sum())
-            x = _step_states(cum_stack, self.cls_of_agent, x, u_motion[t])
+            x = step_states(cum_stack, self.cls_of_agent, x, u_motion[t])
             delivered = pull & (u_channel[t] < self.p_of_agent)
             delta = np.where(delivered, 1, np.minimum(delta + 1, delta_bound))
             x_obs = np.where(delivered, x, x_obs)
         return activations / self.horizon
-
-
-def _pad_cum(cum_rows: list[np.ndarray]) -> np.ndarray:
-    """Stack per-class CDF tables into one array padded to the widest chain."""
-    nmax = max(c.shape[0] for c in cum_rows)
-    out = np.ones((len(cum_rows), nmax, nmax))
-    for i, c in enumerate(cum_rows):
-        out[i, : c.shape[0], : c.shape[1]] = c
-    return out
-
-
-def _pad_masks(masks: list[np.ndarray]) -> np.ndarray:
-    """Stack per-class (age, state) action masks, padding narrower chains."""
-    nmax = max(m.shape[1] for m in masks)
-    out = np.zeros((len(masks), masks[0].shape[0], nmax), dtype=bool)
-    for i, m in enumerate(masks):
-        out[i, :, : m.shape[1]] = m
-    return out
-
-
-def _step_states(cum_stack: np.ndarray, cls_idx: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF step of every agent's true state with one uniform each."""
-    rows = cum_stack[cls_idx, x]
-    return (u[:, None] > rows).sum(axis=1)
 
 
 def dual_ascent(
@@ -322,7 +296,6 @@ def dual_ascent(
     delta_bound: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    polish: bool = True,
 ) -> tuple[float, DualTrace, list[BanditSolution]]:
     """Search the transmission price at which relaxed usage meets the budget.
 
@@ -385,53 +358,52 @@ def dual_ascent(
             return lam, trace, sols
         lam = dual_update(lam, beta / j, rate, channels)
 
-    if polish:
-        # Bracket the budget between the tightest iterates on each side; if
-        # every iterate sits on one side, expand in the other direction first.
-        j = outer_iters
+    # Bracket the budget between the tightest iterates on each side; if
+    # every iterate sits on one side, expand in the other direction first.
+    j = outer_iters
 
-        def probe(lam_probe: float):
-            nonlocal j, best
-            j += 1
-            sols = solve_all(lam_probe)
-            rate = measure(sols)
-            trace.iterations.append((j, lam_probe, rate))
-            gap = abs(rate - channels)
-            if gap < best[0]:
-                best = (gap, lam_probe, rate, sols)
-            return rate, gap, sols
+    def probe(lam_probe: float):
+        nonlocal j, best
+        j += 1
+        sols = solve_all(lam_probe)
+        rate = measure(sols)
+        trace.iterations.append((j, lam_probe, rate))
+        gap = abs(rate - channels)
+        if gap < best[0]:
+            best = (gap, lam_probe, rate, sols)
+        return rate, gap, sols
 
-        above = [(l, r) for _, l, r in trace.iterations if r > channels]
-        below = [(l, r) for _, l, r in trace.iterations if r < channels]
-        lo = max(above, key=lambda t: t[0])[0] if above else 0.0
-        hi = min(below, key=lambda t: t[0])[0] if below else None
-        for _ in range(30):
-            if hi is not None:
-                break
-            step_up = max(1.0, 2.0 * lo)
-            rate, gap, sols = probe(lo + step_up)
-            if gap <= band:
-                trace.lambda_star = lo + step_up
-                trace.converged = True
-                return lo + step_up, trace, sols
-            if rate < channels:
-                hi = lo + step_up
-            else:
-                lo = lo + step_up
+    above = [(l, r) for _, l, r in trace.iterations if r > channels]
+    below = [(l, r) for _, l, r in trace.iterations if r < channels]
+    lo = max(above, key=lambda t: t[0])[0] if above else 0.0
+    hi = min(below, key=lambda t: t[0])[0] if below else None
+    for _ in range(30):
         if hi is not None:
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                rate, gap, sols = probe(mid)
-                if gap <= band:
-                    trace.lambda_star = mid
-                    trace.converged = True
-                    return mid, trace, sols
-                if rate > channels:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
+            break
+        step_up = max(1.0, 2.0 * lo)
+        rate, gap, sols = probe(lo + step_up)
+        if gap <= band:
+            trace.lambda_star = lo + step_up
+            trace.converged = True
+            return lo + step_up, trace, sols
+        if rate < channels:
+            hi = lo + step_up
+        else:
+            lo = lo + step_up
+    if hi is not None:
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            rate, gap, sols = probe(mid)
+            if gap <= band:
+                trace.lambda_star = mid
+                trace.converged = True
+                return mid, trace, sols
+            if rate > channels:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-12:
+                break
 
     _, lam_best, _, sols = best
     trace.lambda_star = lam_best

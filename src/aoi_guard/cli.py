@@ -223,12 +223,15 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(manifest)
         if args.command == "sweep":
             return cmd_sweep(manifest)
-        deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
+        try:
+            deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
+        except ValueError:
+            raise ValidationError(f"--deltas must be comma-separated integers, got {args.deltas!r}")
         return cmd_profile(manifest, deltas)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, ValueError, IndexError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

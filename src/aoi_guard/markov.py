@@ -1,14 +1,13 @@
 """Finite-state Markov source models and safety-label maps.
 
-Provides row-stochastic transition matrices with cached powers, multi-step
-conditional laws, stationary distributions via power iteration, and builders
-for the bounded random-walk ("row chain") sources used in the grid-world
-experiments.
+Provides validated row-stochastic transition matrices, stationary
+distributions via power iteration, builders for the bounded random-walk
+("row chain") sources used in the grid-world experiments, and the per-class
+stacking and inverse-CDF stepping that the rollout and the simulator share.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,12 @@ ROW_SUM_TOL = 1e-12
 
 
 class MarkovSource:
-    """A time-homogeneous finite-state Markov chain with a power cache.
+    """A time-homogeneous finite-state Markov chain.
 
     The transition matrix is validated on construction (rows must sum to 1
     within 1e-12, entries in [0, 1]) and never renormalized: a bad matrix is
-    a config bug, not something to silently repair. The instance is immutable
-    after construction; the power cache fills lazily under a lock so
-    concurrent readers never observe a partially written matrix.
+    a config bug, not something to silently repair. The matrix is read-only,
+    so the instance is immutable after construction.
     """
 
     def __init__(self, transition, delta_bound: int = DEFAULT_DELTA_BOUND, name: str = ""):
@@ -49,37 +47,9 @@ class MarkovSource:
         self.state_count = p.shape[0]
         self.delta_bound = int(delta_bound)
         self.name = name or f"source[{self.state_count}]"
-        ident = np.eye(self.state_count)
-        ident.setflags(write=False)
-        self._powers = [ident]
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"MarkovSource({self.name}, states={self.state_count}, delta_bound={self.delta_bound})"
-
-    def __getstate__(self):
-        # Locks cannot cross process boundaries; cached powers are cheap to
-        # refill, so ship only the identity.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_powers"] = self._powers[:1]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def power(self, delta: int) -> np.ndarray:
-        """P^delta, cached. delta must lie in [0, delta_bound]."""
-        if not 0 <= delta <= self.delta_bound:
-            raise IndexError(f"delta {delta} outside cached range [0, {self.delta_bound}] of {self.name}")
-        if delta >= len(self._powers):
-            with self._lock:
-                while len(self._powers) <= delta:
-                    nxt = self._powers[-1] @ self.transition
-                    nxt.setflags(write=False)
-                    self._powers.append(nxt)
-        return self._powers[delta]
 
 
 @dataclass(frozen=True)
@@ -131,26 +101,6 @@ def banded_safety_map(state_count: int, band_edges) -> SafetyMap:
     for i, edge in enumerate(edges):
         labels[edge:] = i + 1
     return SafetyMap(len(edges) + 1, labels)
-
-
-def step_distribution(source: MarkovSource, x: int, delta: int) -> np.ndarray:
-    """Conditional law of the state delta steps after observing state x.
-
-    Returns row x of P^delta from the power cache.
-    """
-    if not 0 <= x < source.state_count:
-        raise IndexError(f"state {x} outside [0, {source.state_count}) of {source.name}")
-    return source.power(delta)[x]
-
-
-def safety_distribution(source: MarkovSource, safety: SafetyMap, x: int, delta: int) -> np.ndarray:
-    """Law of the safety label delta steps after observing state x."""
-    if safety.state_count != source.state_count:
-        raise ValidationError(
-            f"safety map covers {safety.state_count} states but {source.name} has {source.state_count}"
-        )
-    dist = step_distribution(source, x, delta)
-    return np.bincount(safety.assignment, weights=dist, minlength=safety.label_count)
 
 
 def is_primitive(source: MarkovSource) -> bool:
@@ -220,15 +170,32 @@ def build_row_chain(
     return MarkovSource(p, delta_bound=delta_bound, name=name or f"row_chain({rows},{up},{down})")
 
 
-def sample_next(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
-    """Draw the successor state of x from the supplied stream."""
-    if not 0 <= x < source.state_count:
-        raise IndexError(f"state {x} outside [0, {source.state_count}) of {source.name}")
-    return int(rng.choice(source.state_count, p=source.transition[x]))
-
-
 def cumulative_rows(transition: np.ndarray) -> np.ndarray:
     """Row-wise CDF table used for vectorized inverse-CDF sampling."""
     cum = np.cumsum(transition, axis=1)
     cum[:, -1] = 1.0
     return cum
+
+
+def stack_padded(arrays, fill) -> np.ndarray:
+    """Stack per-class arrays of equal rank into one, padding with `fill`.
+
+    Every axis is padded to the largest extent among the inputs, so classes
+    whose chains differ in size share one table; the padded cells are never
+    indexed by an agent of a narrower class. The inputs' dtype is kept.
+    """
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.full((len(arrays), *shape), fill, dtype=np.result_type(*arrays))
+    for i, a in enumerate(arrays):
+        out[(i, *(slice(0, s) for s in a.shape))] = a
+    return out
+
+
+def step_states(cum_stack: np.ndarray, cls_idx: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step of every agent's true state with one uniform each.
+
+    `cum_stack` is `stack_padded` over the classes' `cumulative_rows` with
+    fill 1.0, so padded columns never count as below a uniform draw.
+    """
+    rows = cum_stack[cls_idx, x]
+    return (u[:, None] > rows).sum(axis=1)

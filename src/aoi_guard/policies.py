@@ -1,45 +1,21 @@
-"""Scheduling policies behind one interface: who gets the channels this slot.
+"""Selection kernels of the scheduling policies: who gets the channels this slot.
 
 Maximum Gain First activates up to M agents with the largest strictly
 positive gain indices; the baselines pick by age, uniformly at random, or
-uniformly at random with a FIFO queue of stale updates. All ties break
-toward the lower agent id so runs are reproducible.
+uniformly at random with a FIFO queue of stale updates (the simulator keeps
+that queue as a per-agent backlog count of at most QUEUE_CAPACITY packets).
+All ties break toward the lower agent id so runs are reproducible.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bandit import GAIN_TIE_EPS, BanditSolution
-from .errors import ValidationError
+from .bandit import GAIN_TIE_EPS
 
 QUEUE_CAPACITY = 1000
 
 POLICY_KEYS = ("mgf", "randomized", "random_queue", "maf")
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One agent's scheduling state: (clamped age, latest observation)."""
-
-    agent: int
-    cls: int
-    delta: int
-    x: int
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """The set of agent ids pulled this slot; at most M, possibly empty."""
-
-    selected: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.selected)) != len(self.selected):
-            raise ValidationError(f"duplicate agent ids in decision {self.selected}")
 
 
 def top_positive_ids(gains: np.ndarray, budget: int) -> np.ndarray:
@@ -65,71 +41,3 @@ def uniform_subset(count: int, budget: int, rng: np.random.Generator) -> np.ndar
         j = i + int(u[i] * (count - i))
         idx[i], idx[j] = idx[j], idx[i]
     return np.sort(idx[:budget])
-
-
-def mgf_select(states: list[AgentState], solutions: dict[int, BanditSolution], budget: int) -> PolicyDecision:
-    """Maximum Gain First: up to `budget` agents with the highest positive gain."""
-    gains = np.array([solutions[s.cls].gain[s.delta, s.x] for s in states])
-    picked = top_positive_ids(gains, budget)
-    return PolicyDecision(tuple(states[i].agent for i in picked))
-
-
-def maf_select(states: list[AgentState], budget: int) -> PolicyDecision:
-    """Maximum Age First: up to `budget` agents with the largest AoI."""
-    ages = np.array([s.delta for s in states])
-    picked = top_ids(ages, budget)
-    return PolicyDecision(tuple(states[i].agent for i in picked))
-
-
-def randomized_select(agent_ids, budget: int, rng: np.random.Generator) -> PolicyDecision:
-    """Uniformly random subset of `budget` agents; fresh samples are sent."""
-    ids = list(agent_ids)
-    if budget > len(ids):
-        raise ValidationError(f"cannot select {budget} of {len(ids)} agents")
-    picked = uniform_subset(len(ids), budget, rng)
-    return PolicyDecision(tuple(ids[i] for i in picked))
-
-
-class UpdateQueue:
-    """Bounded FIFO of update generation timestamps for one agent.
-
-    A packet is stamped per slot; when the buffer is full the oldest stamp is
-    dropped. Stamps are strictly increasing by construction.
-    """
-
-    def __init__(self, capacity: int = QUEUE_CAPACITY):
-        self.capacity = capacity
-        self.stamps: deque[int] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.stamps)
-
-    def push(self, stamp: int) -> None:
-        if self.stamps and stamp <= self.stamps[-1]:
-            raise ValidationError(f"stamp {stamp} is not newer than {self.stamps[-1]}")
-        self.stamps.append(stamp)  # deque(maxlen=...) drops the oldest itself
-
-    def pop_oldest(self) -> int:
-        return self.stamps.popleft()
-
-
-def queue_policy_step(
-    queues: list[UpdateQueue], agent_ids, budget: int, rng: np.random.Generator, now: int
-) -> tuple[PolicyDecision, dict[int, int]]:
-    """Random selection with queued updates.
-
-    Every agent first enqueues a packet stamped `now`; a uniformly random
-    subset of `budget` agents then dequeues and transmits its oldest packet.
-    Returns the decision plus each selected agent's packet generation time;
-    a delivery at slot t+1 gives that agent a receiver-side age of
-    t + 1 - generation_time.
-    """
-    ids = list(agent_ids)
-    if len(queues) != len(ids):
-        raise ValidationError(f"{len(queues)} queues for {len(ids)} agents")
-    for q in queues:
-        q.push(now)
-    decision = randomized_select(ids, budget, rng)
-    pos = {a: i for i, a in enumerate(ids)}
-    generation = {a: queues[pos[a]].pop_oldest() for a in decision.selected}
-    return decision, generation

@@ -22,14 +22,8 @@ import numpy as np
 
 from .bandit import BanditSolution, DualTrace, SolverSettings, dual_ascent
 from .errors import ValidationError
-from .markov import cumulative_rows, is_primitive, stationary_distribution
-from .policies import (
-    POLICY_KEYS,
-    UpdateQueue,
-    top_ids,
-    top_positive_ids,
-    uniform_subset,
-)
+from .markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution, step_states
+from .policies import POLICY_KEYS, QUEUE_CAPACITY, top_ids, top_positive_ids, uniform_subset
 from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
 
 THREADS_ENV = "AOI_GUARD_THREADS"
@@ -57,6 +51,8 @@ class SimConfig:
             raise ValidationError(f"policy must be one of {', '.join(POLICY_KEYS)}; got {self.policy!r}")
         if self.delta_bound < 1:
             raise ValidationError(f"delta_bound must be >= 1, got {self.delta_bound}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         warmup = self.slots // 10 if self.warmup is None else self.warmup
         object.__setattr__(self, "warmup", warmup)
         if not 0 <= warmup < self.slots:
@@ -92,13 +88,6 @@ class SimRecord:
 
 
 CSV_HEADER = "policy,N,M,r,seed,slots,total_loss,normalized_penalty,activation_rate,mean_aoi"
-
-
-def advance_aoi(delta: int, pulled: bool, delivered: bool) -> int:
-    """Age recursion: reset to 1 on a delivered pull, grow by 1 otherwise."""
-    if delta < 1:
-        raise ValidationError(f"age must be >= 1, got {delta}")
-    return 1 if pulled and delivered else delta + 1
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,7 @@ class _World:
                 law = np.full(c.source.state_count, 1.0 / c.source.state_count)
             x0[members] = rng_init.choice(c.source.state_count, size=members.size, p=law)
 
-        cum = _stack_padded([cumulative_rows(c.source.transition) for c in classes])
+        cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
         self.x_path = np.empty((t_slots, n), dtype=np.int32)
         self.x_path[0] = x0
         motion_u = np.empty((t_slots, n))
@@ -172,8 +161,7 @@ class _World:
         x = x0.astype(int)
         cls_idx = self.cls_of_agent
         for t in range(1, t_slots):
-            rows = cum[cls_idx, x]
-            x = (motion_u[t][:, None] > rows).sum(axis=1)
+            x = step_states(cum, cls_idx, x, motion_u[t])
             self.x_path[t] = x
         del motion_u
 
@@ -183,33 +171,8 @@ class _World:
             u = np.random.default_rng(agent_seqs[2 * a + 1]).random(t_slots)
             self.channel_ok[:, a] = u < p_agent[a]
 
-        safety = _stack_padded_int([c.safety.assignment for c in classes])
+        safety = stack_padded([c.safety.assignment for c in classes], 0)
         self.y_path = safety[cls_idx, self.x_path]
-
-
-def _stack_padded(mats: list[np.ndarray]) -> np.ndarray:
-    wide = max(m.shape[-1] for m in mats)
-    out = np.ones((len(mats),) + (wide,) * mats[0].ndim)
-    for i, m in enumerate(mats):
-        out[(i,) + tuple(slice(0, s) for s in m.shape)] = m
-    return out
-
-
-def _stack_padded_int(arrs: list[np.ndarray]) -> np.ndarray:
-    wide = max(a.shape[0] for a in arrs)
-    out = np.zeros((len(arrs), wide), dtype=int)
-    for i, a in enumerate(arrs):
-        out[i, : a.shape[0]] = a
-    return out
-
-
-def _stack_tables(tables: list[np.ndarray], fill: float = 0.0) -> np.ndarray:
-    """Stack per-class (age, state) tables, padding narrower chains."""
-    wide = max(t.shape[1] for t in tables)
-    out = np.full((len(tables), tables[0].shape[0], wide), fill)
-    for i, t in enumerate(tables):
-        out[i, :, : t.shape[1]] = t
-    return out
 
 
 def _run_policy(
@@ -226,21 +189,24 @@ def _run_policy(
     db = config.delta_bound
     cls_idx = world.cls_of_agent
 
-    est_stack = _stack_tables([e.choices for e in system.estimators]).astype(int)
-    loss_stack = _stack_padded([c.loss.entries for c in config.classes])
+    est_stack = stack_padded([e.choices for e in system.estimators], 0)
+    loss_stack = stack_padded([c.loss.entries for c in config.classes], 0.0)
     if policy == "mgf":
         if system.solutions is None:
             raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
-        gain_stack = _stack_tables([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions])
+        gain_stack = stack_padded([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0)
 
     rng_policy = np.random.default_rng(world.policy_seq)
-    queues = [UpdateQueue() for _ in range(n)] if policy == "random_queue" else None
 
     delta = np.ones(n, dtype=np.int64)
     x_obs = world.x_path[0].astype(int).copy()
     pend_pull = np.zeros(n, dtype=bool)
     pend_ok = np.zeros(n, dtype=bool)
     pend_gen = np.zeros(n, dtype=np.int64)
+    # random_queue: every agent queues one packet per slot and drops its
+    # oldest beyond QUEUE_CAPACITY, so its queue is always the contiguous run
+    # of stamps t - backlog + 1 .. t and a count describes it fully.
+    backlog = np.zeros(n, dtype=np.int64)
     ids = np.arange(n)
 
     total_loss = 0.0
@@ -269,17 +235,18 @@ def _run_policy(
         elif policy == "randomized":
             sel = uniform_subset(n, budget, rng_policy)
         else:  # random_queue
-            for q in queues:
-                q.push(t)
+            backlog = np.minimum(backlog + 1, QUEUE_CAPACITY)
             sel = uniform_subset(n, budget, rng_policy)
-        assert sel.size <= budget, "channel budget exceeded"
+        if sel.size > budget:
+            raise RuntimeError(f"{policy} selected {sel.size} agents with {budget} channels")
         activations += int(sel.size)
 
         pend_pull[:] = False
         pend_pull[sel] = True
         pend_ok = world.channel_ok[t]
         if policy == "random_queue":
-            pend_gen[sel] = [queues[a].pop_oldest() for a in sel]
+            pend_gen[sel] = t - backlog[sel] + 1
+            backlog[sel] -= 1
         else:
             pend_gen[sel] = t
 

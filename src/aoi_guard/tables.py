@@ -62,11 +62,6 @@ class PenaltyTable:
     values: np.ndarray
     delta_bound: int
 
-    def value(self, delta: int, x: int) -> float:
-        if not 1 <= delta <= self.delta_bound:
-            raise IndexError(f"age {delta} outside [1, {self.delta_bound}]")
-        return float(self.values[delta, x])
-
 
 @dataclass(frozen=True)
 class EstimatorTable:
@@ -74,11 +69,6 @@ class EstimatorTable:
 
     choices: np.ndarray
     delta_bound: int
-
-    def choice(self, delta: int, x: int) -> int:
-        if not 1 <= delta <= self.delta_bound:
-            raise IndexError(f"age {delta} outside [1, {self.delta_bound}]")
-        return int(self.choices[delta, x])
 
 
 def build_tables(cls: AgentClassSpec, delta_bound: int) -> tuple[PenaltyTable, EstimatorTable]:

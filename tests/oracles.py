@@ -5,6 +5,8 @@ separate from the library's vectorized code paths, so the two sides of each
 check cannot share a bug.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -79,3 +81,51 @@ def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, 
 
 
 CHAIN_A = [[0.9, 0.1], [0.2, 0.8]]
+
+
+def random_queue_oracle(world, channels, slots, warmup, capacity):
+    """The random_queue policy with one bounded FIFO of stamps per agent.
+
+    Straight-line loops over a simulator world (`x_path`, `channel_ok`,
+    `policy_seq`): each slot every agent's age grows by one or, on delivery
+    of a packet generated at g, becomes t - g; every agent then queues a
+    packet stamped t (the deque drops the oldest beyond `capacity`), and the
+    agents picked by a partial Fisher-Yates shuffle on the policy stream send
+    their oldest packet. Returns deliveries, each agent's mean age over slots
+    warmup..slots-1, and the longest queue seen.
+    """
+    n = world.x_path.shape[1]
+    rng = np.random.default_rng(world.policy_seq)
+    queues = [deque(maxlen=capacity) for _ in range(n)]
+    age = [1] * n
+    aoi_sum = [0.0] * n
+    deliveries = 0
+    peak_queue = 0
+    sent = []  # (agent, generation) pulled in the previous slot
+    for t in range(slots):
+        if t > 0:
+            for a in range(n):
+                age[a] += 1
+            for a, gen in sent:
+                if world.channel_ok[t - 1, a]:
+                    age[a] = t - gen
+                    deliveries += 1
+        if t >= warmup:
+            for a in range(n):
+                aoi_sum[a] += age[a]
+        for a in range(n):
+            queues[a].append(t)
+            peak_queue = max(peak_queue, len(queues[a]))
+        k = min(channels, n)
+        order = list(range(n))
+        u = rng.random(k)
+        for i in range(k):
+            j = i + int(u[i] * (n - i))
+            order[i], order[j] = order[j], order[i]
+        sent = [(a, queues[a].popleft()) for a in sorted(order[:k])]
+    accounted = slots - warmup
+    return {
+        "deliveries": deliveries,
+        "agent_mean_aoi": tuple(s / accounted for s in aoi_sum),
+        "peak_queue": peak_queue,
+    }

@@ -10,12 +10,12 @@ from aoi_guard import (
     dual_ascent,
     dual_lower_bound,
     dual_update,
-    gain_index,
     identity_safety_map,
     loss_01,
     relative_value_iteration,
     stationary_distribution,
 )
+from aoi_guard.markov import stack_padded
 from conftest import CHAIN_A_MATRIX, random_primitive_source
 from oracles import rvi_fixed_sweeps
 
@@ -138,14 +138,14 @@ class TestRelativeValueIteration:
 
 class TestGainIndex:
     def test_lookup_matches_table(self):
+        # The simulator reads gains at (class, age, observation) from one
+        # padded stack of every class's table.
         sol, _, _ = solve_chain_a()
-        assert gain_index(sol, 3, 0) == sol.gain[3, 0]
-
-    def test_range_errors(self):
-        sol, _, _ = solve_chain_a()
-        for delta, x in ((0, 0), (41, 0), (3, 2)):
-            with pytest.raises(IndexError):
-                gain_index(sol, delta, x)
+        wide = np.arange(41 * 3, dtype=float).reshape(41, 3)
+        stack = stack_padded([np.nan_to_num(sol.gain, nan=0.0), wide], 0.0)
+        assert stack[0, 3, 0] == sol.gain[3, 0]
+        assert (stack[0, 1:, :2] == sol.gain[1:]).all()
+        assert (stack[1] == wide).all()
 
 
 class TestDualUpdate:

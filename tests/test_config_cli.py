@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aoi_guard import cli
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
@@ -244,6 +245,23 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.replace("channels: 1", "channels: 0"))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+
+    def test_bad_profile_deltas(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["profile", "--config", str(cfg), "--deltas", "1,x"]) == EXIT_VALIDATION
+
+    def test_negative_seed(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["simulate", "--config", str(cfg), "--seed", "-1"]) == EXIT_VALIDATION
+
+    def test_internal_errors_are_not_validation_errors(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr(cli, "run_paired", broken)
+        cfg = write_config(tmp_path, MINIMAL)
+        with pytest.raises(IndexError):
+            main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
 
     def test_convergence_error(self, tmp_path):
         cfg = write_config(

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from aoi_guard import (
+    AgentClassSpec,
     ConvergenceError,
+    LossMatrix,
     MarkovSource,
     ValidationError,
     banded_safety_map,
     build_row_chain,
+    build_tables,
     identity_safety_map,
     is_primitive,
-    safety_distribution,
-    sample_next,
     stationary_distribution,
-    step_distribution,
 )
-from aoi_guard.markov import SafetyMap
+from aoi_guard.markov import SafetyMap, cumulative_rows, stack_padded, step_states
 
 from conftest import random_primitive_source
 
@@ -33,58 +33,62 @@ class TestMarkovSource:
             chain_a.transition[0, 0] = 0.0
 
 
+def step_law(source: MarkovSource, x: int, delta: int) -> np.ndarray:
+    """Row x of P^delta as build_tables propagates it.
+
+    With the identity safety map and a loss that charges 1 whenever the true
+    state is k, whatever the estimate, the tabulated penalty at (delta, x)
+    is exactly the probability of state k delta steps after observing x.
+    """
+    n = source.state_count
+    law = np.empty(n)
+    for k in range(n):
+        charge = np.zeros((n, n))
+        charge[k] = 1.0
+        cls = AgentClassSpec(source, identity_safety_map(n), LossMatrix(charge))
+        law[k] = build_tables(cls, max(delta, 1))[0].values[delta, x]
+    return law
+
+
 class TestStepDistribution:
     def test_one_step_equals_row(self, chain_a):
-        assert step_distribution(chain_a, 0, 1) == pytest.approx((0.9, 0.1))
+        assert step_law(chain_a, 0, 1) == pytest.approx((0.9, 0.1))
 
     def test_zero_steps_is_identity(self, chain_a):
-        assert step_distribution(chain_a, 0, 0) == pytest.approx((1.0, 0.0))
+        assert step_law(chain_a, 0, 0) == pytest.approx((1.0, 0.0))
 
     def test_two_steps_matches_hand_product(self, chain_a):
         # [[0.9, 0.1], [0.2, 0.8]]^2 row 0 = (0.81 + 0.02, 0.09 + 0.08)
-        assert step_distribution(chain_a, 0, 2) == pytest.approx((0.83, 0.17))
-
-    def test_out_of_range_state(self, chain_a):
-        with pytest.raises(IndexError):
-            step_distribution(chain_a, 2, 1)
-
-    def test_delta_beyond_cache_bound(self, chain_a):
-        with pytest.raises(IndexError):
-            step_distribution(chain_a, 0, 251)
-
-    def test_chapman_kolmogorov_on_cache(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            src = random_primitive_source(rng, int(rng.integers(2, 7)), delta_bound=40)
-            a, b = int(rng.integers(1, 20)), int(rng.integers(1, 20))
-            lhs = src.power(a + b)
-            rhs = src.power(a) @ src.power(b)
-            assert np.abs(lhs - rhs).max() < 1e-10
+        assert step_law(chain_a, 0, 2) == pytest.approx((0.83, 0.17))
 
     def test_rows_always_sum_to_one(self):
         rng = np.random.default_rng(8)
         src = random_primitive_source(rng, 5, delta_bound=100)
         for delta in (0, 1, 17, 100):
-            dist = step_distribution(src, 3, delta)
+            dist = step_law(src, 3, delta)
             assert abs(dist.sum() - 1.0) < 1e-12
             assert (dist >= 0).all()
 
 
 class TestSafetyDistribution:
+    """Label law delta steps after observing x: row x of P^delta @ indicator."""
+
     def test_identity_map_is_passthrough(self, chain_a):
-        got = safety_distribution(chain_a, identity_safety_map(2), 0, 2)
+        got = np.linalg.matrix_power(chain_a.transition, 2)[0] @ identity_safety_map(2).indicator()
         assert got == pytest.approx((0.83, 0.17))
 
     def test_constant_map_gives_point_mass(self, chain_a):
         constant = SafetyMap(1, np.zeros(2, dtype=int))
         for x in (0, 1):
-            assert safety_distribution(chain_a, constant, x, 5) == pytest.approx((1.0,))
+            got = np.linalg.matrix_power(chain_a.transition, 5)[x] @ constant.indicator()
+            assert got == pytest.approx((1.0,))
 
     def test_row_chain_boundary_rule(self):
         # Row 7 of the 20-row grid sits just inside the cautious band.
         src = build_row_chain(20, 0.3, 0.3)
         safety = banded_safety_map(20, (6, 13))
-        got = safety_distribution(src, safety, 6, 1)  # row 7 is state 6
+        row = np.linalg.matrix_power(src.transition, 1)[6]  # row 7 is state 6
+        got = np.bincount(safety.assignment, weights=row, minlength=safety.label_count)
         assert got == pytest.approx((0.3, 0.7, 0.0))
 
 
@@ -118,7 +122,7 @@ class TestStationaryDistribution:
             src = random_primitive_source(rng, 5, delta_bound=60)
             pi = stationary_distribution(src)
             gaps = [
-                max(np.abs(src.power(d)[x] - pi).sum() for x in range(5))
+                max(np.abs(np.linalg.matrix_power(src.transition, d)[x] - pi).sum() for x in range(5))
                 for d in range(30, 61)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -152,28 +156,61 @@ class TestBuildRowChain:
             build_row_chain(1, 0.1, 0.1)
 
 
+def step_one(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
+    """One agent's successor of x through the shared inverse-CDF step."""
+    cum = stack_padded([cumulative_rows(source.transition)], 1.0)
+    return int(step_states(cum, np.zeros(1, dtype=int), np.array([x]), rng.random(1))[0])
+
+
 class TestSampleNext:
     def test_deterministic_row(self):
         p = np.zeros((5, 5))
         for i in range(5):
             p[i, (i + 1) % 5] = 1.0
         src = MarkovSource(p)
-        assert sample_next(src, 3, np.random.default_rng(0)) == 4
+        rng = np.random.default_rng(0)
+        assert [step_one(src, x, rng) for x in range(5)] == [1, 2, 3, 4, 0]
 
     def test_same_seed_same_draws(self, chain_a):
-        draws1 = [sample_next(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
-        draws2 = [sample_next(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
+        draws1 = [step_one(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
+        draws2 = [step_one(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
         assert draws1 == draws2
 
     def test_law_of_large_numbers(self, chain_a):
-        rng = np.random.default_rng(123)
-        draws = rng.random(1_000_000) >= 0.9  # inverse-CDF of row 0
-        freq0 = 1.0 - draws.mean()
-        assert abs(freq0 - 0.9) < 0.002
-        # and the object-level sampler agrees with the row law on a smaller sample
-        rng = np.random.default_rng(5)
-        small = np.array([sample_next(chain_a, 0, rng) for _ in range(20_000)])
-        assert abs((small == 0).mean() - 0.9) < 0.01
+        # Many agents of two classes step at once; each class's successors
+        # follow its own row, and the narrow class never lands on padding.
+        wide = MarkovSource(np.full((3, 3), 1 / 3))
+        cum = stack_padded([cumulative_rows(chain_a.transition), cumulative_rows(wide.transition)], 1.0)
+        n = 200_000
+        cls_idx = np.repeat([0, 1], n)
+        x = np.zeros(2 * n, dtype=int)
+        nxt = step_states(cum, cls_idx, x, np.random.default_rng(123).random(2 * n))
+        freq_a = np.bincount(nxt[:n], minlength=3) / n
+        freq_w = np.bincount(nxt[n:], minlength=3) / n
+        assert np.abs(freq_a - (0.9, 0.1, 0.0)).max() < 0.003
+        assert np.abs(freq_w - 1 / 3).max() < 0.005
+
+
+class TestStackPadded:
+    def test_pads_every_axis_and_keeps_dtype(self):
+        small = np.arange(6).reshape(2, 3)
+        big = np.arange(12).reshape(4, 3) + 100
+        tall = np.ones((1, 5), dtype=int)
+        out = stack_padded([small, big, tall], -1)
+        assert out.dtype == small.dtype
+        assert out.shape == (3, 4, 5)
+        for i, a in enumerate((small, big, tall)):
+            assert (out[i, : a.shape[0], : a.shape[1]] == a).all()
+            pad = np.ones(out.shape[1:], dtype=bool)
+            pad[: a.shape[0], : a.shape[1]] = False
+            assert (out[i][pad] == -1).all()
+
+    def test_masks_and_labels(self):
+        masks = stack_padded([np.ones((3, 2), dtype=bool), np.ones((3, 4), dtype=bool)], False)
+        assert masks.dtype == bool and masks.shape == (2, 3, 4)
+        assert masks.sum() == 3 * 2 + 3 * 4
+        labels = stack_padded([np.array([0, 1]), np.array([2, 2, 1])], 0)
+        assert labels.tolist() == [[0, 1, 0], [2, 2, 1]]
 
 
 class TestSafetyMap:

@@ -1,55 +1,26 @@
 import numpy as np
-import pytest
 
-from aoi_guard import (
-    AgentState,
-    BanditSolution,
-    PolicyDecision,
-    UpdateQueue,
-    ValidationError,
-    maf_select,
-    mgf_select,
-    queue_policy_step,
-    randomized_select,
-)
-from aoi_guard.policies import top_positive_ids, uniform_subset
+import aoi_guard.simulate as simulate
+from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, identity_safety_map, loss_01
+from aoi_guard.policies import top_ids, top_positive_ids, uniform_subset
 
-
-def solution_with_gain(gain: np.ndarray) -> BanditSolution:
-    gain = np.asarray(gain, dtype=float)
-    zeros = np.zeros_like(gain)
-    return BanditSolution(
-        lam=0.0, h=zeros, q_active=zeros, q_passive=gain, avg_cost=0.0,
-        gain=gain, delta_bound=gain.shape[0] - 1, iterations=1, span=0.0,
-    )
-
-
-def states_for(gains_by_agent):
-    """One single-state class per agent so each agent's gain is explicit."""
-    states, solutions = [], {}
-    for i, g in enumerate(gains_by_agent):
-        table = np.full((2, 1), g)
-        solutions[i] = solution_with_gain(table)
-        states.append(AgentState(agent=i, cls=i, delta=1, x=0))
-    return states, solutions
+from conftest import CHAIN_A_MATRIX
 
 
 class TestMgfSelect:
+    """MGF's selection: the kernel applied to each agent's looked-up gain."""
+
     def test_top_positive_gains(self):
-        states, sols = states_for([0.5, -0.1, 0.2])
-        assert mgf_select(states, sols, 2).selected == (0, 2)
+        assert top_positive_ids(np.array([0.5, -0.1, 0.2]), 2).tolist() == [0, 2]
 
     def test_all_negative_selects_nobody(self):
-        states, sols = states_for([-0.5, -0.1, -0.2])
-        assert mgf_select(states, sols, 5).selected == ()
+        assert top_positive_ids(np.array([-0.5, -0.1, -0.2]), 5).tolist() == []
 
     def test_zero_gain_not_selected(self):
-        states, sols = states_for([0.0, 0.3])
-        assert mgf_select(states, sols, 2).selected == (1,)
+        assert top_positive_ids(np.array([0.0, 0.3]), 2).tolist() == [1]
 
     def test_ties_break_to_lower_id(self):
-        states, sols = states_for([0.3, 0.3, 0.3])
-        assert mgf_select(states, sols, 2).selected == (0, 1)
+        assert top_positive_ids(np.array([0.3, 0.3, 0.3]), 2).tolist() == [0, 1]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -60,32 +31,26 @@ class TestMgfSelect:
 
 
 class TestMafSelect:
+    """MAF's selection: the kernel applied to the agents' ages."""
+
     def test_orders_by_age(self):
-        states = [AgentState(0, 0, 7, 0), AgentState(1, 0, 3, 0), AgentState(2, 0, 9, 0)]
-        assert maf_select(states, 2).selected == (0, 2)
+        assert top_ids(np.array([7, 3, 9]), 2).tolist() == [0, 2]
 
     def test_equal_ages_tie_break(self):
-        states = [AgentState(i, 0, 4, 0) for i in range(3)]
-        assert maf_select(states, 2).selected == (0, 1)
+        assert top_ids(np.array([4, 4, 4]), 2).tolist() == [0, 1]
 
     def test_budget_covers_everyone(self):
-        states = [AgentState(i, 0, i + 1, 0) for i in range(3)]
-        assert maf_select(states, 7).selected == (0, 1, 2)
+        assert top_ids(np.array([1, 2, 3]), 7).tolist() == [0, 1, 2]
 
 
 class TestRandomizedSelect:
     def test_selects_all_when_budget_equals_agents(self):
-        got = randomized_select([0, 1, 2], 3, np.random.default_rng(0))
-        assert sorted(got.selected) == [0, 1, 2]
+        assert uniform_subset(3, 3, np.random.default_rng(0)).tolist() == [0, 1, 2]
 
     def test_deterministic_under_seed(self):
-        a = randomized_select(list(range(20)), 2, np.random.default_rng(9)).selected
-        b = randomized_select(list(range(20)), 2, np.random.default_rng(9)).selected
-        assert a == b
-
-    def test_rejects_overbudget(self):
-        with pytest.raises(ValidationError):
-            randomized_select([0, 1], 3, np.random.default_rng(0))
+        a = uniform_subset(20, 2, np.random.default_rng(9))
+        b = uniform_subset(20, 2, np.random.default_rng(9))
+        assert a.tolist() == b.tolist()
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(77)
@@ -106,54 +71,55 @@ class TestRandomizedSelect:
         assert np.abs(freqs - 1 / 6).max() < 0.01
 
 
-class TestUpdateQueue:
-    def test_capacity_evicts_oldest(self):
-        q = UpdateQueue(capacity=3)
-        for t in range(5):
-            q.push(t)
-        assert list(q.stamps) == [2, 3, 4]
+def queue_ages_after(monkeypatch, agents: int, pulls: dict[int, list[int]], slot: int) -> list[float]:
+    """Each agent's receiver age at slot + 1 under random_queue with scripted pulls.
 
-    def test_holds_last_thousand_when_never_served(self):
-        q = UpdateQueue()
-        for t in range(2500):
-            q.push(t)
-        assert len(q) == 1000
-        assert list(q.stamps) == list(range(1500, 2500))
+    `pulls[t]` lists the agents the channel serves at slot t (at most one);
+    channels never erase. With the accounting window cut to the last slot,
+    the record's per-agent mean AoI is that slot's age, t + 1 - generation
+    time of the packet delivered.
+    """
+    def scripted(count, budget, rng):
+        scripted.t += 1
+        return np.array(pulls.get(scripted.t, []), dtype=int)
 
-    def test_stamps_strictly_increase(self):
-        q = UpdateQueue()
-        q.push(5)
-        with pytest.raises(ValidationError):
-            q.push(5)
+    scripted.t = -1
+    monkeypatch.setattr(simulate, "uniform_subset", scripted)
+    src = MarkovSource(CHAIN_A_MATRIX, delta_bound=20, name="chain_a")
+    cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 1.0, agents)
+    cfg = SimConfig((cls,), channels=1, slots=slot + 2, warmup=slot + 1, policy="random_queue", delta_bound=20)
+    (rec,) = simulate.run_paired(cfg, ["random_queue"], simulate.solve_system(cfg), 0)
+    return list(rec.agent_mean_aoi)
 
 
 class TestQueuePolicyStep:
-    def test_oldest_packet_age_arithmetic(self):
-        # Queue holds generations {10, 11, 12}; agent selected at t=15.
-        q = UpdateQueue()
-        for t in (10, 11, 12):
-            q.push(t)
-        decision, generation = queue_policy_step([q], [0], 1, np.random.default_rng(0), now=15)
-        assert decision.selected == (0,)
-        assert generation[0] == 10
-        delivered_at = 16
-        assert delivered_at - generation[0] == 6
+    """random_queue: enqueue a packet per slot, then serve the oldest one."""
 
-    def test_enqueues_before_dequeue(self):
-        q = UpdateQueue()
-        decision, generation = queue_policy_step([q], [0], 1, np.random.default_rng(0), now=4)
-        assert generation[0] == 4
-        assert len(q) == 0
+    def test_oldest_packet_age_arithmetic(self, monkeypatch):
+        # Served every slot up to 9, the queue holds generations 10..15 when
+        # the agent is next served at t=15; packet 10 lands at 16 with age 6.
+        pulls = {t: [0] for t in (*range(10), 15)}
+        assert queue_ages_after(monkeypatch, 1, pulls, 15) == [6.0]
 
-    def test_unselected_agents_keep_growing(self):
-        queues = [UpdateQueue(), UpdateQueue()]
-        rng = np.random.default_rng(1)
-        for now in range(10):
-            queue_policy_step(queues, [0, 1], 1, rng, now=now)
-        assert len(queues[0]) + len(queues[1]) == 20 - 10
+    def test_enqueues_before_dequeue(self, monkeypatch):
+        # Served every slot, the agent always sends the packet of that slot.
+        pulls = {t: [0] for t in range(5)}
+        assert queue_ages_after(monkeypatch, 1, pulls, 4) == [1.0]
+
+    def test_unselected_agents_keep_growing(self, monkeypatch):
+        # Agent 1 queues a packet every slot while agent 0 takes the channel,
+        # so its first service at t=10 sends generation 0.
+        pulls = {t: [0] for t in range(10)} | {10: [1]}
+        assert queue_ages_after(monkeypatch, 2, pulls, 10) == [2.0, 11.0]
 
 
-class TestPolicyDecision:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            PolicyDecision((1, 1))
+class TestQueueCapacity:
+    def test_capacity_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(simulate, "QUEUE_CAPACITY", 3)
+        # Unserved for slots 0..4, the queue keeps generations 2, 3, 4.
+        assert queue_ages_after(monkeypatch, 1, {4: [0]}, 4) == [3.0]
+
+    def test_holds_last_thousand_when_never_served(self, monkeypatch):
+        # After 2500 slots unserved the oldest queued generation is 1500.
+        assert simulate.QUEUE_CAPACITY == 1000
+        assert queue_ages_after(monkeypatch, 1, {2499: [0]}, 2499) == [1000.0]

