@@ -7,11 +7,17 @@ the action-value tables; their difference is the gain index that drives the
 Maximum Gain First policy. Stochastic dual subgradient ascent tunes lambda so
 that the relaxed (uncoupled) system transmits at the channel budget on
 average.
+
+The MDP sees the source state only through its safety label, so the dual
+search runs value iteration on the coarsest lumpable quotient of each source
+that refines the labels and lifts the tables back to every state. The
+400-position grid walk lumps onto its 20 rows; the row chains of the 20-row
+grid do not lump further, and their quotient is the chain itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,11 +26,13 @@ from .markov import (
     MarkovSource,
     cumulative_rows,
     is_primitive,
+    lumpable_partition,
     stack_padded,
     stationary_distribution,
     step_states,
 )
-from .tables import AgentClassSpec, PenaltyTable, build_tables
+# build_tables is unused here, but perfbench's tracer wraps it at this name too.
+from .tables import AgentClassSpec, PenaltyTable, build_tables  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 100_000
@@ -214,6 +222,47 @@ def relative_value_iteration(
     )
 
 
+@dataclass(frozen=True)
+class LumpedClass:
+    """One class MDP's inputs on the coarsest lumpable quotient of its source.
+
+    `block[x]` is the quotient state of source state x. Each block is
+    represented by its first member: the quotient's rows are that member's
+    row-to-block masses (not renormalized) and its penalty column is the
+    member's. The ordering keeps state 0 in block 0, so the reference state
+    of value iteration is the same on both chains.
+    """
+
+    source: MarkovSource
+    penalty: PenaltyTable
+    block: np.ndarray
+
+    @classmethod
+    def of(cls, spec: AgentClassSpec, penalty: PenaltyTable) -> LumpedClass:
+        p = spec.source.transition
+        block = lumpable_partition(p, spec.safety.assignment)
+        _, reps = np.unique(block, return_index=True)
+        # A block that takes a whole row can sum to 1 + ulp; the clip undoes
+        # only that rounding and leaves every entry of a singleton block as is.
+        quotient = np.minimum(p[reps] @ np.eye(reps.size)[block], 1.0)
+        values = penalty.values[:, reps]
+        values.setflags(write=False)
+        block.setflags(write=False)
+        return cls(
+            MarkovSource(quotient, delta_bound=spec.source.delta_bound, name=spec.source.name),
+            PenaltyTable(values, penalty.delta_bound),
+            block,
+        )
+
+    def lift(self, sol: BanditSolution) -> BanditSolution:
+        """A quotient solution read back on every source state."""
+        tables = {}
+        for key in ("h", "q_active", "q_passive", "gain"):
+            tables[key] = getattr(sol, key)[:, self.block]
+            tables[key].setflags(write=False)
+        return replace(sol, **tables)
+
+
 def dual_update(lam: float, step: float, activation_rate: float, channels: int) -> float:
     """One projected subgradient step on the transmission price."""
     return max(0.0, lam + step * (activation_rate - channels))
@@ -288,16 +337,20 @@ class _RelaxedRollout:
 
 def dual_ascent(
     classes: list[AgentClassSpec],
+    penalties: list[PenaltyTable],
     channels: int,
     beta: float = DEFAULT_BETA,
     eval_horizon: int = DEFAULT_EVAL_HORIZON,
     outer_iters: int = DEFAULT_OUTER_ITERS,
     rng: np.random.Generator | int | None = None,
-    delta_bound: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[float, DualTrace, list[BanditSolution]]:
     """Search the transmission price at which relaxed usage meets the budget.
+
+    `penalties` are the classes' penalty tables from `build_tables`, all at
+    one age bound, which is also the rollout's. Each class MDP is solved on
+    its `LumpedClass` quotient and lifted back to every source state.
 
     Runs projected stochastic subgradient ascent from lambda = 0 with step
     beta / j: at each outer iteration every class MDP is solved at the
@@ -311,26 +364,29 @@ def dual_ascent(
     """
     if not classes:
         raise ValidationError("dual_ascent needs at least one agent class")
+    if len(penalties) != len(classes):
+        raise ValidationError(f"{len(penalties)} penalty tables for {len(classes)} classes")
+    if len({pen.delta_bound for pen in penalties}) != 1:
+        raise ValidationError("penalty tables must share one delta_bound")
     if beta <= 0.0 or eval_horizon < 1 or outer_iters < 1:
         raise ValidationError("beta must be positive and horizons/iterations at least 1")
-    if delta_bound is None:
-        delta_bound = min(c.source.delta_bound for c in classes)
+    delta_bound = penalties[0].delta_bound
     if rng is None or isinstance(rng, (int, np.integer)):
         seed_root = np.random.SeedSequence(rng if rng is not None else 0)
     else:
         seed_root = rng.bit_generator.seed_seq.spawn(1)[0]
 
-    penalties = [build_tables(c, delta_bound)[0] for c in classes]
-    warm: list[np.ndarray | None] = [None] * len(classes)
+    lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
+    warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized
 
     def solve_all(lam: float) -> list[BanditSolution]:
         sols = []
-        for i, c in enumerate(classes):
+        for i, (c, lc) in enumerate(zip(classes, lumped)):
             sol = relative_value_iteration(
-                penalties[i], c.source, c.success_prob, lam, tol=tol, max_iters=max_iters, h_init=warm[i]
+                lc.penalty, lc.source, c.success_prob, lam, tol=tol, max_iters=max_iters, h_init=warm[i]
             )
             warm[i] = sol.h
-            sols.append(sol)
+            sols.append(lc.lift(sol))
         return sols
 
     rollout = _RelaxedRollout(classes, eval_horizon, seed_root.spawn(1)[0])

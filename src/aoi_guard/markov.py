@@ -1,7 +1,8 @@
 """Finite-state Markov source models and safety-label maps.
 
-Provides validated row-stochastic transition matrices, stationary
-distributions via power iteration, builders for the bounded random-walk
+Provides validated row-stochastic transition matrices, an exact primitivity
+test, stationary distributions via power iteration, the coarsest lumpable
+partition that refines a labelling, builders for the bounded random-walk
 ("row chain") sources used in the grid-world experiments, and the per-class
 stacking and inverse-CDF stepping that the rollout and the simulator share.
 """
@@ -103,22 +104,34 @@ def banded_safety_map(state_count: int, band_edges) -> SafetyMap:
     return SafetyMap(len(edges) + 1, labels)
 
 
-def is_primitive(source: MarkovSource) -> bool:
-    """Power-positivity heuristic for irreducibility + aperiodicity.
+def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
+    """Hop distance from state 0 along a boolean adjacency matrix; -1 if unreachable."""
+    level = np.full(adjacency.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = adjacency[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
 
-    A chain is primitive iff some single power of P is entrywise positive;
-    Wielandt's bound caps the exponent at (n-1)^2 + 1. The search is cut off
-    near delta_bound, which is far beyond the mixing onset of any chain this
-    package is meant for.
+
+def is_primitive(source: MarkovSource) -> bool:
+    """Exact test for irreducibility + aperiodicity on the support graph.
+
+    The chain is irreducible iff state 0 reaches every state and every state
+    reaches state 0 (breadth-first search on the graph and its transpose).
+    The period of an irreducible chain is the gcd of level[u] + 1 - level[v]
+    over its edges u -> v, with BFS levels from state 0 (Denardo 1977);
+    primitive means period 1.
     """
-    n = source.state_count
-    cap = min((n - 1) ** 2 + 1, max(2 * source.delta_bound, 512))
-    step = source.transition > 0.0
-    for _ in range(cap):
-        if step.all():
-            return True
-        step = (step.astype(float) @ source.transition) > 0.0
-    return bool(step.all())
+    support = source.transition > 0.0
+    level = _bfs_levels(support)
+    if (level < 0).any() or (_bfs_levels(support.T) < 0).any():
+        return False
+    u, v = np.nonzero(support)
+    return bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
 
 
 def stationary_distribution(source: MarkovSource, tol: float = 1e-12, max_iters: int = 200_000) -> np.ndarray:
@@ -140,6 +153,46 @@ def stationary_distribution(source: MarkovSource, tol: float = 1e-12, max_iters:
         f"power iteration on {source.name} did not reach tol {tol:g} in {max_iters} steps",
         residual=float(np.max(np.abs(nxt - pi))),
     )
+
+
+LUMP_TOL = 1e-12
+
+
+def _first_member_order(labels: np.ndarray) -> np.ndarray:
+    """Relabel classes 0, 1, ... in order of their lowest state."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def lumpable_partition(transition, labels) -> np.ndarray:
+    """Coarsest partition refining `labels` on which the chain is lumpable.
+
+    Returns one block index per state. Starting from the label classes, each
+    pass splits every block by its members' row-to-block masses (P summed
+    over the columns of each current block), until a pass splits nothing.
+    A state stays with the first remaining member of its block only if their
+    masses agree within LUMP_TOL in every column (ordinary lumpability,
+    Kemeny-Snell 1960; refinement as in Derisavi, Hermanns & Sanders 2003).
+    Blocks are numbered in order of their first member, so state 0 is always
+    in block 0, and every block a singleton gives the identity.
+    """
+    p = np.asarray(transition, dtype=float)
+    block = _first_member_order(np.asarray(labels))
+    count = int(block.max()) + 1
+    while True:
+        mass = p @ np.eye(count)[block]  # mass[x, b] = P(x -> block b)
+        refined = np.empty_like(block)
+        parts = 0
+        for b in range(count):
+            members = np.flatnonzero(block == b)
+            while members.size:
+                close = np.abs(mass[members] - mass[members[0]]).max(axis=1) <= LUMP_TOL
+                refined[members[close]] = parts
+                parts += 1
+                members = members[~close]
+        if parts == count:
+            return block
+        block, count = _first_member_order(refined), parts
 
 
 def build_row_chain(

@@ -115,12 +115,12 @@ def solve_system(
         return SolvedSystem(penalties, estimators)
     lam, trace, sols = dual_ascent(
         list(config.classes),
+        list(penalties),
         config.channels,
         beta=solver.beta,
         eval_horizon=solver.eval_horizon,
         outer_iters=solver.outer_iters,
         rng=config.seed,
-        delta_bound=config.delta_bound,
         tol=solver.tol,
         max_iters=solver.max_iters,
     )

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
+import aoi_guard.bandit as bandit
 from aoi_guard import (
     AgentClassSpec,
     ConvergenceError,
     MarkovSource,
     ValidationError,
+    banded_safety_map,
     build_tables,
     dual_ascent,
     dual_lower_bound,
     dual_update,
     identity_safety_map,
     loss_01,
+    loss_safety_example,
     relative_value_iteration,
     stationary_distribution,
 )
-from aoi_guard.markov import stack_padded
-from conftest import CHAIN_A_MATRIX, random_primitive_source
+from aoi_guard.bandit import LumpedClass
+from aoi_guard.config import _grid2d_matrix
+from aoi_guard.markov import SafetyMap, lumpable_partition, stack_padded
+from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
 from oracles import rvi_fixed_sweeps
 
 # Frozen from the straight-line 200-sweep oracle in oracles.py (chain A,
@@ -159,15 +164,17 @@ class TestDualUpdate:
 class TestDualAscent:
     def test_unconstrained_when_channels_match_agents(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=3)
-        lam, trace, sols = dual_ascent([cls], channels=3, eval_horizon=2000, outer_iters=10, rng=1)
+        pen, _ = build_tables(cls, chain_a.delta_bound)
+        lam, trace, sols = dual_ascent([cls], [pen], channels=3, eval_horizon=2000, outer_iters=10, rng=1)
         assert lam == 0.0
         assert trace.converged
         assert trace.iterations[0][2] == pytest.approx(3.0)
 
     def test_trace_lambdas_nonnegative_and_rate_in_band(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=6)
+        pen, _ = build_tables(cls, 100)
         lam, trace, sols = dual_ascent(
-            [cls], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2, delta_bound=100
+            [cls], [pen], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2
         )
         assert all(l >= 0.0 for _, l, _ in trace.iterations)
         assert lam >= 0.0
@@ -178,8 +185,9 @@ class TestDualAscent:
 
     def test_solutions_match_final_price(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=6)
+        pen, _ = build_tables(cls, 100)
         lam, _, sols = dual_ascent(
-            [cls], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2, delta_bound=100
+            [cls], [pen], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2
         )
         assert sols[0].lam == lam
 
@@ -187,7 +195,8 @@ class TestDualAscent:
         # One agent, one channel: always-send is optimal and feasible, so the
         # dual bound cannot exceed its long-run cost.
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 1.0, member_count=1)
-        lam, _, sols = dual_ascent([cls], channels=1, eval_horizon=2000, outer_iters=5, rng=0, delta_bound=60)
+        pen, _ = build_tables(cls, 60)
+        lam, _, sols = dual_ascent([cls], [pen], channels=1, eval_horizon=2000, outer_iters=5, rng=0)
         bound = dual_lower_bound(sols, [cls], 1)
         pi = stationary_distribution(chain_a)
         always_send = pi[0] * 0.1 + pi[1] * 0.2
@@ -195,7 +204,87 @@ class TestDualAscent:
 
     def test_validation(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2))
+        pen, _ = build_tables(cls, 40)
         with pytest.raises(ValidationError):
-            dual_ascent([], channels=1)
+            dual_ascent([], [], channels=1)
         with pytest.raises(ValidationError):
-            dual_ascent([cls], channels=1, beta=0.0)
+            dual_ascent([cls], [pen], channels=1, beta=0.0)
+        with pytest.raises(ValidationError):
+            dual_ascent([cls], [], channels=1)
+        with pytest.raises(ValidationError):
+            dual_ascent([cls, cls], [pen, build_tables(cls, 41)[0]], channels=1)
+
+
+def unlumped(monkeypatch):
+    """Make dual_ascent solve every class on its original source, as a reference."""
+
+    def identity(spec, penalty):
+        return LumpedClass(spec.source, penalty, np.arange(spec.source.state_count))
+
+    monkeypatch.setattr(LumpedClass, "of", staticmethod(identity))
+
+
+class TestLumpedQuotient:
+    def test_grid_walk_lifts_onto_unlumped_solve(self):
+        rows, cols = 6, 6
+        src = MarkovSource(_grid2d_matrix(rows, cols, 0.2, 0.2, 0.2, 0.2), delta_bound=40, name="grid6")
+        safety = SafetyMap(3, np.repeat(banded_safety_map(rows, (2, 4)).assignment, cols))
+        cls = AgentClassSpec(src, safety, loss_safety_example(), success_prob=0.95)
+        pen, _ = build_tables(cls, 40)
+        lumped = LumpedClass.of(cls, pen)
+        assert lumped.source.state_count == rows
+        for lam in (0.05, 0.5):
+            full = relative_value_iteration(pen, src, 0.95, lam)
+            lifted = lumped.lift(relative_value_iteration(lumped.penalty, lumped.source, 0.95, lam))
+            assert np.nanmax(np.abs(lifted.gain - full.gain)) < 1e-10
+            assert abs(lifted.avg_cost - full.avg_cost) < 1e-10
+            assert (lifted.active_mask() == full.active_mask()).all()
+            assert 0 < full.active_mask().sum() < rows * cols * 40
+            assert lifted.iterations == full.iterations
+            assert lifted.h.shape == full.h.shape and not lifted.gain.flags.writeable
+
+    def test_row_chain_search_is_bit_identical(self, monkeypatch):
+        classes = make_grid_classes((10, 10), delta_bound=40)
+        for c in classes:
+            assert (lumpable_partition(c.source.transition, c.safety.assignment) == np.arange(20)).all()
+        classes = classes[:1]  # the slow-mixing drift class needs ~10^4 sweeps per price
+        pens = [build_tables(c, 40)[0] for c in classes]
+        args = dict(channels=3, beta=0.2, eval_horizon=500, outer_iters=2, rng=5)
+        lam, trace, sols = dual_ascent(list(classes), pens, **args)
+        unlumped(monkeypatch)
+        lam_ref, trace_ref, sols_ref = dual_ascent(list(classes), pens, **args)
+        assert lam == lam_ref and trace.iterations == trace_ref.iterations
+        assert trace.converged == trace_ref.converged
+        for sol, ref in zip(sols, sols_ref):
+            assert np.array_equal(sol.gain, ref.gain, equal_nan=True)
+            assert np.array_equal(sol.h, ref.h) and sol.avg_cost == ref.avg_cost
+
+    def test_frozen_chain_collapses_onto_labels(self, monkeypatch):
+        frozen = MarkovSource(np.eye(3), delta_bound=30, name="frozen")
+        cls = AgentClassSpec(frozen, SafetyMap(2, np.array([0, 0, 1])), loss_01(2), 0.9, member_count=3)
+        pen, _ = build_tables(cls, 30)
+        lumped = LumpedClass.of(cls, pen)
+        assert lumped.block.tolist() == [0, 0, 1]
+        assert (lumped.source.transition == np.eye(2)).all()
+        sol = lumped.lift(relative_value_iteration(lumped.penalty, lumped.source, 0.9, 0.5))
+        assert sol.avg_cost == pytest.approx(0.0, abs=1e-9)
+        assert np.abs(sol.gain[1:] + 0.5).max() < 1e-9
+        args = dict(channels=1, eval_horizon=300, outer_iters=2, rng=0)
+        got = dual_ascent([cls], [pen], **args)
+        unlumped(monkeypatch)
+        ref = dual_ascent([cls], [pen], **args)
+        assert got[0] == ref[0] and got[1].iterations == ref[1].iterations
+        assert got[1].converged == ref[1].converged
+        assert np.array_equal(got[2][0].gain, ref[2][0].gain, equal_nan=True)
+
+    def test_single_label_lumps_to_one_state(self):
+        # Row 0 of this source sums to 1 + ulp: the one-block quotient must
+        # still be a valid chain.
+        src = random_primitive_source(np.random.default_rng(2), 5, delta_bound=30)
+        assert src.transition[0].sum() > 1.0
+        cls = AgentClassSpec(src, SafetyMap(1, np.zeros(5, dtype=int)), loss_01(1), 0.9)
+        pen, _ = build_tables(cls, 30)
+        lumped = LumpedClass.of(cls, pen)
+        assert lumped.source.transition.tolist() == [[1.0]]
+        sol = lumped.lift(relative_value_iteration(lumped.penalty, lumped.source, 0.9, 0.2))
+        assert sol.gain.shape == (31, 5) and np.abs(sol.gain[1:] + 0.2).max() < 1e-12

@@ -215,6 +215,29 @@ solver: {outer_iters: 3, eval_horizon: 500}
         prows = (prof / "profile_0_ice.csv").read_text().splitlines()[3:]
         assert all(float(r.split(",")[2]) == 0.0 for r in prows)
 
+    def test_simulate_warns_once_when_dual_search_unconverged(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf")
+                           + "\nsolver: {outer_iters: 2, eval_horizon: 500}\n")
+        ok = tmp_path / "ok.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(ok)]) == 0
+        assert capsys.readouterr().err == ""
+        solve = cli.solve_system
+
+        def unconverged(*args, **kwargs):
+            system = solve(*args, **kwargs)
+            system.trace.converged = False
+            return system
+
+        monkeypatch.setattr(cli, "solve_system", unconverged)
+        warned = tmp_path / "warned.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(warned)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: dual price search did not converge")
+        system = solve(load_config(cfg).sim, load_config(cfg).solver, with_gains=True)
+        rate = [r for _, lam, r in system.trace.iterations if lam == system.lambda_star][-1]
+        assert f"rate {rate!r} at lambda={system.lambda_star!r} against M=1 " in err[0]
+        assert warned.read_bytes() == ok.read_bytes()
+
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_VALIDATION

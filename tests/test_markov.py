@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_guard import (
     AgentClassSpec,
@@ -14,7 +16,14 @@ from aoi_guard import (
     is_primitive,
     stationary_distribution,
 )
-from aoi_guard.markov import SafetyMap, cumulative_rows, stack_padded, step_states
+from aoi_guard.markov import (
+    LUMP_TOL,
+    SafetyMap,
+    cumulative_rows,
+    lumpable_partition,
+    stack_padded,
+    step_states,
+)
 
 from conftest import random_primitive_source
 
@@ -126,6 +135,135 @@ class TestStationaryDistribution:
                 for d in range(30, 61)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+def wielandt_chain(n: int) -> MarkovSource:
+    """i -> i+1, and n-1 -> 0 or 1 at 0.5 each: cycles of lengths n and n-1.
+
+    Primitive, with (n-1)^2 + 1 the first power of P that is entrywise
+    positive (Wielandt's bound is attained).
+    """
+    p = np.zeros((n, n))
+    p[np.arange(n - 1), np.arange(1, n)] = 1.0
+    p[n - 1, :2] = 0.5
+    return MarkovSource(p, name=f"wielandt({n})")
+
+
+def positive_power_exists(support: np.ndarray) -> bool:
+    """Some power up to Wielandt's bound (n-1)^2 + 1 is entrywise positive."""
+    n = support.shape[0]
+    reach = support.astype(int)
+    for _ in range((n - 1) ** 2 + 1):
+        if reach.all():
+            return True
+        reach = np.minimum(reach @ support, 1)
+    return False
+
+
+@st.composite
+def support_matrices(draw):
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    support = np.array(cells, dtype=bool).reshape(n, n)
+    for x in np.flatnonzero(~support.any(axis=1)):
+        support[x, draw(st.integers(0, n - 1))] = True
+    return support
+
+
+class TestIsPrimitive:
+    def test_wielandt_chain_beyond_old_cap(self):
+        # The first positive power is 842, past the old 512-step search cap.
+        src = wielandt_chain(30)
+        reach = np.linalg.matrix_power(src.transition, 841) > 0
+        assert not reach.all() and (reach.astype(float) @ src.transition > 0).all()
+        assert is_primitive(src)
+        pi = stationary_distribution(src)
+        assert abs(pi.sum() - 1.0) < 1e-12
+        assert np.abs(pi @ src.transition - pi).max() < 1e-11
+
+    def test_reducible_and_periodic(self):
+        assert not is_primitive(MarkovSource([[1.0, 0.0], [0.5, 0.5]]))  # 0 never reaches 1
+        assert not is_primitive(MarkovSource([[0.5, 0.5], [0.0, 1.0]]))  # 1 never reaches 0
+        three_cycle = np.roll(np.eye(3), 1, axis=1)
+        assert not is_primitive(MarkovSource(three_cycle))
+        assert is_primitive(MarkovSource([[1.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(support_matrices())
+    def test_matches_boolean_powers(self, support):
+        p = support / support.sum(axis=1, keepdims=True)
+        assert is_primitive(MarkovSource(p)) == positive_power_exists(support)
+
+
+def block_masses(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """mass[x, b] = P(x -> block b), by explicit column sums."""
+    return np.stack([p[:, block == b].sum(axis=1) for b in range(block.max() + 1)], axis=1)
+
+
+@st.composite
+def planted_lumpable_chains(draw):
+    """A chain lumpable by construction onto planted blocks inside label classes.
+
+    Every member of planted block b sends mass Q[b, c] into block c, spread
+    over c's members by its own random weights; labels are constant on
+    planted blocks; states are shuffled so blocks are not contiguous.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    k = len(sizes)
+    planted = rng.permutation(np.repeat(np.arange(k), sizes))
+    label_of_block = rng.integers(0, draw(st.integers(1, k)), size=k)
+    q = rng.dirichlet(np.ones(k), size=k)
+    n = planted.size
+    p = np.zeros((n, n))
+    for x in range(n):
+        for c in range(k):
+            members = np.flatnonzero(planted == c)
+            p[x, members] = q[planted[x], c] * rng.dirichlet(np.ones(members.size))
+    return p, label_of_block[planted], planted
+
+
+class TestLumpablePartition:
+    def test_grid_walk_lumps_onto_rows(self):
+        from aoi_guard.config import _grid2d_matrix
+
+        p = _grid2d_matrix(6, 5, 0.2, 0.2, 0.2, 0.2)
+        labels = np.repeat(banded_safety_map(6, (2, 4)).assignment, 5)
+        assert (lumpable_partition(p, labels) == np.arange(30) // 5).all()
+
+    def test_row_chain_is_its_own_quotient(self):
+        for up, down in ((0.3, 0.3), (0.05, 0.05)):
+            src = build_row_chain(20, up, down)
+            block = lumpable_partition(src.transition, banded_safety_map(20, (6, 13)).assignment)
+            assert (block == np.arange(20)).all()
+
+    def test_blocks_numbered_by_first_member(self):
+        # Labels 2, 0, 2, 0: the quotient keeps state 0 in block 0.
+        p = np.full((4, 4), 0.25)
+        assert lumpable_partition(p, [2, 0, 2, 0]).tolist() == [0, 1, 0, 1]
+
+    def test_masses_must_agree_within_tolerance(self):
+        row2 = [0.2, 0.3, 0.5]
+        for eps, blocks in ((1e-14, [0, 0, 1]), (1e-9, [0, 1, 2])):
+            p = [[0.5, 0.25, 0.25], [0.5, 0.25 - eps, 0.25 + eps], row2]
+            assert lumpable_partition(p, [0, 0, 1]).tolist() == blocks
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_lumpable_chains())
+    def test_planted_blocks_found(self, chain):
+        p, labels, planted = chain
+        block = lumpable_partition(p, labels)
+        for b in range(block.max() + 1):
+            members = np.flatnonzero(block == b)
+            assert len(set(labels[members])) == 1  # refines the labels
+        for c in range(planted.max() + 1):
+            assert len(set(block[planted == c])) == 1  # no finer than the planted blocks
+        _, first = np.unique(block, return_index=True)
+        assert (np.diff(first) > 0).all() and block[0] == 0
+        mass = block_masses(p, block)
+        for b in range(block.max() + 1):
+            members = np.flatnonzero(block == b)
+            assert np.abs(mass[members] - mass[members[0]]).max() <= LUMP_TOL
 
 
 class TestBuildRowChain:
