@@ -248,7 +248,7 @@ class TestLumpablePartition:
             p = [[0.5, 0.25, 0.25], [0.5, 0.25 - eps, 0.25 + eps], row2]
             assert lumpable_partition(p, [0, 0, 1]).tolist() == blocks
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(planted_lumpable_chains())
     def test_planted_blocks_found(self, chain):
         p, labels, planted = chain
