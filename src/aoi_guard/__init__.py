@@ -14,7 +14,6 @@ from .bandit import (
     SolverSettings,
     dual_ascent,
     dual_lower_bound,
-    dual_update,
     relative_value_iteration,
 )
 from .errors import ConfigError, ConvergenceError, ValidationError
@@ -71,7 +70,6 @@ __all__ = [
     "conditional_entropy_given",
     "dual_ascent",
     "dual_lower_bound",
-    "dual_update",
     "identity_safety_map",
     "is_primitive",
     "loss_01",

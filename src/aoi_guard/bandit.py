@@ -4,12 +4,14 @@ Each agent class defines a two-action MDP on (age, last observation): stay
 passive and let the age grow, or transmit at price lambda and, on delivery,
 reset the age to 1 with a fresh observation. Relative value iteration yields
 the action-value tables; their difference is the gain index that drives the
-Maximum Gain First policy. Stochastic dual subgradient ascent tunes lambda so
-that the relaxed (uncoupled) system transmits at the channel budget on
-average.
+Maximum Gain First policy. The dual search prices transmissions so that the
+relaxed (uncoupled) system uses the channel budget on average: the relaxed
+activation rate of a class's greedy policy follows exactly from renewal
+theory, and it does not increase with the price, so bracketing and bisection
+on lambda find the budget price without simulation.
 
 The MDP sees the source state only through its safety label, so the dual
-search runs value iteration on the coarsest lumpable quotient of each source
+search solves each class on the coarsest lumpable quotient of its source
 that refines the labels and lifts the tables back to every state. The
 400-position grid walk lumps onto its 20 rows; the row chains of the 20-row
 grid do not lump further, and their quotient is the chain itself.
@@ -22,23 +24,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .markov import (
-    MarkovSource,
-    cumulative_rows,
-    is_primitive,
-    lumpable_partition,
-    stack_padded,
-    stationary_distribution,
-    step_states,
-)
-# build_tables is unused here, but perfbench's tracer wraps it at this name too.
+from .markov import STATIONARY_TOL, MarkovSource, lumpable_partition, stationary_law
+# is_primitive, stationary_distribution and build_tables are unused here, but
+# perfbench's tracer wraps them at these names too.
+from .markov import is_primitive, stationary_distribution  # noqa: F401
 from .tables import AgentClassSpec, PenaltyTable, build_tables  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 100_000
-DEFAULT_BETA = 1.0
-DEFAULT_EVAL_HORIZON = 20_000
-DEFAULT_OUTER_ITERS = 60
 RATE_BAND = 0.05
 REF_STATE = (1, 0)
 
@@ -49,19 +42,14 @@ GAIN_TIE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the MDP solves and the dual price search."""
+    """Convergence tolerance and sweep cap of the class MDP solves."""
 
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    beta: float = DEFAULT_BETA
-    eval_horizon: int = DEFAULT_EVAL_HORIZON
-    outer_iters: int = DEFAULT_OUTER_ITERS
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.beta <= 0:
-            raise ValidationError("tol and beta must be positive, max_iters at least 1")
-        if self.eval_horizon < 1 or self.outer_iters < 1:
-            raise ValidationError("eval_horizon and outer_iters must be at least 1")
+        if self.tol <= 0 or self.max_iters < 1:
+            raise ValidationError("tol must be positive, max_iters at least 1")
 
 
 @dataclass(frozen=True)
@@ -263,11 +251,6 @@ class LumpedClass:
         return replace(sol, **tables)
 
 
-def dual_update(lam: float, step: float, activation_rate: float, channels: int) -> float:
-    """One projected subgradient step on the transmission price."""
-    return max(0.0, lam + step * (activation_rate - channels))
-
-
 @dataclass
 class DualTrace:
     """Iteration log of the dual search: (iteration, lambda, activation rate)."""
@@ -282,85 +265,69 @@ class DualTrace:
         return rows
 
 
-class _RelaxedRollout:
-    """Simulates every real bandit under its per-class greedy policy.
+def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float) -> float:
+    """One agent's long-run activations per slot under an active mask.
 
-    There is no channel coupling: this estimates the mean activation count of
-    the relaxed system at a given price. Streams are drawn fresh per call so
-    repeated evaluations are independent; construction from a seed sequence
-    keeps the whole dual search reproducible.
+    `mask[delta, x]` (rows 1..D, row 0 unused, as from
+    `BanditSolution.active_mask`) says whether the agent transmits at age
+    delta holding observation x. A delivery starts a renewal cycle at age 1
+    whose observation is drawn from P^delta. Per starting observation the
+    loop sums the expected cycle time, the expected activations and the law
+    of the next cycle's observation, kernel K; at the age bound the agent
+    stays until a delivery, or forever if it never transmits there. By the
+    renewal-reward theorem the rate is the ratio of the activation and time
+    sums weighted by K's stationary law. It is 0 when that law reaches an
+    observation the agent holds forever, and K must have a unique law
+    otherwise (ConvergenceError).
     """
-
-    def __init__(self, classes: list[AgentClassSpec], horizon: int, seed_seq: np.random.SeedSequence):
-        self.classes = classes
-        self.horizon = horizon
-        self.cls_of_agent = np.concatenate(
-            [np.full(c.member_count, i, dtype=int) for i, c in enumerate(classes)]
-        )
-        self.n_agents = int(self.cls_of_agent.size)
-        self.cum = [cumulative_rows(c.source.transition) for c in classes]
-        self.p_of_agent = np.array([classes[i].success_prob for i in self.cls_of_agent])
-        self.init_law = []
-        for c in classes:
-            if is_primitive(c.source):
-                self.init_law.append(stationary_distribution(c.source))
-            else:
-                self.init_law.append(np.full(c.source.state_count, 1.0 / c.source.state_count))
-        self.seed_seq = seed_seq
-
-    def activation_rate(self, active_masks: list[np.ndarray], delta_bound: int) -> float:
-        """Mean activations per slot over the horizon, summed over agents."""
-        rng_init, rng_motion, rng_channel = [
-            np.random.default_rng(s) for s in self.seed_seq.spawn(3)
-        ]
-        n = self.n_agents
-        x = np.empty(n, dtype=int)
-        for i, c in enumerate(self.classes):
-            members = self.cls_of_agent == i
-            x[members] = rng_init.choice(c.source.state_count, size=members.sum(), p=self.init_law[i])
-        x_obs = x.copy()
-        delta = np.ones(n, dtype=int)
-        mask_stack = stack_padded(active_masks, False)  # class, age, x
-        cum_stack = stack_padded(self.cum, 1.0)
-        u_motion = rng_motion.random((self.horizon, n))
-        u_channel = rng_channel.random((self.horizon, n))
-        activations = 0
-        for t in range(self.horizon):
-            pull = mask_stack[self.cls_of_agent, delta, x_obs]
-            activations += int(pull.sum())
-            x = step_states(cum_stack, self.cls_of_agent, x, u_motion[t])
-            delivered = pull & (u_channel[t] < self.p_of_agent)
-            delta = np.where(delivered, 1, np.minimum(delta + 1, delta_bound))
-            x_obs = np.where(delivered, x, x_obs)
-        return activations / self.horizon
+    db = mask.shape[0] - 1
+    p = source.transition
+    nx = source.state_count
+    reach = np.ones(nx)  # probability the cycle is still running at this age
+    length = np.zeros(nx)  # expected cycle length
+    acts = np.zeros(nx)
+    kernel = np.zeros((nx, nx))
+    power = p  # P^delta
+    for delta in range(1, db):
+        sent = np.where(mask[delta], reach, 0.0)
+        length += reach
+        acts += sent
+        kernel += (success_prob * sent)[:, None] * power
+        reach = reach - success_prob * sent
+        power = power @ p
+    active = mask[db]
+    held = ~active & (reach > 0.0)
+    if held.all():
+        return 0.0
+    stay = np.where(active, reach / success_prob, 0.0)
+    length += stay
+    acts += stay
+    kernel += reach[:, None] * power
+    pi = stationary_law(kernel, f"the renewal kernel of {source.name}")
+    if pi[held].sum() > STATIONARY_TOL:
+        return 0.0
+    return float(pi @ acts / (pi @ length))
 
 
 def dual_ascent(
     classes: list[AgentClassSpec],
     penalties: list[PenaltyTable],
     channels: int,
-    beta: float = DEFAULT_BETA,
-    eval_horizon: int = DEFAULT_EVAL_HORIZON,
-    outer_iters: int = DEFAULT_OUTER_ITERS,
-    rng: np.random.Generator | int | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[float, DualTrace, list[BanditSolution]]:
     """Search the transmission price at which relaxed usage meets the budget.
 
     `penalties` are the classes' penalty tables from `build_tables`, all at
-    one age bound, which is also the rollout's. Each class MDP is solved on
-    its `LumpedClass` quotient and lifted back to every source state.
-
-    Runs projected stochastic subgradient ascent from lambda = 0 with step
-    beta / j: at each outer iteration every class MDP is solved at the
-    current price, all real bandits are rolled out for eval_horizon slots
-    under the uncoupled greedy policies, and the price moves by the measured
-    budget violation. Stops once the activation rate lands within +/-5% of
-    the channel count. If the harmonic trajectory exhausts its iterations
-    outside that band, a monotone bisection polish (rate is non-increasing in
-    the price) refines between the best bracketing iterates; should even that
-    fail, the closest iterate is returned with converged=False.
+    one age bound. At each probed price every class MDP is solved on its
+    `LumpedClass` quotient, and the relaxed activation rate is the sum over
+    classes of member count times `relaxed_rate` of the greedy mask. That
+    rate does not increase with the price, so the search probes lambda = 0
+    (returned at once when the rate is at most M + 5%), expands with
+    lambda <- lo + max(1, 2 lo) until the rate falls below M, then bisects.
+    It stops at the first price whose rate lies within +/-5% of M; when none
+    does, it returns the closest probe with converged=False. Solutions are
+    lifted back to every source state.
     """
     if not classes:
         raise ValidationError("dual_ascent needs at least one agent class")
@@ -368,103 +335,61 @@ def dual_ascent(
         raise ValidationError(f"{len(penalties)} penalty tables for {len(classes)} classes")
     if len({pen.delta_bound for pen in penalties}) != 1:
         raise ValidationError("penalty tables must share one delta_bound")
-    if beta <= 0.0 or eval_horizon < 1 or outer_iters < 1:
-        raise ValidationError("beta must be positive and horizons/iterations at least 1")
-    delta_bound = penalties[0].delta_bound
-    if rng is None or isinstance(rng, (int, np.integer)):
-        seed_root = np.random.SeedSequence(rng if rng is not None else 0)
-    else:
-        seed_root = rng.bit_generator.seed_seq.spawn(1)[0]
 
     lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
     warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized
+    band = RATE_BAND * channels
+    trace = DualTrace()
+    best = None  # (gap, lam, solutions)
 
-    def solve_all(lam: float) -> list[BanditSolution]:
-        sols = []
+    def probe(lam: float) -> tuple[float, bool, list[BanditSolution]]:
+        nonlocal best
+        sols, rate = [], 0.0
         for i, (c, lc) in enumerate(zip(classes, lumped)):
             sol = relative_value_iteration(
                 lc.penalty, lc.source, c.success_prob, lam, tol=tol, max_iters=max_iters, h_init=warm[i]
             )
             warm[i] = sol.h
+            rate += c.member_count * relaxed_rate(sol.active_mask(), lc.source, c.success_prob)
             sols.append(lc.lift(sol))
-        return sols
-
-    rollout = _RelaxedRollout(classes, eval_horizon, seed_root.spawn(1)[0])
-
-    def measure(sols: list[BanditSolution]) -> float:
-        rate = rollout.activation_rate([s.active_mask() for s in sols], delta_bound)
-        if not np.isfinite(rate):
-            raise ArithmeticError(f"non-finite activation rate {rate}")
-        return rate
-
-    band = RATE_BAND * channels
-    trace = DualTrace()
-    lam = 0.0
-    best = None  # (gap, lam, rate, solutions)
-    for j in range(1, outer_iters + 1):
-        sols = solve_all(lam)
-        rate = measure(sols)
-        trace.iterations.append((j, lam, rate))
+        trace.iterations.append((len(trace.iterations) + 1, lam, rate))
         gap = abs(rate - channels)
         if best is None or gap < best[0]:
-            best = (gap, lam, rate, sols)
-        if gap <= band:
-            trace.lambda_star = lam
-            trace.converged = True
-            return lam, trace, sols
-        lam = dual_update(lam, beta / j, rate, channels)
+            best = (gap, lam, sols)
+        return rate, gap <= band, sols
 
-    # Bracket the budget between the tightest iterates on each side; if
-    # every iterate sits on one side, expand in the other direction first.
-    j = outer_iters
+    def finish(lam: float, sols: list[BanditSolution], converged: bool):
+        trace.lambda_star = lam
+        trace.converged = converged
+        return lam, trace, sols
 
-    def probe(lam_probe: float):
-        nonlocal j, best
-        j += 1
-        sols = solve_all(lam_probe)
-        rate = measure(sols)
-        trace.iterations.append((j, lam_probe, rate))
-        gap = abs(rate - channels)
-        if gap < best[0]:
-            best = (gap, lam_probe, rate, sols)
-        return rate, gap, sols
-
-    above = [(l, r) for _, l, r in trace.iterations if r > channels]
-    below = [(l, r) for _, l, r in trace.iterations if r < channels]
-    lo = max(above, key=lambda t: t[0])[0] if above else 0.0
-    hi = min(below, key=lambda t: t[0])[0] if below else None
+    rate, hit, sols = probe(0.0)
+    if rate <= channels + band:
+        return finish(0.0, sols, hit)
+    lo, hi = 0.0, None
     for _ in range(30):
-        if hi is not None:
-            break
-        step_up = max(1.0, 2.0 * lo)
-        rate, gap, sols = probe(lo + step_up)
-        if gap <= band:
-            trace.lambda_star = lo + step_up
-            trace.converged = True
-            return lo + step_up, trace, sols
+        lam = lo + max(1.0, 2.0 * lo)
+        rate, hit, sols = probe(lam)
+        if hit:
+            return finish(lam, sols, True)
         if rate < channels:
-            hi = lo + step_up
-        else:
-            lo = lo + step_up
+            hi = lam
+            break
+        lo = lam
     if hi is not None:
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            rate, gap, sols = probe(mid)
-            if gap <= band:
-                trace.lambda_star = mid
-                trace.converged = True
-                return mid, trace, sols
+            rate, hit, sols = probe(mid)
+            if hit:
+                return finish(mid, sols, True)
             if rate > channels:
                 lo = mid
             else:
                 hi = mid
             if hi - lo < 1e-12:
                 break
-
-    _, lam_best, _, sols = best
-    trace.lambda_star = lam_best
-    trace.converged = False
-    return lam_best, trace, sols
+    _, lam, sols = best
+    return finish(lam, sols, False)
 
 
 def dual_lower_bound(solutions: list[BanditSolution], classes: list[AgentClassSpec], channels: int) -> float:

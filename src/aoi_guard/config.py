@@ -227,14 +227,13 @@ def load_config(path) -> RunManifest:
     except Exception as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
+    # Other solver keys are ignored, so configs written for the retired
+    # stochastic price search (beta, eval_horizon, outer_iters) still load.
     solver_doc = _expect_map(doc.get("solver", {}), f"{where}.solver")
     try:
         solver = SolverSettings(
             tol=_number(solver_doc, "tol", f"{where}.solver", default=1e-9),
             max_iters=_number(solver_doc, "max_iters", f"{where}.solver", default=100_000, integer=True),
-            beta=_number(solver_doc, "beta", f"{where}.solver", default=1.0),
-            eval_horizon=_number(solver_doc, "eval_horizon", f"{where}.solver", default=20_000, integer=True),
-            outer_iters=_number(solver_doc, "outer_iters", f"{where}.solver", default=60, integer=True),
         )
     except ConfigError:
         raise

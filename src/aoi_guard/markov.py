@@ -1,10 +1,10 @@
 """Finite-state Markov source models and safety-label maps.
 
 Provides validated row-stochastic transition matrices, an exact primitivity
-test, stationary distributions via power iteration, the coarsest lumpable
-partition that refines a labelling, builders for the bounded random-walk
-("row chain") sources used in the grid-world experiments, and the per-class
-stacking and inverse-CDF stepping that the rollout and the simulator share.
+test, stationary laws by one linear solve, the coarsest lumpable partition
+that refines a labelling, builders for the bounded random-walk ("row chain")
+sources used in the grid-world experiments, and the per-class stacking and
+inverse-CDF stepping of the simulator.
 """
 
 from __future__ import annotations
@@ -134,25 +134,40 @@ def is_primitive(source: MarkovSource) -> bool:
     return bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
 
 
-def stationary_distribution(source: MarkovSource, tol: float = 1e-12, max_iters: int = 200_000) -> np.ndarray:
-    """Stationary law by power iteration from the uniform distribution.
+STATIONARY_TOL = 1e-10
 
-    Iterates pi <- pi P until successive iterates differ by less than tol in
-    max norm. Requires a primitive (irreducible, aperiodic) chain; anything
-    else raises instead of silently returning one of many fixed points.
+
+def stationary_law(matrix, name: str) -> np.ndarray:
+    """The unique stationary law of a row-stochastic matrix, by one linear solve.
+
+    Solves pi (P - I) = 0 with sum(pi) = 1 as one least-squares system in
+    |X| unknowns. The law is unique exactly when that system has full rank;
+    a rank deficit raises ConvergenceError, as does a solution whose
+    fixed-point residual, total mass or sign is off by more than
+    STATIONARY_TOL. Entries within that tolerance below zero become zero.
+    """
+    p = np.asarray(matrix, dtype=float)
+    n = p.shape[0]
+    system = np.vstack((p.T - np.eye(n), np.ones(n)))
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    if rank < n:
+        raise ConvergenceError(f"{name} has more than one stationary law")
+    residual = max(float(np.abs(pi @ p - pi).max()), abs(float(pi.sum()) - 1.0), -float(pi.min()))
+    if not residual <= STATIONARY_TOL:
+        raise ConvergenceError(f"stationary law of {name} fails its residual check", residual=residual)
+    return np.maximum(pi, 0.0)
+
+
+def stationary_distribution(source: MarkovSource) -> np.ndarray:
+    """Stationary law of a primitive (irreducible, aperiodic) source.
+
+    Anything else raises instead of returning one of many fixed points.
     """
     if not is_primitive(source):
         raise ConvergenceError(f"{source.name} is not irreducible and aperiodic; stationary law not unique")
-    pi = np.full(source.state_count, 1.0 / source.state_count)
-    for _ in range(max_iters):
-        nxt = pi @ source.transition
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt
-        pi = nxt
-    raise ConvergenceError(
-        f"power iteration on {source.name} did not reach tol {tol:g} in {max_iters} steps",
-        residual=float(np.max(np.abs(nxt - pi))),
-    )
+    return stationary_law(source.transition, source.name)
 
 
 LUMP_TOL = 1e-12

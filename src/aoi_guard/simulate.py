@@ -117,10 +117,6 @@ def solve_system(
         list(config.classes),
         list(penalties),
         config.channels,
-        beta=solver.beta,
-        eval_horizon=solver.eval_horizon,
-        outer_iters=solver.outer_iters,
-        rng=config.seed,
         tol=solver.tol,
         max_iters=solver.max_iters,
     )

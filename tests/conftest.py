@@ -5,7 +5,6 @@ from aoi_guard import (
     AgentClassSpec,
     MarkovSource,
     SimConfig,
-    SolverSettings,
     banded_safety_map,
     build_row_chain,
     identity_safety_map,
@@ -56,4 +55,4 @@ def grid_config():
 
 @pytest.fixture(scope="session")
 def grid_system(grid_config):
-    return solve_system(grid_config, SolverSettings(beta=0.2), with_gains=True)
+    return solve_system(grid_config, with_gains=True)

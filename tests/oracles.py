@@ -80,6 +80,45 @@ def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, 
     return h, q_passive, q_active, g
 
 
+def relaxed_rate_oracle(mask, transition, success_prob):
+    """One agent's activations per slot under a mask, from its explicit chain.
+
+    States (delta, x) with delta in 1..D, the age saturating at D. An active
+    state delivers with probability success_prob and moves to (1, x2) with
+    x2 drawn from P^delta(x, .); otherwise the age grows. The stationary law
+    is one dense solve of pi Q = pi with the last equation replaced by
+    sum(pi) = 1; the rate is its mass on active states.
+    """
+    p = np.asarray(transition, dtype=float)
+    nx = p.shape[0]
+    db = len(mask) - 1
+    powers = [np.linalg.matrix_power(p, d) for d in range(db + 1)]
+
+    def index(delta, x):
+        return (delta - 1) * nx + x
+
+    size = db * nx
+    q = np.zeros((size, size))
+    for delta in range(1, db + 1):
+        up = min(delta + 1, db)
+        for x in range(nx):
+            send = success_prob if mask[delta][x] else 0.0
+            q[index(delta, x), index(up, x)] += 1.0 - send
+            for x2 in range(nx):
+                q[index(delta, x), index(1, x2)] += send * powers[delta][x, x2]
+    a = q.T - np.eye(size)
+    a[-1] = 1.0
+    b = np.zeros(size)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    rate = 0.0
+    for delta in range(1, db + 1):
+        for x in range(nx):
+            if mask[delta][x]:
+                rate += pi[index(delta, x)]
+    return rate
+
+
 CHAIN_A = [[0.9, 0.1], [0.2, 0.8]]
 
 

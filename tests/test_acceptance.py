@@ -15,7 +15,6 @@ from aoi_guard import (
     LossMatrix,
     MarkovSource,
     SimConfig,
-    SolverSettings,
     build_tables,
     conditional_entropy_given,
     dual_lower_bound,
@@ -65,12 +64,11 @@ def grid_runs(grid_config, grid_system):
 def scaling_results():
     """MGF penalties and dual bounds for r in {1, 2, 4, 8} with N=4r, M=r."""
     base = SimConfig(make_grid_classes((2, 2)), channels=1, slots=50_000, seed=201, policy="mgf")
-    solver = SolverSettings(beta=0.2, eval_horizon=10_000, outer_iters=12)
     values = [1, 2, 4, 8]
     systems, bounds = {}, {}
     for r in values:
         point = config_at(base, "scale", r)
-        systems[r] = solve_system(point, solver, with_gains=True)
+        systems[r] = solve_system(point, with_gains=True)
         bounds[r] = dual_lower_bound(list(systems[r].solutions), list(point.classes), point.channels)
         bounds[r] /= point.agent_count
     records = run_sweep(base, "scale", values, policies=["mgf"], replications=10, systems=systems)
@@ -286,11 +284,10 @@ def test_channel_sweep_improves_every_policy(grid_config, grid_system):
     cfg = SimConfig(
         grid_config.classes, channels=2, slots=20_000, seed=301, policy="mgf"
     )
-    solver = SolverSettings(beta=0.1, eval_horizon=10_000, outer_iters=10)
     values = [2, 6, 10]
     systems = {2: grid_system}
     for m in values[1:]:
-        systems[m] = solve_system(config_at(cfg, "channels", m), solver, with_gains=True)
+        systems[m] = solve_system(config_at(cfg, "channels", m), with_gains=True)
     records = run_sweep(
         cfg, "channels", values, policies=list(POLICY_ORDER), replications=6, systems=systems
     )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import aoi_guard.bandit as bandit
 from aoi_guard import (
     AgentClassSpec,
     ConvergenceError,
@@ -11,18 +12,17 @@ from aoi_guard import (
     build_tables,
     dual_ascent,
     dual_lower_bound,
-    dual_update,
     identity_safety_map,
     loss_01,
     loss_safety_example,
     relative_value_iteration,
     stationary_distribution,
 )
-from aoi_guard.bandit import LumpedClass
+from aoi_guard.bandit import LumpedClass, relaxed_rate
 from aoi_guard.config import _grid2d_matrix
 from aoi_guard.markov import SafetyMap, lumpable_partition, stack_padded
 from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
-from oracles import rvi_fixed_sweeps
+from oracles import relaxed_rate_oracle, rvi_fixed_sweeps
 
 # Frozen from the straight-line 200-sweep oracle in oracles.py (chain A,
 # identity safety, 0-1 loss, p=0.95, lambda=0.05, delta_bound=40). The
@@ -153,19 +153,11 @@ class TestGainIndex:
         assert (stack[1] == wide).all()
 
 
-class TestDualUpdate:
-    def test_spec_arithmetic(self):
-        assert dual_update(0.4, 0.1, 5.2, 4) == pytest.approx(0.52)
-
-    def test_projection_to_zero(self):
-        assert dual_update(0.05, 0.1, 3.0, 4) == 0.0
-
-
 class TestDualAscent:
     def test_unconstrained_when_channels_match_agents(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=3)
         pen, _ = build_tables(cls, chain_a.delta_bound)
-        lam, trace, sols = dual_ascent([cls], [pen], channels=3, eval_horizon=2000, outer_iters=10, rng=1)
+        lam, trace, sols = dual_ascent([cls], [pen], channels=3)
         assert lam == 0.0
         assert trace.converged
         assert trace.iterations[0][2] == pytest.approx(3.0)
@@ -173,9 +165,7 @@ class TestDualAscent:
     def test_trace_lambdas_nonnegative_and_rate_in_band(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=6)
         pen, _ = build_tables(cls, 100)
-        lam, trace, sols = dual_ascent(
-            [cls], [pen], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2
-        )
+        lam, trace, sols = dual_ascent([cls], [pen], channels=1)
         assert all(l >= 0.0 for _, l, _ in trace.iterations)
         assert lam >= 0.0
         assert trace.converged
@@ -186,9 +176,7 @@ class TestDualAscent:
     def test_solutions_match_final_price(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=6)
         pen, _ = build_tables(cls, 100)
-        lam, _, sols = dual_ascent(
-            [cls], [pen], channels=1, beta=0.05, eval_horizon=4000, outer_iters=25, rng=2
-        )
+        lam, _, sols = dual_ascent([cls], [pen], channels=1)
         assert sols[0].lam == lam
 
     def test_lower_bound_below_always_send_cost(self, chain_a):
@@ -196,7 +184,7 @@ class TestDualAscent:
         # dual bound cannot exceed its long-run cost.
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 1.0, member_count=1)
         pen, _ = build_tables(cls, 60)
-        lam, _, sols = dual_ascent([cls], [pen], channels=1, eval_horizon=2000, outer_iters=5, rng=0)
+        lam, _, sols = dual_ascent([cls], [pen], channels=1)
         bound = dual_lower_bound(sols, [cls], 1)
         pi = stationary_distribution(chain_a)
         always_send = pi[0] * 0.1 + pi[1] * 0.2
@@ -208,11 +196,109 @@ class TestDualAscent:
         with pytest.raises(ValidationError):
             dual_ascent([], [], channels=1)
         with pytest.raises(ValidationError):
-            dual_ascent([cls], [pen], channels=1, beta=0.0)
-        with pytest.raises(ValidationError):
             dual_ascent([cls], [], channels=1)
         with pytest.raises(ValidationError):
             dual_ascent([cls, cls], [pen, build_tables(cls, 41)[0]], channels=1)
+
+
+@st.composite
+def masked_sources(draw):
+    """A positive (hence primitive) source, a price-free mask active at age D, and p."""
+    nx = draw(st.integers(1, 5))
+    db = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=nx, max_size=nx), min_size=nx, max_size=nx))
+    p = np.array(rows)
+    p /= p.sum(axis=1, keepdims=True)
+    cells = draw(st.lists(st.booleans(), min_size=(db - 1) * nx, max_size=(db - 1) * nx))
+    mask = np.zeros((db + 1, nx), dtype=bool)
+    mask[1:db] = np.array(cells, dtype=bool).reshape(db - 1, nx)
+    mask[db] = True
+    success = draw(st.floats(0.01, 1.0))
+    return MarkovSource(p, delta_bound=db), mask, success
+
+
+def chain_a_masks(lam_grid, delta_bound=60):
+    """Greedy masks of chain A's class MDP (p = 0.95) along a price grid."""
+    src = MarkovSource(CHAIN_A_MATRIX, delta_bound=delta_bound, name="chain_a")
+    cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.95)
+    pen, _ = build_tables(cls, delta_bound)
+    warm, masks = None, []
+    for lam in lam_grid:
+        sol = relative_value_iteration(pen, src, 0.95, float(lam), h_init=warm)
+        warm = sol.h
+        masks.append(sol.active_mask())
+    return src, masks
+
+
+class TestRelaxedRate:
+    @settings(max_examples=200, deadline=None)
+    @given(masked_sources())
+    def test_matches_explicit_chain_oracle(self, case):
+        src, mask, success = case
+        got = relaxed_rate(mask, src, success)
+        assert abs(got - relaxed_rate_oracle(mask, src.transition, success)) <= 1e-10
+
+    def test_all_passive_is_zero(self):
+        src = random_primitive_source(np.random.default_rng(5), 4, delta_bound=20)
+        assert relaxed_rate(np.zeros((21, 4), dtype=bool), src, 0.8) == 0.0
+
+    def test_all_active_is_one(self):
+        src = random_primitive_source(np.random.default_rng(6), 4, delta_bound=20)
+        mask = np.ones((21, 4), dtype=bool)
+        mask[0] = False
+        for success in (0.3, 1.0):
+            assert relaxed_rate(mask, src, success) == pytest.approx(1.0, abs=1e-12)
+
+    def test_observation_held_forever_gives_zero(self):
+        # Observation 0 is never sent, and the primitive source keeps
+        # delivering fresh 0s, so every agent ends up holding one forever.
+        src = random_primitive_source(np.random.default_rng(7), 4, delta_bound=20)
+        mask = np.ones((21, 4), dtype=bool)
+        mask[0] = False
+        mask[:, 0] = False
+        assert relaxed_rate(mask, src, 0.9) == 0.0
+        mask[20, 0] = True  # sent once the age saturates: no longer held
+        assert relaxed_rate(mask, src, 0.9) == pytest.approx(relaxed_rate_oracle(mask, src.transition, 0.9), abs=1e-10)
+
+    def test_frozen_chains_are_zero(self):
+        for frozen, labels in ((np.eye(3), [0, 1, 2]), (np.eye(3), [0, 0, 1]), (np.eye(2), [0, 1])):
+            src = MarkovSource(frozen, delta_bound=30, name="frozen")
+            cls = AgentClassSpec(src, SafetyMap(max(labels) + 1, np.array(labels)), loss_01(max(labels) + 1), 0.9)
+            pen, _ = build_tables(cls, 30)
+            lumped = LumpedClass.of(cls, pen)
+            for lam in (0.0, 0.5):
+                sol = relative_value_iteration(lumped.penalty, lumped.source, 0.9, lam)
+                assert relaxed_rate(sol.active_mask(), lumped.source, 0.9) == 0.0
+
+    def test_ambiguous_long_run_raises(self):
+        # A frozen agent that sends observation 0 keeps renewing into 0, one
+        # that holds 1 never sends: the rate depends on where it starts.
+        frozen = MarkovSource(np.eye(2), delta_bound=10, name="frozen")
+        mask = np.zeros((11, 2), dtype=bool)
+        mask[1:, 0] = True
+        with pytest.raises(ConvergenceError, match="frozen"):
+            relaxed_rate(mask, frozen, 0.9)
+        mask[1:, 1] = True
+        with pytest.raises(ConvergenceError):
+            relaxed_rate(mask, frozen, 0.9)
+
+    def test_non_increasing_in_price_on_chain_a(self):
+        lam_grid = np.linspace(0.0, 0.6, 41)
+        src, masks = chain_a_masks(lam_grid)
+        rates = [relaxed_rate(m, src, 0.95) for m in masks]
+        assert rates[0] == pytest.approx(1.0) and rates[-1] < 0.5
+        assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
+
+    def test_non_increasing_in_price_on_fast_grid_class(self):
+        cls = make_grid_classes((1, 1), delta_bound=60)[0]
+        pen, _ = build_tables(cls, 60)
+        warm, rates = None, []
+        for lam in np.linspace(0.0, 4.0, 33):
+            sol = relative_value_iteration(pen, cls.source, 0.95, float(lam), h_init=warm)
+            warm = sol.h
+            rates.append(relaxed_rate(sol.active_mask(), cls.source, 0.95))
+        assert rates[0] > rates[-1] > 0.0
+        assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def unlumped(monkeypatch):
@@ -249,7 +335,7 @@ class TestLumpedQuotient:
             assert (lumpable_partition(c.source.transition, c.safety.assignment) == np.arange(20)).all()
         classes = classes[:1]  # the slow-mixing drift class needs ~10^4 sweeps per price
         pens = [build_tables(c, 40)[0] for c in classes]
-        args = dict(channels=3, beta=0.2, eval_horizon=500, outer_iters=2, rng=5)
+        args = dict(channels=3)
         lam, trace, sols = dual_ascent(list(classes), pens, **args)
         unlumped(monkeypatch)
         lam_ref, trace_ref, sols_ref = dual_ascent(list(classes), pens, **args)
@@ -269,7 +355,7 @@ class TestLumpedQuotient:
         sol = lumped.lift(relative_value_iteration(lumped.penalty, lumped.source, 0.9, 0.5))
         assert sol.avg_cost == pytest.approx(0.0, abs=1e-9)
         assert np.abs(sol.gain[1:] + 0.5).max() < 1e-9
-        args = dict(channels=1, eval_horizon=300, outer_iters=2, rng=0)
+        args = dict(channels=1)
         got = dual_ascent([cls], [pen], **args)
         unlumped(monkeypatch)
         ref = dual_ascent([cls], [pen], **args)

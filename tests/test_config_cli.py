@@ -55,8 +55,20 @@ class TestLoadConfig:
         assert sim.classes[0].loss.entries[2, 0] == 1000  # safety-example loss
         assert manifest.run_all
         assert manifest.replications == 20
-        assert manifest.solver.beta == 0.2
+        assert manifest.solver.tol == 1e-9
         assert manifest.sweep_axis == "channels"
+
+    def test_retired_solver_keys_still_load(self, tmp_path):
+        # beta, eval_horizon and outer_iters tuned the old stochastic price
+        # search; configs that still carry them load and are solved alike.
+        text = MINIMAL.replace("policy: maf", "policy: mgf")
+        plain = load_config(write_config(tmp_path, text + "\nsolver: {tol: 1.0e-10}\n", "plain.yaml"))
+        retired = load_config(write_config(
+            tmp_path, text + "\nsolver: {tol: 1.0e-10, beta: 0.2, eval_horizon: 500, outer_iters: 3}\n",
+            "retired.yaml",
+        ))
+        assert retired.solver == plain.solver
+        assert retired.solver.tol == 1e-10
 
     def test_digest_matches_file_bytes(self):
         manifest = load_config(CHAIN_PAIR)
@@ -198,7 +210,6 @@ classes:
         - [0.0, 1.0]
     safety: {type: assignment, labels: [0, 1]}
     loss: {name: zero_one, labels: 2}
-solver: {outer_iters: 3, eval_horizon: 500}
 """
         cfg = write_config(tmp_path, frozen)
         out = tmp_path / "solve"
@@ -216,11 +227,28 @@ solver: {outer_iters: 3, eval_horizon: 500}
         assert all(float(r.split(",")[2]) == 0.0 for r in prows)
 
     def test_simulate_warns_once_when_dual_search_unconverged(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf")
-                           + "\nsolver: {outer_iters: 2, eval_horizon: 500}\n")
+        # chain_pair sends its one agent every slot at price 0: rate 1.0 = M.
         ok = tmp_path / "ok.csv"
-        assert main(["simulate", "--config", str(cfg), "--output", str(ok)]) == 0
+        assert main(["simulate", "--config", str(CHAIN_PAIR), "--slots", "2000", "--output", str(ok)]) == 0
         assert capsys.readouterr().err == ""
+        system = cli.solve_system(load_config(CHAIN_PAIR).sim, with_gains=True)
+        assert system.trace.iterations == [(1, 0.0, 1.0)] and system.trace.converged
+
+        # Two agents on one channel: the exact relaxed rate jumps from about
+        # 1.06 to 0.82 across the +/-5% band, so no price lands in it and the
+        # search returns its closest probe.
+        cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf"))
+        warned = tmp_path / "warned.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(warned)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: dual price search did not converge")
+        system = cli.solve_system(load_config(cfg).sim, load_config(cfg).solver, with_gains=True)
+        assert not system.trace.converged and system.lambda_star == 0.125
+        rate = [r for _, lam, r in system.trace.iterations if lam == system.lambda_star][-1]
+        assert rate == pytest.approx(1.0614, abs=1e-4)
+        assert f"rate {rate!r} at lambda={system.lambda_star!r} against M=1 " in err[0]
+        assert not any(abs(r - 1.0) <= 0.05 for _, _, r in system.trace.iterations)
+
         solve = cli.solve_system
 
         def unconverged(*args, **kwargs):
@@ -229,14 +257,10 @@ solver: {outer_iters: 3, eval_horizon: 500}
             return system
 
         monkeypatch.setattr(cli, "solve_system", unconverged)
-        warned = tmp_path / "warned.csv"
-        assert main(["simulate", "--config", str(cfg), "--output", str(warned)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: dual price search did not converge")
-        system = solve(load_config(cfg).sim, load_config(cfg).solver, with_gains=True)
-        rate = [r for _, lam, r in system.trace.iterations if lam == system.lambda_star][-1]
-        assert f"rate {rate!r} at lambda={system.lambda_star!r} against M=1 " in err[0]
-        assert warned.read_bytes() == ok.read_bytes()
+        forced = tmp_path / "forced.csv"
+        assert main(["simulate", "--config", str(CHAIN_PAIR), "--slots", "2000", "--output", str(forced)]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert forced.read_bytes() == ok.read_bytes()
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
@@ -292,6 +316,26 @@ class TestExitCodes:
             MINIMAL.replace("policy: maf", "policy: mgf") + "\nsolver: {max_iters: 2}\n",
         )
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "s")]) == EXIT_CONVERGENCE
+
+    def test_ambiguous_relaxed_rate_is_a_convergence_error(self, tmp_path, capsys):
+        # Two closed copies of the pair chain, told apart by their labels:
+        # value iteration converges (both copies cost the same), but the
+        # long-run rate of an agent depends on the copy it starts in.
+        split = MINIMAL.replace("policy: maf", "policy: mgf").replace(
+            """        - [0.9, 0.1]
+        - [0.2, 0.8]
+    safety: {type: assignment, labels: [0, 1]}
+    loss: {name: zero_one, labels: 2}""",
+            """        - [0.9, 0.1, 0.0, 0.0]
+        - [0.2, 0.8, 0.0, 0.0]
+        - [0.0, 0.0, 0.9, 0.1]
+        - [0.0, 0.0, 0.2, 0.8]
+    safety: {type: assignment, labels: [0, 1, 2, 3]}
+    loss: {name: zero_one, labels: 4}""",
+        )
+        cfg = write_config(tmp_path, split)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "s")]) == EXIT_CONVERGENCE
+        assert "more than one stationary law" in capsys.readouterr().err
 
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"

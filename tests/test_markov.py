@@ -22,6 +22,7 @@ from aoi_guard.markov import (
     cumulative_rows,
     lumpable_partition,
     stack_padded,
+    stationary_law,
     step_states,
 )
 
@@ -124,6 +125,20 @@ class TestStationaryDistribution:
         src = random_primitive_source(rng, 6)
         pi = stationary_distribution(src)
         assert np.abs(pi @ src.transition - pi).max() < 1e-10
+
+    def test_slow_mixing_chain_is_solved_exactly(self):
+        # Power iteration from the uniform law closes only 3e-7 of its gap
+        # per step on this chain, so 200,000 steps leave it 6% short. The
+        # solve is accurate to about machine epsilon over the 3e-7 gap.
+        src = MarkovSource([[1 - 1e-7, 1e-7], [2e-7, 1 - 2e-7]], name="sticky")
+        assert stationary_distribution(src) == pytest.approx((2 / 3, 1 / 3), abs=1e-9)
+
+    def test_law_must_be_unique_and_fixed(self):
+        with pytest.raises(ConvergenceError, match="more than one"):
+            stationary_law(np.eye(2), "two frozen states")
+        with pytest.raises(ConvergenceError, match="residual") as err:
+            stationary_law(np.full((2, 2), 0.25), "a leaking matrix")
+        assert err.value.residual > 0.1
 
     def test_rows_converge_to_stationary_monotonically(self):
         rng = np.random.default_rng(11)

@@ -12,6 +12,7 @@ from aoi_guard import (
     run_paired,
     run_simulation,
     run_sweep,
+    dual_lower_bound,
     solve_system,
 )
 from aoi_guard.simulate import CSV_HEADER, _World, config_at, records_to_csv, records_to_json
@@ -184,6 +185,25 @@ class TestRunSweep:
         cfg = chain_a_config()
         with pytest.raises(ValidationError):
             run_sweep(cfg, "speed", [1], policies=["maf"])
+
+
+class TestScaleInvariance:
+    def test_relaxed_price_and_bound_per_agent_do_not_depend_on_scale(self):
+        # N = 3r fast-class agents share M = r channels. The relaxed problem
+        # of one agent does not depend on r, so the search visits the same
+        # prices (here through bisection) and the bound per agent is equal.
+        base = SimConfig(make_grid_classes((3, 1), delta_bound=60)[:1], channels=1, slots=1000,
+                         seed=1, policy="mgf", delta_bound=60)
+        found = set()
+        for r in (1, 2, 4):
+            point = config_at(base, "scale", r)
+            system = solve_system(point, with_gains=True)
+            bound = dual_lower_bound(list(system.solutions), list(point.classes), point.channels)
+            found.add((system.trace.converged, tuple(lam for _, lam, _ in system.trace.iterations),
+                       bound / point.agent_count))
+        assert len(found) == 1
+        converged, lams, _ = found.pop()
+        assert converged and len(lams) > 3 and lams[-1] == 0.34375
 
 
 class TestRecordSerialization:
