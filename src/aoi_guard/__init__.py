@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .bandit import (
     BanditSolution,
     DualTrace,
-    SolverSettings,
     dual_ascent,
     dual_lower_bound,
-    relative_value_iteration,
+    policy_iteration,
 )
 from .errors import ConfigError, ConvergenceError, ValidationError
 from .loss import (
@@ -62,7 +61,6 @@ __all__ = [
     "SimConfig",
     "SimRecord",
     "SolvedSystem",
-    "SolverSettings",
     "ValidationError",
     "banded_safety_map",
     "build_row_chain",
@@ -76,7 +74,7 @@ __all__ = [
     "loss_quadratic",
     "loss_safety_example",
     "optimal_estimate",
-    "relative_value_iteration",
+    "policy_iteration",
     "run_paired",
     "run_simulation",
     "run_sweep",

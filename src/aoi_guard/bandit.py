@@ -2,12 +2,15 @@
 
 Each agent class defines a two-action MDP on (age, last observation): stay
 passive and let the age grow, or transmit at price lambda and, on delivery,
-reset the age to 1 with a fresh observation. Relative value iteration yields
-the action-value tables; their difference is the gain index that drives the
+reset the age to 1 with a fresh observation. Every delivery starts a renewal
+cycle, so a fixed policy is evaluated exactly from per-cycle sums over the
+observation it starts with, and Howard's policy iteration (Howard 1960;
+Puterman 1994, ch. 8-9) solves the MDP in a handful of such evaluations. The
+difference of the action-value tables is the gain index that drives the
 Maximum Gain First policy. The dual search prices transmissions so that the
 relaxed (uncoupled) system uses the channel budget on average: the relaxed
-activation rate of a class's greedy policy follows exactly from renewal
-theory, and it does not increase with the price, so bracketing and bisection
+activation rate of a class's greedy policy follows from the same renewal
+sums, and it does not increase with the price, so bracketing and bisection
 on lambda find the budget price without simulation.
 
 The MDP sees the source state only through its safety label, so the dual
@@ -24,42 +27,34 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .markov import STATIONARY_TOL, MarkovSource, lumpable_partition, stationary_law
+from .markov import STATIONARY_TOL, MarkovSource, lumpable_partition, recurrent_states, stationary_law
 # is_primitive, stationary_distribution and build_tables are unused here, but
 # perfbench's tracer wraps them at these names too.
 from .markov import is_primitive, stationary_distribution  # noqa: F401
 from .tables import AgentClassSpec, PenaltyTable, build_tables  # noqa: F401
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 100_000
 RATE_BAND = 0.05
-REF_STATE = (1, 0)
 
-# Gains within solver resolution of zero are ties; ties stay passive so
-# rounding noise on an exactly indifferent state cannot burn a channel.
-GAIN_TIE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Convergence tolerance and sweep cap of the class MDP solves."""
-
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValidationError("tol must be positive, max_iters at least 1")
+# Policy iteration certifies its tables to a Bellman residual of at most
+# RESIDUAL_TOL. Gains within that resolution of zero are ties; ties stay
+# passive so rounding noise on an exactly indifferent state cannot burn a
+# channel.
+RESIDUAL_TOL = 1e-9
+GAIN_TIE_EPS = RESIDUAL_TOL
+# While iterating, a state keeps its action unless its gain has the other
+# sign by more than this.
+SWITCH_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class BanditSolution:
-    """Converged solve of one class MDP at a fixed transmission price.
+    """Solve of one class MDP at a fixed transmission price.
 
     Tables share the penalty-table layout: row index is the age, row 0 is
     NaN padding (age 0 is not a reachable MDP state). The gain is exactly
     q_passive - q_active; positive entries mean transmitting is strictly
-    better at this price.
+    better at this price. `iterations` counts policy evaluations and
+    `residual` is the Bellman residual of `h`.
     """
 
     lam: float
@@ -70,7 +65,7 @@ class BanditSolution:
     gain: np.ndarray
     delta_bound: int
     iterations: int
-    span: float
+    residual: float
 
     def active_mask(self) -> np.ndarray:
         """Boolean table of states where the greedy action transmits."""
@@ -79,36 +74,81 @@ class BanditSolution:
         return mask
 
 
-POWER_STACK_BUDGET = 4_000_000  # entries; beyond this the reset term falls back to a loop
-ACCEL_PERIOD = 25
+def renewal_sums(mask: np.ndarray, source: MarkovSource, success_prob: float, q: np.ndarray | None = None):
+    """Expected sums over one renewal cycle, per observation x it starts with at age 1.
+
+    `mask[delta, x]` (rows 1..D, row 0 unused, as from
+    `BanditSolution.active_mask`) says whether the agent transmits at age
+    delta holding observation x; a delivery ends the cycle, and the next one
+    starts at age 1 from P^delta. Returns (reach, length, acts, cost, kernel,
+    power): the probability the cycle runs at age D; its expected slots,
+    activations and summed penalty q (zero when q is None); the law K of the
+    next cycle's observation; and P^D. At age D an active observation stays
+    until a delivery; a passive one is held forever, its sums stop before
+    age D and its row of K lacks the mass reach[x].
+    """
+    db = mask.shape[0] - 1
+    p = source.transition
+    nx = source.state_count
+    reach = np.ones(nx)
+    length, acts, cost = np.zeros(nx), np.zeros(nx), np.zeros(nx)
+    kernel = np.zeros((nx, nx))
+    power = p  # P^delta
+    sends = mask.astype(float)
+    for delta in range(1, db):
+        sent = reach * sends[delta]
+        length += reach
+        acts += sent
+        if q is not None:
+            cost += reach * q[delta]
+        delivered = success_prob * sent
+        kernel += delivered[:, None] * power
+        reach = reach - delivered
+        power = power @ p
+    stay = np.where(mask[db], reach / success_prob, 0.0)
+    length += stay
+    acts += stay
+    if q is not None:
+        cost += stay * q[db]
+    kernel += np.where(mask[db], reach, 0.0)[:, None] * power
+    return reach, length, acts, cost, kernel, power
 
 
-def relative_value_iteration(
+def policy_iteration(
     penalty: PenaltyTable,
     source: MarkovSource,
     success_prob: float,
     lam: float,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    h_init: np.ndarray | None = None,
+    mask_init: np.ndarray | None = None,
 ) -> BanditSolution:
-    """Solve one class MDP by synchronous relative value iteration.
+    """Solve one class MDP by Howard policy iteration over renewal cycles.
 
-    Iterates the Bellman operator, renormalizing so the reference state
-    (age 1, state 0) has relative value zero, until the span seminorm of
-    successive iterate differences drops below tol. The offset subtracted at
-    the reference state converges to the optimal average cost.
+    A mask is evaluated exactly. With h1 = h(1, .) and the cycle sums of
+    `renewal_sums` (cost C = penalty + lambda per activation), the relative
+    values solve (I - K) h1 + L g = C with h(1, 0) = 0; one backward pass
+    over the ages then gives every h(delta, .) from the vectors P^delta h1.
+    Improvement switches each state whose gain has the other sign by more
+    than SWITCH_EPS, until the mask repeats. It starts from `mask_init`, by
+    default the all-active mask, whose renewal kernel is irreducible
+    whenever the source is.
 
-    Slowly mixing sources make the plain iteration decay with a geometric
-    ratio near 1, so every few sweeps the solver attempts a geometric-series
-    extrapolation of the residual and keeps it only if a genuine Bellman
-    sweep confirms the span shrank. Convergence is therefore always
-    certified by plain sweeps.
+    Phase 1 transmits at age D, so every observation renews. Its average
+    cost g solves the MDP when g <= q_min, the least q(D, x) over the
+    source's recurrent observations, since holding one of them at the age
+    bound then never pays. Otherwise, or when its renewal kernel has more
+    than one stationary law (frozen or reducible chains), phase 2 fixes
+    g = q_min: the recurrent observations with q(D, x) tied to q_min are
+    held at age D with one shared terminal value, and iteration solves the
+    stochastic shortest path to them, starting from the mask that sends
+    every other observation at every age. No delivery draws a transient
+    observation again: an agent that starts on one whose q(D, x) is below g
+    may keep it at that lower cost, so the one-g optimality equation cannot
+    hold at (D, x) and those cells are left out of the residual. A singular
+    phase-2 evaluation, a mask that recurs, or a Bellman residual above
+    RESIDUAL_TOL raises ConvergenceError.
     """
     if lam < 0.0:
         raise ValidationError(f"transmission price must be nonnegative, got {lam}")
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if not 0.0 < success_prob <= 1.0:
         raise ValidationError(f"success_prob must lie in (0, 1], got {success_prob}")
     q = penalty.values
@@ -116,98 +156,91 @@ def relative_value_iteration(
     nx = source.state_count
     if q.shape[1] != nx:
         raise ValidationError(f"penalty table covers {q.shape[1]} states, source has {nx}")
-    p = source.transition
+    trans = source.transition
     fail = 1.0 - success_prob
+    recurrent = recurrent_states(trans)
+    q_min = float(q[db, recurrent].min())
+    hold = recurrent & (q[db] <= q_min + SWITCH_EPS)
+    evaluations = 0
 
-    power_stack = None
-    if (db + 1) * nx * nx <= POWER_STACK_BUDGET:
-        power_stack = np.empty((db + 1, nx, nx))
-        power_stack[0] = np.eye(nx)
+    def evaluate(mask: np.ndarray):
+        """(h, g, q_passive, q_active) of a mask; None if its system is singular."""
+        reach, length, acts, cost, kernel, _ = renewal_sums(mask, source, success_prob, q)
+        cost += lam * acts
+        system = np.eye(nx) - kernel
+        # h1(0) = 0, so column 0 of I - K is free for the other unknown: g in
+        # phase 1, the held states' terminal value in phase 2 (some x held).
+        phase2 = not mask[db].all()
+        if phase2:
+            system[:, 0] = -np.where(mask[db], 0.0, reach)
+            cost -= q_min * length
+        else:
+            system[:, 0] = length
+        solution, _, rank, _ = np.linalg.lstsq(system, cost, rcond=None)
+        if rank < nx:
+            return None
+        g, terminal = (q_min, solution[0]) if phase2 else (float(solution[0]), 0.0)
+        reset = np.empty((db + 1, nx))  # reset[d] = P^d h1
+        reset[0] = solution
+        reset[0, 0] = 0.0
         for d in range(1, db + 1):
-            power_stack[d] = power_stack[d - 1] @ p
-
-    def reset_term(h1: np.ndarray) -> np.ndarray:
-        """reset[d, x] = E[h(1, X') | observation x is d steps old]."""
-        if power_stack is not None:
-            return power_stack @ h1
-        out = np.empty((db + 1, nx))
-        w = h1
-        out[0] = w
-        for d in range(1, db + 1):
-            w = p @ w
-            out[d] = w
-        return out
-
-    def sweep(h: np.ndarray) -> tuple[np.ndarray, float, float]:
+            reset[d] = trans @ reset[d - 1]
+        base = q - g
+        active = base + lam
+        sent = success_prob * reset
+        h = np.zeros((db + 1, nx))
+        h[db] = np.where(mask[db], active[db] / success_prob + reset[db], terminal)
+        for d in range(db - 1, 1, -1):
+            h[d] = np.where(mask[d], active[d] + fail * h[d + 1] + sent[d], base[d] + h[d + 1])
+        h[1] = reset[0]
         up = np.vstack((h[1:], h[db:]))  # up[d] = h[min(d + 1, db)]; row 0 is filler
-        passive = q + up
-        active = q + lam + fail * up + success_prob * reset_term(h[1])
-        bellman = np.minimum(passive, active)
-        offset = bellman[REF_STATE]
-        h_next = bellman - offset
-        diff = (h_next - h)[1:]
-        return h_next, float(diff.max() - diff.min()), float(offset)
+        return h, g, base + up, active + fail * up + sent
 
-    h = np.zeros((db + 1, nx)) if h_init is None else np.array(h_init, dtype=float)
-    avg_cost = 0.0
-    span = np.inf
-    spans: list[float] = []
-    iteration = 0
-    converged = False
-    while iteration < max_iters:
-        iteration += 1
-        h_next, span, avg_cost = sweep(h)
-        spans.append(span)
-        if span < tol:
-            h = h_next
-            converged = True
-            break
-        if iteration % ACCEL_PERIOD == 0 and len(spans) >= 6:
-            ratios = [spans[-k] / spans[-k - 1] for k in range(1, 6) if spans[-k - 1] > 0]
-            if len(ratios) == 5:
-                rbar = float(np.mean(ratios))
-                if 0.2 < rbar < 0.99995 and float(np.std(ratios)) < 0.05 * (1.0 - rbar):
-                    factor = rbar / (1.0 - rbar)
-                    candidate = h_next + np.vstack((np.zeros((1, nx)), (h_next - h)[1:])) * factor
-                    if np.all(np.isfinite(candidate)) and iteration < max_iters:
-                        iteration += 1
-                        cand_next, cand_span, cand_cost = sweep(candidate)
-                        spans.append(cand_span)
-                        if np.isfinite(cand_span) and cand_span < span:
-                            h, span, avg_cost = cand_next, cand_span, cand_cost
-                            spans.clear()
-                            if span < tol:
-                                converged = True
-                                break
-                            continue
-        h = h_next
-    if not converged:
-        raise ConvergenceError(
-            f"relative value iteration on {source.name} stuck at span {span:.3e} "
-            f"after {max_iters} iterations (tol {tol:g})",
-            residual=span,
-        )
+    def iterate(mask: np.ndarray, at_bound: np.ndarray):
+        nonlocal evaluations
+        seen = set()
+        while True:
+            mask[0], mask[db] = False, at_bound
+            evaluated = evaluate(mask)
+            if evaluated is None:
+                return None
+            evaluations += 1
+            gain = evaluated[2] - evaluated[3]
+            new = np.where(np.abs(gain) > SWITCH_EPS, gain > 0.0, mask)
+            new[0], new[db] = False, at_bound
+            if (new == mask).all():
+                return evaluated
+            seen.add(mask.tobytes())
+            if new.tobytes() in seen:
+                raise ConvergenceError(f"policy iteration on {source.name} revisits a mask at lambda={lam}")
+            mask = new
 
-    reset = reset_term(h[1])
-    h_up = np.vstack((h[2:], h[db:db + 1]))  # h at age min(d + 1, db) for d = 1..db
-    q_passive = np.full((db + 1, nx), np.nan)
-    q_active = np.full((db + 1, nx), np.nan)
-    q_passive[1:] = q[1:] - avg_cost + h_up
-    q_active[1:] = q[1:] - avg_cost + lam + fail * h_up + success_prob * reset[1:]
+    start = np.ones((db + 1, nx), dtype=bool) if mask_init is None else np.array(mask_init, dtype=bool)
+    result = iterate(start, np.ones(nx, dtype=bool))
+    why = "its renewal kernel has more than one stationary law" if result is None else (
+        f"holding at age {db} beats its average cost {result[1]!r}" if result[1] > q_min else "")
+    if why:
+        result = iterate(np.tile(~hold, (db + 1, 1)), ~hold)
+        if result is None:
+            raise ConvergenceError(f"policy iteration on {source.name} at lambda={lam}: {why}, and the shortest "
+                                   f"path to holding the least saturated penalty {q_min!r} is singular")
+    h, g, q_passive, q_active = result
+    error = np.abs(np.minimum(q_passive, q_active) - h)
+    error[db, ~recurrent & (q[db] < g)] = 0.0
+    residual = float(error[1:].max())
+    if not residual <= RESIDUAL_TOL:
+        raise ConvergenceError(f"policy iteration on {source.name} at lambda={lam} leaves Bellman residual "
+                               f"{residual:.3e}" + (f" ({why})" if why else ""), residual=residual)
+    q_passive[0] = q_active[0] = np.nan
     gain = q_passive - q_active
     for arr in (h, q_passive, q_active, gain):
         arr.setflags(write=False)
-    return BanditSolution(
-        lam=float(lam),
-        h=h,
-        q_active=q_active,
-        q_passive=q_passive,
-        avg_cost=avg_cost,
-        gain=gain,
-        delta_bound=db,
-        iterations=iteration,
-        span=span,
-    )
+    return BanditSolution(float(lam), h, q_active, q_passive, g, gain, db, evaluations, residual)
+
+
+# perfbench's tracer times the class solve under its former name (the
+# `bandit.rvi.*` metrics), so dual_ascent calls it through this alias.
+relative_value_iteration = policy_iteration
 
 
 @dataclass(frozen=True)
@@ -218,7 +251,7 @@ class LumpedClass:
     represented by its first member: the quotient's rows are that member's
     row-to-block masses (not renormalized) and its penalty column is the
     member's. The ordering keeps state 0 in block 0, so the reference state
-    of value iteration is the same on both chains.
+    of policy iteration is the same on both chains.
     """
 
     source: MarkovSource
@@ -268,41 +301,18 @@ class DualTrace:
 def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float) -> float:
     """One agent's long-run activations per slot under an active mask.
 
-    `mask[delta, x]` (rows 1..D, row 0 unused, as from
-    `BanditSolution.active_mask`) says whether the agent transmits at age
-    delta holding observation x. A delivery starts a renewal cycle at age 1
-    whose observation is drawn from P^delta. Per starting observation the
-    loop sums the expected cycle time, the expected activations and the law
-    of the next cycle's observation, kernel K; at the age bound the agent
-    stays until a delivery, or forever if it never transmits there. By the
-    renewal-reward theorem the rate is the ratio of the activation and time
-    sums weighted by K's stationary law. It is 0 when that law reaches an
-    observation the agent holds forever, and K must have a unique law
-    otherwise (ConvergenceError).
+    The mask is read as in `renewal_sums`, whose per-observation cycle sums
+    give the rate by the renewal-reward theorem: the ratio of the activation
+    and time sums weighted by the stationary law of the renewal kernel K. An
+    observation held forever renews here as if sent at age D, so the law
+    shows whether agents end up holding one; the rate is then 0. Otherwise K
+    must have a unique law (ConvergenceError).
     """
-    db = mask.shape[0] - 1
-    p = source.transition
-    nx = source.state_count
-    reach = np.ones(nx)  # probability the cycle is still running at this age
-    length = np.zeros(nx)  # expected cycle length
-    acts = np.zeros(nx)
-    kernel = np.zeros((nx, nx))
-    power = p  # P^delta
-    for delta in range(1, db):
-        sent = np.where(mask[delta], reach, 0.0)
-        length += reach
-        acts += sent
-        kernel += (success_prob * sent)[:, None] * power
-        reach = reach - success_prob * sent
-        power = power @ p
-    active = mask[db]
-    held = ~active & (reach > 0.0)
+    reach, length, acts, _, kernel, power = renewal_sums(mask, source, success_prob)
+    held = ~mask[-1] & (reach > 0.0)
     if held.all():
         return 0.0
-    stay = np.where(active, reach / success_prob, 0.0)
-    length += stay
-    acts += stay
-    kernel += reach[:, None] * power
+    kernel += np.where(mask[-1], 0.0, reach)[:, None] * power
     pi = stationary_law(kernel, f"the renewal kernel of {source.name}")
     if pi[held].sum() > STATIONARY_TOL:
         return 0.0
@@ -313,14 +323,13 @@ def dual_ascent(
     classes: list[AgentClassSpec],
     penalties: list[PenaltyTable],
     channels: int,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[float, DualTrace, list[BanditSolution]]:
     """Search the transmission price at which relaxed usage meets the budget.
 
     `penalties` are the classes' penalty tables from `build_tables`, all at
     one age bound. At each probed price every class MDP is solved on its
-    `LumpedClass` quotient, and the relaxed activation rate is the sum over
+    `LumpedClass` quotient by `policy_iteration`, starting from the previous
+    probe's greedy mask, and the relaxed activation rate is the sum over
     classes of member count times `relaxed_rate` of the greedy mask. That
     rate does not increase with the price, so the search probes lambda = 0
     (returned at once when the rate is at most M + 5%), expands with
@@ -337,7 +346,7 @@ def dual_ascent(
         raise ValidationError("penalty tables must share one delta_bound")
 
     lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
-    warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized
+    warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized masks
     band = RATE_BAND * channels
     trace = DualTrace()
     best = None  # (gap, lam, solutions)
@@ -346,11 +355,9 @@ def dual_ascent(
         nonlocal best
         sols, rate = [], 0.0
         for i, (c, lc) in enumerate(zip(classes, lumped)):
-            sol = relative_value_iteration(
-                lc.penalty, lc.source, c.success_prob, lam, tol=tol, max_iters=max_iters, h_init=warm[i]
-            )
-            warm[i] = sol.h
-            rate += c.member_count * relaxed_rate(sol.active_mask(), lc.source, c.success_prob)
+            sol = relative_value_iteration(lc.penalty, lc.source, c.success_prob, lam, warm[i])
+            warm[i] = sol.active_mask()
+            rate += c.member_count * relaxed_rate(warm[i], lc.source, c.success_prob)
             sols.append(lc.lift(sol))
         trace.iterations.append((len(trace.iterations) + 1, lam, rate))
         gap = abs(rate - channels)

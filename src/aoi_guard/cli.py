@@ -84,7 +84,7 @@ def _mean(records: list[SimRecord], policy: str) -> float:
 
 
 def cmd_solve(manifest: RunManifest) -> int:
-    system = solve_system(manifest.sim, manifest.solver, with_gains=True)
+    system = solve_system(manifest.sim, with_gains=True)
     out_dir = manifest.output or Path(f"{manifest.name}_solve")
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp_lines(manifest)
@@ -126,7 +126,7 @@ def _warn_if_unconverged(system: SolvedSystem, channels: int) -> None:
 
 def cmd_simulate(manifest: RunManifest) -> int:
     policies = _policies_for(manifest)
-    system = solve_system(manifest.sim, manifest.solver, with_gains="mgf" in policies)
+    system = solve_system(manifest.sim, with_gains="mgf" in policies)
     _warn_if_unconverged(system, manifest.sim.channels)
     records: list[SimRecord] = []
     for rep in range(manifest.replications):
@@ -150,7 +150,6 @@ def cmd_sweep(manifest: RunManifest) -> int:
         manifest.sweep_values,
         policies=policies,
         replications=manifest.replications,
-        solver=manifest.solver,
     )
     out = _write_records(manifest, records, f"sweep_{manifest.sweep_axis}")
     for line in _summarize(records):
@@ -160,7 +159,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
 
 
 def cmd_profile(manifest: RunManifest, deltas: list[int]) -> int:
-    system = solve_system(manifest.sim, manifest.solver, with_gains=True)
+    system = solve_system(manifest.sim, with_gains=True)
     out_dir = manifest.output or Path(f"{manifest.name}_profile")
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp_lines(manifest)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .bandit import SolverSettings
 from .errors import ConfigError
 from .loss import LossMatrix, loss_01, loss_quadratic, loss_safety_example
 from .markov import MarkovSource, SafetyMap, banded_safety_map, build_row_chain
@@ -30,10 +29,9 @@ class ParseError(Exception):
 
 @dataclass
 class RunManifest:
-    """Everything a command needs: parsed config, solver knobs, provenance."""
+    """Everything a command needs: parsed config, replications, sweep, provenance."""
 
     sim: SimConfig
-    solver: SolverSettings
     replications: int
     sweep_axis: str | None
     sweep_values: list[int] | None
@@ -227,18 +225,9 @@ def load_config(path) -> RunManifest:
     except Exception as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
-    # Other solver keys are ignored, so configs written for the retired
+    # The solvers are exact and have no knobs: a `solver` block is ignored, so
+    # configs written for the retired value iteration (tol, max_iters) and
     # stochastic price search (beta, eval_horizon, outer_iters) still load.
-    solver_doc = _expect_map(doc.get("solver", {}), f"{where}.solver")
-    try:
-        solver = SolverSettings(
-            tol=_number(solver_doc, "tol", f"{where}.solver", default=1e-9),
-            max_iters=_number(solver_doc, "max_iters", f"{where}.solver", default=100_000, integer=True),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{where}.solver: {exc}") from exc
 
     sweep_axis = None
     sweep_values = None
@@ -253,7 +242,6 @@ def load_config(path) -> RunManifest:
 
     return RunManifest(
         sim=sim,
-        solver=solver,
         replications=_number(doc, "replications", where, default=1, integer=True),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,

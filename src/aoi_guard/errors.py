@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver could not certify its answer; `residual` says by how much, when known."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

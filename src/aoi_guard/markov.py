@@ -134,6 +134,16 @@ def is_primitive(source: MarkovSource) -> bool:
     return bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
 
 
+def recurrent_states(transition) -> np.ndarray:
+    """Mask of the states in closed classes: each reaches back every state it reaches."""
+    reach = (np.asarray(transition) > 0.0) | np.eye(len(transition), dtype=bool)
+    while True:  # transitive closure of the support graph, by repeated squaring
+        closure = (reach.astype(float) @ reach) > 0.0
+        if (closure == reach).all():
+            return (reach <= reach.T).all(axis=1)
+        reach = closure
+
+
 STATIONARY_TOL = 1e-10
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandit import BanditSolution, DualTrace, SolverSettings, dual_ascent
+from .bandit import BanditSolution, DualTrace, dual_ascent
 from .errors import ValidationError
 from .markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution, step_states
 from .policies import POLICY_KEYS, QUEUE_CAPACITY, top_ids, top_positive_ids, uniform_subset
@@ -101,11 +101,8 @@ class SolvedSystem:
     trace: DualTrace | None = None
 
 
-def solve_system(
-    config: SimConfig, solver: SolverSettings | None = None, with_gains: bool | None = None
-) -> SolvedSystem:
+def solve_system(config: SimConfig, with_gains: bool | None = None) -> SolvedSystem:
     """Build estimation tables for every class; solve gains if MGF needs them."""
-    solver = solver or SolverSettings()
     if with_gains is None:
         with_gains = config.policy == "mgf"
     built = [build_tables(c, config.delta_bound) for c in config.classes]
@@ -113,13 +110,7 @@ def solve_system(
     estimators = tuple(b[1] for b in built)
     if not with_gains:
         return SolvedSystem(penalties, estimators)
-    lam, trace, sols = dual_ascent(
-        list(config.classes),
-        list(penalties),
-        config.channels,
-        tol=solver.tol,
-        max_iters=solver.max_iters,
-    )
+    lam, trace, sols = dual_ascent(list(config.classes), list(penalties), config.channels)
     return SolvedSystem(penalties, estimators, tuple(sols), lam, trace)
 
 
@@ -335,16 +326,13 @@ def run_sweep(
     values: list[int],
     policies: list[str] | None = None,
     replications: int = 1,
-    solver: SolverSettings | None = None,
-    systems: dict[int, SolvedSystem] | None = None,
 ) -> list[SimRecord]:
     """One record per (policy, axis value, seed), seeds shared for pairing.
 
     Gains are re-solved at every sweep point (the dual price depends on the
-    population and budget) unless precomputed systems are supplied;
-    estimation tables only depend on the classes. Points and replications
-    run in parallel when more than one worker is available; per-task seeding
-    keeps results identical either way.
+    population and budget); estimation tables only depend on the classes.
+    Points and replications run in parallel when more than one worker is
+    available; per-task seeding keeps results identical either way.
     """
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
@@ -359,7 +347,7 @@ def run_sweep(
             raise ValidationError(
                 f"sweep point {axis}={value} has N={point.agent_count} < M={point.channels}"
             )
-        system = systems[value] if systems else solve_system(point, solver, with_gains="mgf" in policies)
+        system = solve_system(point, with_gains="mgf" in policies)
         scale = value if axis == "scale" else 1
         for rep in range(replications):
             tasks.append((point, policies, system, config.seed + rep, scale))

@@ -41,13 +41,18 @@ def enumerate_tables(transition, safety_assignment, loss_entries, delta_bound):
     return q, f
 
 
-def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, ref=(1, 0)):
+def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, ref=(1, 0), damping=1.0, tol=None):
     """Relative value iteration with a fixed sweep count, straight-line loops.
 
     State (delta, x), delta in 1..delta_bound with the age saturating at the
     bound. Passive keeps the observation and ages it; active pays lam, and on
     success (prob success_prob) resets to age 1 with a state drawn from the
-    delta-step law. Returns (h, q_passive, q_active, avg_cost).
+    delta-step law. With damping < 1 each sweep moves only that share of the
+    way to the Bellman update, the aperiodicity transform (Puterman 1994,
+    sec. 8.5.4) that lets periodic policies converge; the reference offset
+    is then damping * g.
+    With tol set, it stops early once successive values differ by less
+    than tol in span. Returns (h, q_passive, q_active, avg_cost).
     """
     p = np.asarray(transition, dtype=float)
     nx = p.shape[0]
@@ -64,9 +69,12 @@ def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, 
                     expect_reset += powers[delta][x, x2] * h[1, x2]
                 passive = q[delta, x] + h[up, x]
                 active = q[delta, x] + lam + (1.0 - success_prob) * h[up, x] + success_prob * expect_reset
-                hn[delta, x] = min(passive, active)
-        g = hn[ref]
-        h = hn - g
+                hn[delta, x] = damping * min(passive, active) + (1.0 - damping) * h[delta, x]
+        g = hn[ref] / damping
+        diff = hn[1:] - hn[ref] - h[1:]
+        h = hn - hn[ref]
+        if tol is not None and diff.max() - diff.min() < tol:
+            break
     q_passive = np.zeros_like(h)
     q_active = np.zeros_like(h)
     for delta in range(1, delta_bound + 1):

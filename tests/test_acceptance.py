@@ -21,7 +21,7 @@ from aoi_guard import (
     identity_safety_map,
     loss_01,
     loss_safety_example,
-    relative_value_iteration,
+    policy_iteration,
     run_paired,
     run_simulation,
     run_sweep,
@@ -65,13 +65,13 @@ def scaling_results():
     """MGF penalties and dual bounds for r in {1, 2, 4, 8} with N=4r, M=r."""
     base = SimConfig(make_grid_classes((2, 2)), channels=1, slots=50_000, seed=201, policy="mgf")
     values = [1, 2, 4, 8]
-    systems, bounds = {}, {}
+    bounds = {}
     for r in values:
         point = config_at(base, "scale", r)
-        systems[r] = solve_system(point, with_gains=True)
-        bounds[r] = dual_lower_bound(list(systems[r].solutions), list(point.classes), point.channels)
+        system = solve_system(point, with_gains=True)
+        bounds[r] = dual_lower_bound(list(system.solutions), list(point.classes), point.channels)
         bounds[r] /= point.agent_count
-    records = run_sweep(base, "scale", values, policies=["mgf"], replications=10, systems=systems)
+    records = run_sweep(base, "scale", values, policies=["mgf"], replications=10)
     penalties = {
         r: np.array([rec.normalized_penalty for rec in records if rec.scale == r]) for r in values
     }
@@ -151,8 +151,8 @@ def test_criterion_04_saturation_and_truncation_stability():
     pen500, _ = build_tables(cls, 500)
     worst_shift = 0.0
     for lam in (0.0, 0.05, 0.5):
-        a = relative_value_iteration(pen250, chain, 0.95, lam)
-        b = relative_value_iteration(pen500, chain, 0.95, lam)
+        a = policy_iteration(pen250, chain, 0.95, lam)
+        b = policy_iteration(pen500, chain, 0.95, lam)
         worst_shift = max(worst_shift, abs(a.avg_cost - b.avg_cost))
     report(4, "penalty saturation", sat_gap < 1e-6 and worst_shift < 1e-6,
            f"|q(250,.) - H_L(pi)| = {sat_gap:.2e}; doubling the bound moves avg_cost by {worst_shift:.2e}")
@@ -171,7 +171,7 @@ def test_criterion_05_always_send_at_zero_price():
             (loss_safety_example(), SafetyMap(3, rng.integers(0, 3, size=nx))),
         ):
             pen, _ = build_tables(AgentClassSpec(src, safety, loss, p), 100)
-            sol = relative_value_iteration(pen, src, p, 0.0, tol=1e-11)
+            sol = policy_iteration(pen, src, p, 0.0)
             worst = min(worst, float(sol.gain[1:].min()))
     elapsed = time.time() - start
     report(5, "always-send at zero price", worst >= -1e-9,
@@ -182,7 +182,7 @@ def test_criterion_06_closed_form_average_cost_and_simulation():
     chain = MarkovSource(CHAIN_A_MATRIX, delta_bound=250, name="chain_a")
     cls = AgentClassSpec(chain, identity_safety_map(2), loss_01(2), success_prob=1.0)
     pen, _ = build_tables(cls, 250)
-    sol = relative_value_iteration(pen, chain, 1.0, 0.0)
+    sol = policy_iteration(pen, chain, 1.0, 0.0)
     closed_form = 2 / 15  # pi=(2/3,1/3) against q(1,.)=(0.1,0.2)
     cost_ok = abs(sol.avg_cost - closed_form) < 1e-4
 
@@ -279,18 +279,13 @@ def test_criterion_10_scaling_trend(scaling_results):
     report(10, "scaling trend", trend_ok and gap_ok, detail)
 
 
-def test_channel_sweep_improves_every_policy(grid_config, grid_system):
+def test_channel_sweep_improves_every_policy(grid_config):
     """More channels never hurt: penalty non-increasing in M within noise."""
     cfg = SimConfig(
         grid_config.classes, channels=2, slots=20_000, seed=301, policy="mgf"
     )
     values = [2, 6, 10]
-    systems = {2: grid_system}
-    for m in values[1:]:
-        systems[m] = solve_system(config_at(cfg, "channels", m), with_gains=True)
-    records = run_sweep(
-        cfg, "channels", values, policies=list(POLICY_ORDER), replications=6, systems=systems
-    )
+    records = run_sweep(cfg, "channels", values, policies=list(POLICY_ORDER), replications=6)
     for policy in POLICY_ORDER:
         by_m = {
             m: np.array(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aoi_guard import cli
-from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_PARSE, EXIT_VALIDATION, main
+from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
 
@@ -43,6 +43,10 @@ classes:
     safety: {type: assignment, labels: [0, 1]}
     loss: {name: zero_one, labels: 2}
 """
+PAIR_CLASS = """        - [0.9, 0.1]
+        - [0.2, 0.8]
+    safety: {type: assignment, labels: [0, 1]}
+    loss: {name: zero_one, labels: 2}"""
 
 
 class TestLoadConfig:
@@ -55,20 +59,23 @@ class TestLoadConfig:
         assert sim.classes[0].loss.entries[2, 0] == 1000  # safety-example loss
         assert manifest.run_all
         assert manifest.replications == 20
-        assert manifest.solver.tol == 1e-9
+        assert sim.delta_bound == 250
         assert manifest.sweep_axis == "channels"
 
     def test_retired_solver_keys_still_load(self, tmp_path):
-        # beta, eval_horizon and outer_iters tuned the old stochastic price
-        # search; configs that still carry them load and are solved alike.
+        # tol and max_iters tuned the old value iteration; beta, eval_horizon
+        # and outer_iters the old stochastic price search. Configs that still
+        # carry them load and are solved exactly as configs without them.
         text = MINIMAL.replace("policy: maf", "policy: mgf")
-        plain = load_config(write_config(tmp_path, text + "\nsolver: {tol: 1.0e-10}\n", "plain.yaml"))
-        retired = load_config(write_config(
-            tmp_path, text + "\nsolver: {tol: 1.0e-10, beta: 0.2, eval_horizon: 500, outer_iters: 3}\n",
-            "retired.yaml",
-        ))
-        assert retired.solver == plain.solver
-        assert retired.solver.tol == 1e-10
+        plain = load_config(write_config(tmp_path, text, "plain.yaml"))
+        ref = cli.solve_system(plain.sim, with_gains=True)
+        block = "{tol: 1.0e-10, max_iters: 2, beta: 0.2, eval_horizon: 500, outer_iters: 3}"
+        retired = load_config(write_config(tmp_path, text + f"\nsolver: {block}\n", "retired.yaml"))
+        assert not hasattr(retired, "solver")
+        system = cli.solve_system(retired.sim, with_gains=True)
+        assert system.lambda_star == ref.lambda_star
+        assert system.trace.iterations == ref.trace.iterations
+        assert np.array_equal(system.solutions[0].gain, ref.solutions[0].gain, equal_nan=True)
 
     def test_digest_matches_file_bytes(self):
         manifest = load_config(CHAIN_PAIR)
@@ -242,7 +249,7 @@ classes:
         assert main(["simulate", "--config", str(cfg), "--output", str(warned)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("warning: dual price search did not converge")
-        system = cli.solve_system(load_config(cfg).sim, load_config(cfg).solver, with_gains=True)
+        system = cli.solve_system(load_config(cfg).sim, with_gains=True)
         assert not system.trace.converged and system.lambda_star == 0.125
         rate = [r for _, lam, r in system.trace.iterations if lam == system.lambda_star][-1]
         assert rate == pytest.approx(1.0614, abs=1e-4)
@@ -310,22 +317,54 @@ class TestExitCodes:
         with pytest.raises(IndexError):
             main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
 
-    def test_convergence_error(self, tmp_path):
+    def test_convergence_error(self, tmp_path, capsys):
+        # Two closed copies of a two-state chain that differ in their rows:
+        # an agent's average cost depends on the copy it starts in, so the
+        # class MDP has no single one, and the solve fails at its first
+        # price instead of iterating.
+        split = MINIMAL.replace("policy: maf", "policy: mgf").replace(
+            PAIR_CLASS,
+            """        - [0.9, 0.1, 0.0, 0.0]
+        - [0.2, 0.8, 0.0, 0.0]
+        - [0.0, 0.0, 0.5, 0.5]
+        - [0.0, 0.0, 0.3, 0.7]
+    safety: {type: assignment, labels: [0, 1, 2, 3]}
+    loss: {name: zero_one, labels: 4}""",
+        )
+        cfg = write_config(tmp_path, split)
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "policy iteration on pair at lambda=0.0" in err and "more than one stationary law" in err
+        assert not out.exists()
+
+    def test_tiny_age_bound_with_reliable_channel_solves(self, tmp_path):
+        # Age bound 2 and p = 1: the price search crosses the hold of the
+        # observation with the least saturated penalty.
         cfg = write_config(
             tmp_path,
-            MINIMAL.replace("policy: maf", "policy: mgf") + "\nsolver: {max_iters: 2}\n",
+            MINIMAL.replace("policy: maf", "policy: mgf")
+            .replace("delta_bound: 250", "delta_bound: 2")
+            .replace("members: 2", "members: 3")
+            .replace("success_prob: 0.9", "success_prob: 1.0"),
         )
-        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "s")]) == EXIT_CONVERGENCE
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        # Each agent either sends every slot or holds observation 0 at the
+        # bound for good (average cost q(2, 0) = 0.17), so the relaxed rate
+        # jumps from 3 to 0 and the search returns its closest probe.
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False and summary["lambda_star"] == 1.0
+        assert summary["avg_costs"]["pair"] == pytest.approx(0.17, abs=1e-12)
+        trace = (out / "dual_trace.csv").read_text().splitlines()[3:]
+        assert {float(row.split(",")[2]) for row in trace} == {0.0, 3.0}
 
     def test_ambiguous_relaxed_rate_is_a_convergence_error(self, tmp_path, capsys):
         # Two closed copies of the pair chain, told apart by their labels:
-        # value iteration converges (both copies cost the same), but the
-        # long-run rate of an agent depends on the copy it starts in.
+        # both copies cost the same, but an agent's renewals never leave the
+        # copy it starts in, so its long-run behaviour is not unique.
         split = MINIMAL.replace("policy: maf", "policy: mgf").replace(
-            """        - [0.9, 0.1]
-        - [0.2, 0.8]
-    safety: {type: assignment, labels: [0, 1]}
-    loss: {name: zero_one, labels: 2}""",
+            PAIR_CLASS,
             """        - [0.9, 0.1, 0.0, 0.0]
         - [0.2, 0.8, 0.0, 0.0]
         - [0.0, 0.0, 0.9, 0.1]

@@ -21,6 +21,7 @@ from aoi_guard.markov import (
     SafetyMap,
     cumulative_rows,
     lumpable_partition,
+    recurrent_states,
     stack_padded,
     stationary_law,
     step_states,
@@ -183,6 +184,28 @@ def support_matrices(draw):
     for x in np.flatnonzero(~support.any(axis=1)):
         support[x, draw(st.integers(0, n - 1))] = True
     return support
+
+
+class TestRecurrentStates:
+    def test_closed_classes(self):
+        cases = (
+            ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.45, 0.55]], [False, True, True]),
+            ([[0.5, 0.5], [0.0, 1.0]], [False, True]),
+            (np.eye(3), [True, True, True]),
+            (np.kron(np.eye(2), [[0.9, 0.1], [0.2, 0.8]]), [True] * 4),
+            ([[0.0, 1.0], [1.0, 0.0]], [True, True]),
+        )
+        for matrix, expected in cases:
+            assert recurrent_states(np.array(matrix)).tolist() == expected
+
+    def test_long_path_into_a_closed_class(self):
+        # 0 -> 1 -> ... -> 29 -> 29: only the last state is recurrent, and the
+        # closure needs log2(30) squarings to see it.
+        p = np.zeros((30, 30))
+        p[np.arange(29), np.arange(1, 30)] = 1.0
+        p[29, 29] = 1.0
+        assert recurrent_states(p).tolist() == [False] * 29 + [True]
+        assert recurrent_states(wielandt_chain(30).transition).all()
 
 
 class TestIsPrimitive:
