@@ -10,8 +10,9 @@ difference of the action-value tables is the gain index that drives the
 Maximum Gain First policy. The dual search prices transmissions so that the
 relaxed (uncoupled) system uses the channel budget on average: the relaxed
 activation rate of a class's greedy policy follows from the same renewal
-sums, and it does not increase with the price, so bracketing and bisection
-on lambda find the budget price without simulation.
+sums and is the slope of the concave, piecewise linear dual function, so a
+cutting-plane search on lambda (Kelley 1960) finds the budget price without
+simulation and certifies where it stops.
 
 The MDP sees the source state only through its safety label, so the dual
 search solves each class on the coarsest lumpable quotient of its source
@@ -34,6 +35,7 @@ from .markov import is_primitive, stationary_distribution  # noqa: F401
 from .tables import AgentClassSpec, PenaltyTable, build_tables  # noqa: F401
 
 RATE_BAND = 0.05
+DUAL_PROBE_CAP = 60
 
 # Policy iteration certifies its tables to a Bellman residual of at most
 # RESIDUAL_TOL. Gains within that resolution of zero are ties; ties stay
@@ -270,7 +272,7 @@ class LumpedClass:
         values.setflags(write=False)
         block.setflags(write=False)
         return cls(
-            MarkovSource(quotient, delta_bound=spec.source.delta_bound, name=spec.source.name),
+            MarkovSource(quotient, name=spec.source.name),
             PenaltyTable(values, penalty.delta_bound),
             block,
         )
@@ -286,7 +288,13 @@ class LumpedClass:
 
 @dataclass
 class DualTrace:
-    """Iteration log of the dual search: (iteration, lambda, activation rate)."""
+    """Iteration log of the dual search: (iteration, lambda, activation rate).
+
+    `dual_ascent` returns only certified stops, so `converged` is True on
+    every trace it returns. The last row tells the stop apart: a rate within
+    +/-5% of M is a `band` stop; otherwise lambda = 0 is a `slack` stop and
+    any other price a `breakpoint`.
+    """
 
     iterations: list[tuple[int, float, float]] = field(default_factory=list)
     lambda_star: float = 0.0
@@ -329,14 +337,22 @@ def dual_ascent(
     `penalties` are the classes' penalty tables from `build_tables`, all at
     one age bound. At each probed price every class MDP is solved on its
     `LumpedClass` quotient by `policy_iteration`, starting from the previous
-    probe's greedy mask, and the relaxed activation rate is the sum over
-    classes of member count times `relaxed_rate` of the greedy mask. That
-    rate does not increase with the price, so the search probes lambda = 0
-    (returned at once when the rate is at most M + 5%), expands with
-    lambda <- lo + max(1, 2 lo) until the rate falls below M, then bisects.
-    It stops at the first price whose rate lies within +/-5% of M; when none
-    does, it returns the closest probe with converged=False. Solutions are
-    lifted back to every source state.
+    probe's greedy mask. The relaxed activation rate is the sum over classes
+    of member count times `relaxed_rate` of the greedy mask, and it is a
+    supergradient, plus M, of the concave piecewise linear dual function
+    L(lambda) = sum of member count times `avg_cost`, minus lambda M.
+
+    The search probes lambda = 0 and stops there when the rate is at most
+    M + 5%: in the band, or below it (`slack`, optimal by complementary
+    slackness). Otherwise it expands with lambda <- lo + max(1, 2 lo) until
+    the rate falls below M, then probes where the supporting lines of L at
+    lo and hi meet (Kelley's cutting plane). It stops at the first price
+    whose rate lies within +/-5% of M, or at a step that lies on lo's line
+    within RESIDUAL_TOL per agent: that price maximizes L, a `breakpoint`
+    where the rate jumps across the band. Every returned trace is certified
+    (converged=True); a search that finds no bracket or no stop within
+    DUAL_PROBE_CAP probes raises ConvergenceError. Solutions are lifted back
+    to every source state.
     """
     if not classes:
         raise ValidationError("dual_ascent needs at least one agent class")
@@ -348,55 +364,48 @@ def dual_ascent(
     lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
     warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized masks
     band = RATE_BAND * channels
+    tol = RESIDUAL_TOL * sum(c.member_count for c in classes)
     trace = DualTrace()
-    best = None  # (gap, lam, solutions)
 
-    def probe(lam: float) -> tuple[float, bool, list[BanditSolution]]:
-        nonlocal best
-        sols, rate = [], 0.0
+    def probe(lam: float):
+        """(rate, L(lambda), solutions) at one price."""
+        sols, rate, value = [], 0.0, -lam * channels
         for i, (c, lc) in enumerate(zip(classes, lumped)):
             sol = relative_value_iteration(lc.penalty, lc.source, c.success_prob, lam, warm[i])
             warm[i] = sol.active_mask()
             rate += c.member_count * relaxed_rate(warm[i], lc.source, c.success_prob)
+            value += c.member_count * sol.avg_cost
             sols.append(lc.lift(sol))
         trace.iterations.append((len(trace.iterations) + 1, lam, rate))
-        gap = abs(rate - channels)
-        if best is None or gap < best[0]:
-            best = (gap, lam, sols)
-        return rate, gap <= band, sols
+        return rate, value, sols
 
-    def finish(lam: float, sols: list[BanditSolution], converged: bool):
-        trace.lambda_star = lam
-        trace.converged = converged
+    def finish(lam: float, sols: list[BanditSolution]):
+        trace.lambda_star, trace.converged = lam, True
         return lam, trace, sols
 
-    rate, hit, sols = probe(0.0)
+    rate, value, sols = probe(0.0)
     if rate <= channels + band:
-        return finish(0.0, sols, hit)
-    lo, hi = 0.0, None
-    for _ in range(30):
-        lam = lo + max(1.0, 2.0 * lo)
-        rate, hit, sols = probe(lam)
-        if hit:
-            return finish(lam, sols, True)
-        if rate < channels:
-            hi = lam
-            break
-        lo = lam
-    if hi is not None:
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            rate, hit, sols = probe(mid)
-            if hit:
-                return finish(mid, sols, True)
-            if rate > channels:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-    _, lam, sols = best
-    return finish(lam, sols, False)
+        return finish(0.0, sols)
+    lo, lo_rate, lo_value, hi = 0.0, rate, value, None
+    for _ in range(DUAL_PROBE_CAP):
+        if hi is None:
+            lam = lo + max(1.0, 2.0 * lo)
+        else:
+            # where lo's line meets hi's: both slopes are the rates minus M
+            lam = lo + (hi_value - lo_value - (hi_rate - channels) * (hi - lo)) / (lo_rate - hi_rate)
+            lam = min(max(lam, lo), hi)
+        rate, value, sols = probe(lam)
+        if abs(rate - channels) <= band:
+            return finish(lam, sols)
+        if hi is not None and value >= lo_value + (lo_rate - channels) * (lam - lo) - tol:
+            return finish(lam, sols)
+        if rate > channels:
+            lo, lo_rate, lo_value = lam, rate, value
+        else:
+            hi, hi_rate, hi_value = lam, rate, value
+    stuck = f"no price up to lambda={lam!r}" if hi is None else f"no stop in the bracket [{lo!r}, {hi!r}]"
+    raise ConvergenceError(f"dual price search: {stuck} after {len(trace.iterations)} probes "
+                           f"(relaxed rate {rate!r} against M={channels})")
 
 
 def dual_lower_bound(solutions: list[BanditSolution], classes: list[AgentClassSpec], channels: int) -> float:

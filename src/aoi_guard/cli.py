@@ -22,7 +22,6 @@ from .errors import ConvergenceError, ValidationError
 from .policies import POLICY_KEYS
 from .simulate import (
     SimRecord,
-    SolvedSystem,
     records_to_csv,
     records_to_json,
     run_paired,
@@ -111,23 +110,9 @@ def cmd_solve(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _warn_if_unconverged(system: SolvedSystem, channels: int) -> None:
-    """One stderr line when the dual price search stopped outside its band."""
-    trace = system.trace
-    if trace is None or trace.converged:
-        return
-    rate = next(r for _, lam, r in reversed(trace.iterations) if lam == trace.lambda_star)
-    print(
-        f"warning: dual price search did not converge: relaxed activation rate {rate!r} "
-        f"at lambda={trace.lambda_star!r} against M={channels} channels",
-        file=sys.stderr,
-    )
-
-
 def cmd_simulate(manifest: RunManifest) -> int:
     policies = _policies_for(manifest)
     system = solve_system(manifest.sim, with_gains="mgf" in policies)
-    _warn_if_unconverged(system, manifest.sim.channels)
     records: list[SimRecord] = []
     for rep in range(manifest.replications):
         cfg = replace(manifest.sim, seed=manifest.sim.seed + rep)

@@ -69,25 +69,22 @@ def _number(mapping: dict, key: str, where: str, default=None, integer=False):
     return int(v) if integer else float(v)
 
 
-def _build_source(spec, where: str, delta_bound: int, name: str) -> MarkovSource:
+def _build_source(spec, where: str, name: str) -> MarkovSource:
     spec = _expect_map(spec, where)
     kind = spec.get("type", "matrix")
     try:
         if kind == "row_chain":
             rows = _number(spec, "rows", where, integer=True)
-            return build_row_chain(
-                rows, _number(spec, "up", where), _number(spec, "down", where),
-                delta_bound=delta_bound, name=name,
-            )
+            return build_row_chain(rows, _number(spec, "up", where), _number(spec, "down", where), name=name)
         if kind == "grid2d":
             rows = _number(spec, "rows", where, integer=True)
             cols = _number(spec, "cols", where, integer=True)
             probs = {k: _number(spec, k, where) for k in ("up", "down", "left", "right")}
-            return MarkovSource(_grid2d_matrix(rows, cols, **probs), delta_bound=delta_bound, name=name)
+            return MarkovSource(_grid2d_matrix(rows, cols, **probs), name=name)
         if kind == "matrix":
             rows = _need(spec, "rows", where)
             matrix = np.array(rows, dtype=float)
-            return MarkovSource(matrix, delta_bound=delta_bound, name=name)
+            return MarkovSource(matrix, name=name)
     except ConfigError:
         raise
     except Exception as exc:  # invalid matrices, bad probabilities
@@ -166,10 +163,10 @@ def _build_loss(spec, where: str) -> LossMatrix:
     raise ConfigError(f"{where}.name: unknown loss {spec.get('name')!r} (zero_one, quadratic, safety_example)")
 
 
-def _build_class(spec, where: str, delta_bound: int) -> AgentClassSpec:
+def _build_class(spec, where: str) -> AgentClassSpec:
     spec = _expect_map(spec, where)
     name = spec.get("name", where)
-    source = _build_source(_need(spec, "source", where), f"{where}.source", delta_bound, name)
+    source = _build_source(_need(spec, "source", where), f"{where}.source", name)
     safety = _build_safety(_need(spec, "safety", where), f"{where}.safety", spec.get("source"), source.state_count)
     loss = _build_loss(_need(spec, "loss", where), f"{where}.loss")
     success = _number(spec, "success_prob", where, default=1.0)
@@ -193,13 +190,10 @@ def load_config(path) -> RunManifest:
         raise ParseError(f"{path}: top level must be a mapping, got {type(doc).__name__}")
 
     where = str(path)
-    delta_bound = _number(doc, "delta_bound", where, default=250, integer=True)
     class_specs = _need(doc, "classes", where)
     if not isinstance(class_specs, list) or not class_specs:
         raise ConfigError(f"{where}.classes: expected a nonempty list")
-    classes = tuple(
-        _build_class(spec, f"{where}.classes[{i}]", delta_bound) for i, spec in enumerate(class_specs)
-    )
+    classes = tuple(_build_class(spec, f"{where}.classes[{i}]") for i, spec in enumerate(class_specs))
 
     policy = doc.get("policy")
     if policy is None:
@@ -218,7 +212,7 @@ def load_config(path) -> RunManifest:
             warmup=_number(doc, "warmup", where, integer=True) if "warmup" in doc else None,
             seed=_number(doc, "seed", where, default=0, integer=True),
             policy=policy,
-            delta_bound=delta_bound,
+            delta_bound=_number(doc, "delta_bound", where, default=250, integer=True),
         )
     except ConfigError:
         raise

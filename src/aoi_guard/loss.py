@@ -71,9 +71,6 @@ def loss_safety_example() -> LossMatrix:
     return LossMatrix(e)
 
 
-NAMED_LOSSES = ("zero_one", "quadratic", "safety_example")
-
-
 def optimal_estimate(dist, loss: LossMatrix) -> tuple[int, float]:
     """Bayes-optimal label and its expected loss under the given label law.
 

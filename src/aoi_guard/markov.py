@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-DEFAULT_DELTA_BOUND = 250
-
 ROW_SUM_TOL = 1e-12
 
 
@@ -29,7 +27,7 @@ class MarkovSource:
     so the instance is immutable after construction.
     """
 
-    def __init__(self, transition, delta_bound: int = DEFAULT_DELTA_BOUND, name: str = ""):
+    def __init__(self, transition, name: str = ""):
         p = np.array(transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise ValidationError(f"transition matrix must be square and nonempty, got shape {p.shape}")
@@ -41,16 +39,13 @@ class MarkovSource:
             raise ValidationError(
                 f"transition row {bad} sums to {p[bad].sum():.17g}, not 1 within {ROW_SUM_TOL:g}"
             )
-        if delta_bound < 1:
-            raise ValidationError(f"delta_bound must be >= 1, got {delta_bound}")
         p.setflags(write=False)
         self.transition = p
         self.state_count = p.shape[0]
-        self.delta_bound = int(delta_bound)
         self.name = name or f"source[{self.state_count}]"
 
     def __repr__(self) -> str:
-        return f"MarkovSource({self.name}, states={self.state_count}, delta_bound={self.delta_bound})"
+        return f"MarkovSource({self.name}, states={self.state_count})"
 
 
 @dataclass(frozen=True)
@@ -220,9 +215,7 @@ def lumpable_partition(transition, labels) -> np.ndarray:
         block, count = _first_member_order(refined), parts
 
 
-def build_row_chain(
-    rows: int, up: float, down: float, delta_bound: int = DEFAULT_DELTA_BOUND, name: str = ""
-) -> MarkovSource:
+def build_row_chain(rows: int, up: float, down: float, name: str = "") -> MarkovSource:
     """Bounded random walk on row indices with reflecting-stay boundaries.
 
     Interior row r moves to r-1 with probability `up`, to r+1 with `down`,
@@ -245,7 +238,7 @@ def build_row_chain(
         if r < rows - 1:
             p[r, r + 1] = down
         p[r, r] = stay + (up if r == 0 else 0.0) + (down if r == rows - 1 else 0.0)
-    return MarkovSource(p, delta_bound=delta_bound, name=name or f"row_chain({rows},{up},{down})")
+    return MarkovSource(p, name=name or f"row_chain({rows},{up},{down})")
 
 
 def cumulative_rows(transition: np.ndarray) -> np.ndarray:

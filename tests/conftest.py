@@ -18,7 +18,7 @@ CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
 
 @pytest.fixture()
 def chain_a():
-    return MarkovSource(CHAIN_A_MATRIX, delta_bound=250, name="chain_a")
+    return MarkovSource(CHAIN_A_MATRIX, name="chain_a")
 
 
 @pytest.fixture()
@@ -26,26 +26,26 @@ def chain_a_class(chain_a):
     return AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), success_prob=0.95, name="chain_a")
 
 
-def make_grid_classes(member_counts=(10, 10), delta_bound=250):
+def make_grid_classes(member_counts=(10, 10)):
     safety = banded_safety_map(20, (6, 13))
     loss = loss_safety_example()
     fast = AgentClassSpec(
-        build_row_chain(20, 0.3, 0.3, delta_bound=delta_bound, name="fast"),
+        build_row_chain(20, 0.3, 0.3, name="fast"),
         safety, loss, 0.95, member_counts[0], name="fast",
     )
     drift = AgentClassSpec(
-        build_row_chain(20, 0.05, 0.05, delta_bound=delta_bound, name="drift"),
+        build_row_chain(20, 0.05, 0.05, name="drift"),
         safety, loss, 0.95, member_counts[1], name="drift",
     )
     return (fast, drift)
 
 
-def random_primitive_source(rng, states, delta_bound=150):
+def random_primitive_source(rng, states):
     """Dirichlet rows with a positive floor, so the chain is primitive."""
     p = rng.dirichlet(np.ones(states), size=states)
     p = 0.95 * p + 0.05 / states
     p /= p.sum(axis=1, keepdims=True)
-    return MarkovSource(p, delta_bound=delta_bound)
+    return MarkovSource(p)
 
 
 @pytest.fixture(scope="session")

@@ -176,3 +176,68 @@ def random_queue_oracle(world, channels, slots, warmup, capacity):
         "agent_mean_aoi": tuple(s / accounted for s in aoi_sum),
         "peak_queue": peak_queue,
     }
+
+
+def relaxed_lp_value(classes, penalties, channels):
+    """Optimal total penalty of the relaxed problem, as an occupation-measure LP.
+
+    The constrained average-cost MDP of Altman (Constrained Markov Decision
+    Processes, 1999), one block per class: a variable y(delta, x, a) >= 0 for
+    every age delta in 1..D, observation x and action a (passive, active).
+    Each block is a stationary law: its mass sums to 1, and each state's
+    outflow equals its inflow, where passive ages the observation (saturating
+    at D) and active does the same on a failed delivery and otherwise restarts
+    at (1, x2) with x2 drawn from P^delta(x, .). One budget row keeps the
+    member-weighted active mass at most M. The objective is the
+    member-weighted penalty q(delta, x). Solved by HiGHS with feasibility
+    tolerances of 1e-10; scipy is imported here only, so the package never
+    needs it.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    rows, cols, vals = [], [], []
+    cost, budget, eq_rhs = [], [], []
+    row_base = col_base = 0
+    for cls, pen in zip(classes, penalties):
+        p = np.asarray(cls.source.transition, dtype=float)
+        nx = p.shape[0]
+        db = pen.delta_bound
+        powers = [np.linalg.matrix_power(p, d) for d in range(db + 1)]
+
+        def state(delta, x):
+            return row_base + (delta - 1) * nx + x
+
+        for delta in range(1, db + 1):
+            up = min(delta + 1, db)
+            for x in range(nx):
+                for active in (0, 1):
+                    col = col_base + 2 * ((delta - 1) * nx + x) + active
+                    cost.append(cls.member_count * float(pen.values[delta, x]))
+                    budget.append(float(cls.member_count) if active else 0.0)
+                    rows.append(state(delta, x))
+                    cols.append(col)
+                    vals.append(1.0)
+                    stay = 1.0 - cls.success_prob if active else 1.0
+                    rows.append(state(up, x))
+                    cols.append(col)
+                    vals.append(-stay)
+                    if active:
+                        for x2 in range(nx):
+                            rows.append(state(1, x2))
+                            cols.append(col)
+                            vals.append(-cls.success_prob * powers[delta][x, x2])
+                    rows.append(row_base + db * nx)  # the block's total mass
+                    cols.append(col)
+                    vals.append(1.0)
+        eq_rhs += [0.0] * (db * nx) + [1.0]
+        row_base += db * nx + 1
+        col_base += 2 * db * nx
+    a_eq = coo_matrix((vals, (rows, cols)), shape=(row_base, col_base)).tocsr()
+    result = linprog(
+        cost, A_ub=[budget], b_ub=[channels], A_eq=a_eq, b_eq=eq_rhs, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if result.status != 0:
+        raise RuntimeError(f"relaxed LP failed: {result.message}")
+    return float(result.fun)

@@ -86,7 +86,7 @@ def test_criterion_01_estimator_matches_exhaustive_enumeration():
         nx = int(rng.integers(2, 7))
         ny = int(rng.integers(1, 5))
         bound = int(rng.integers(1, 11))
-        src = random_primitive_source(rng, nx, delta_bound=max(bound, 2))
+        src = random_primitive_source(rng, nx)
         safety = SafetyMap(ny, rng.integers(0, ny, size=nx)) if ny > 1 else SafetyMap(1, np.zeros(nx, int))
         loss = LossMatrix(rng.uniform(0.0, 4.0, size=(ny, ny)))
         pen, est = build_tables(AgentClassSpec(src, safety, loss), bound)
@@ -129,7 +129,7 @@ def test_criterion_03_averaged_data_processing():
     worst = np.inf
     for trial in range(50):
         nx = int(rng.integers(2, 7))
-        src = random_primitive_source(rng, nx, delta_bound=100)
+        src = random_primitive_source(rng, nx)
         ny = int(rng.integers(2, min(nx, 4) + 1))
         safety = SafetyMap(ny, rng.integers(0, ny, size=nx))
         loss = loss_01(ny) if trial % 2 == 0 else LossMatrix(rng.uniform(0.0, 4.0, size=(ny, ny)))
@@ -143,7 +143,7 @@ def test_criterion_03_averaged_data_processing():
 
 
 def test_criterion_04_saturation_and_truncation_stability():
-    chain = MarkovSource(CHAIN_A_MATRIX, delta_bound=500, name="chain_a")
+    chain = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(chain, identity_safety_map(2), loss_01(2), success_prob=0.95)
     pen250, _ = build_tables(cls, 250)
     sat_gap = float(np.abs(pen250.values[250] - 1 / 3).max())
@@ -164,7 +164,7 @@ def test_criterion_05_always_send_at_zero_price():
     worst = np.inf
     for _ in range(20):
         nx = int(rng.integers(3, 7))
-        src = random_primitive_source(rng, nx, delta_bound=100)
+        src = random_primitive_source(rng, nx)
         p = float(rng.uniform(0.3, 1.0))
         for loss, safety in (
             (loss_01(nx), identity_safety_map(nx)),
@@ -179,7 +179,7 @@ def test_criterion_05_always_send_at_zero_price():
 
 
 def test_criterion_06_closed_form_average_cost_and_simulation():
-    chain = MarkovSource(CHAIN_A_MATRIX, delta_bound=250, name="chain_a")
+    chain = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(chain, identity_safety_map(2), loss_01(2), success_prob=1.0)
     pen, _ = build_tables(cls, 250)
     sol = policy_iteration(pen, chain, 1.0, 0.0)

@@ -23,7 +23,7 @@ from aoi_guard.bandit import LumpedClass, relaxed_rate
 from aoi_guard.config import _grid2d_matrix
 from aoi_guard.markov import SafetyMap, lumpable_partition, stack_padded
 from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
-from oracles import relaxed_rate_oracle, rvi_fixed_sweeps
+from oracles import relaxed_lp_value, relaxed_rate_oracle, rvi_fixed_sweeps
 
 # Frozen from the straight-line 200-sweep oracle in oracles.py (chain A,
 # identity safety, 0-1 loss, p=0.95, lambda=0.05, delta_bound=40). The
@@ -33,7 +33,7 @@ GOLDEN_AVG_COST = 0.1881685
 
 
 def solve_chain_a(p=0.95, lam=0.05, delta_bound=40):
-    src = MarkovSource(CHAIN_A_MATRIX, delta_bound=delta_bound, name="chain_a")
+    src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), success_prob=p)
     pen, _ = build_tables(cls, delta_bound)
     return policy_iteration(pen, src, p, lam), pen, src
@@ -74,7 +74,7 @@ class TestRelativeValueIteration:
         assert sol.avg_cost == pytest.approx(2 / 3 * 0.1 + 1 / 3 * 0.2, abs=1e-8)
 
     def test_frozen_source_is_free_and_passive(self):
-        frozen = MarkovSource(np.eye(3), delta_bound=30, name="frozen")
+        frozen = MarkovSource(np.eye(3), name="frozen")
         cls = AgentClassSpec(frozen, identity_safety_map(3), loss_01(3))
         pen, _ = build_tables(cls, 30)
         for lam in (0.1, 1.0):
@@ -104,7 +104,7 @@ class TestRelativeValueIteration:
             with pytest.raises(ValidationError):
                 policy_iteration(pen, src, success, 0.05)
         with pytest.raises(ValidationError):
-            policy_iteration(pen, MarkovSource(np.eye(3), delta_bound=40), 0.95, 0.05)
+            policy_iteration(pen, MarkovSource(np.eye(3)), 0.95, 0.05)
 
     def test_convergence_error_carries_span(self):
         # Two closed copies of chain A at bound 3: each copy renews into
@@ -112,7 +112,7 @@ class TestRelativeValueIteration:
         # least saturated penalty forever is far from optimal. The error
         # carries that Bellman residual.
         two = np.kron(np.eye(2), np.array(CHAIN_A_MATRIX))
-        src = MarkovSource(two, delta_bound=3, name="two_copies")
+        src = MarkovSource(two, name="two_copies")
         cls = AgentClassSpec(src, identity_safety_map(4), loss_01(4), success_prob=0.9)
         pen, _ = build_tables(cls, 3)
         with pytest.raises(ConvergenceError, match="more than one stationary law") as err:
@@ -125,7 +125,7 @@ class TestRelativeValueIteration:
         # classes whose costs differ by the saturation gap 0.7^40 ~ 6e-7.
         # Holding the cheapest one is optimal: g is exactly the least
         # saturated penalty and the tables satisfy the optimality equation.
-        src = MarkovSource(CHAIN_A_MATRIX, delta_bound=40, name="chain_a")
+        src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), success_prob=0.9)
         pen, _ = build_tables(cls, 40)
         for lam in (0.5, 1.0, 2.0):
@@ -137,7 +137,7 @@ class TestRelativeValueIteration:
 
     def test_default_truncation_closes_the_gap(self):
         # Same price, default bound: the gap is below machine precision.
-        src = MarkovSource(CHAIN_A_MATRIX, delta_bound=250, name="chain_a")
+        src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), success_prob=0.9)
         pen, _ = build_tables(cls, 250)
         sol = policy_iteration(pen, src, 0.9, 1.0)
@@ -147,7 +147,7 @@ class TestRelativeValueIteration:
         warm = None
         prev_cost = -np.inf
         prev_active = None
-        src = MarkovSource(CHAIN_A_MATRIX, delta_bound=60, name="chain_a")
+        src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), success_prob=0.95)
         pen, _ = build_tables(cls, 60)
         for lam in np.arange(0.0, 2.01, 0.1):
@@ -163,14 +163,14 @@ class TestRelativeValueIteration:
         rng = np.random.default_rng(41)
         for _ in range(5):
             nx = int(rng.integers(2, 6))
-            src = random_primitive_source(rng, nx, delta_bound=80)
+            src = random_primitive_source(rng, nx)
             cls = AgentClassSpec(src, identity_safety_map(nx), loss_01(nx), success_prob=float(rng.uniform(0.3, 1.0)))
             pen, _ = build_tables(cls, 80)
             sol = policy_iteration(pen, src, cls.success_prob, 0.0)
             assert sol.gain[1:].min() >= -1e-9
 
     def test_warm_start_reaches_the_cold_solution(self):
-        src = MarkovSource(CHAIN_A_MATRIX, delta_bound=60, name="chain_a")
+        src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), success_prob=0.95)
         pen, _ = build_tables(cls, 60)
         nowhere = np.zeros((61, 2), dtype=bool)
@@ -191,8 +191,8 @@ class TestRelativeValueIteration:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_matches_converged_value_iteration(self, data):
-        src, _, _ = data.draw(masked_sources())
-        nx, db = src.state_count, src.delta_bound
+        src, mask, _ = data.draw(masked_sources())
+        nx, db = src.state_count, mask.shape[0] - 1
         success = data.draw(st.floats(0.05, 1.0))
         lam = data.draw(st.floats(0.0, 2.0))
         cls = AgentClassSpec(src, identity_safety_map(nx), loss_01(nx), success_prob=success)
@@ -228,7 +228,7 @@ class TestRelativeValueIteration:
             (bipartite, 2, 1.0, ((0.5, 0.32),)),
         )
         for matrix, db, success, expected in cases:
-            src = MarkovSource(matrix, delta_bound=db, name="degenerate")
+            src = MarkovSource(matrix, name="degenerate")
             nx = src.state_count
             pen, _ = build_tables(AgentClassSpec(src, identity_safety_map(nx), loss_01(nx), success), db)
             for lam, cost in expected:
@@ -244,7 +244,7 @@ class TestRelativeValueIteration:
         # iteration gives from every recurrent state. At (2, 0) the one-g
         # equation cannot hold: passive beats the table there by exactly g,
         # and the gain keeps that agent passive.
-        src = MarkovSource([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.45, 0.55]], delta_bound=2, name="transient")
+        src = MarkovSource([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.45, 0.55]], name="transient")
         pen, _ = build_tables(AgentClassSpec(src, SafetyMap(2, np.array([1, 1, 0])), loss_01(2), 1.0), 2)
         assert pen.values[2].tolist() == pytest.approx([0.0, 0.45, 0.2475], abs=1e-15)
         sol = policy_iteration(pen, src, 1.0, 0.3)
@@ -272,7 +272,7 @@ class TestGainIndex:
 class TestDualAscent:
     def test_unconstrained_when_channels_match_agents(self, chain_a):
         cls = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2), 0.95, member_count=3)
-        pen, _ = build_tables(cls, chain_a.delta_bound)
+        pen, _ = build_tables(cls, 250)
         lam, trace, sols = dual_ascent([cls], [pen], channels=3)
         assert lam == 0.0
         assert trace.converged
@@ -330,6 +330,68 @@ class TestDualAscent:
             dual_ascent([cls, cls], [pen, build_tables(cls, 41)[0]], channels=1)
 
 
+def stop_reason(trace, channels):
+    """How a returned search stopped, read from its last probe."""
+    _, lam, rate = trace.iterations[-1]
+    if abs(rate - channels) <= bandit.RATE_BAND * channels:
+        return "band"
+    return "slack" if lam == 0.0 else "breakpoint"
+
+
+@st.composite
+def positive_systems(draw):
+    """One or two classes on positive sources (|X| <= 4), one age bound D <= 30, and a budget."""
+    db = draw(st.integers(1, 30))
+    classes = []
+    for _ in range(draw(st.integers(1, 2))):
+        nx = draw(st.integers(2, 4))
+        rows = draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=nx, max_size=nx), min_size=nx, max_size=nx))
+        p = np.array(rows)
+        p /= p.sum(axis=1, keepdims=True)
+        classes.append(AgentClassSpec(MarkovSource(p), identity_safety_map(nx), loss_01(nx),
+                                      draw(st.floats(0.05, 1.0)), draw(st.integers(1, 4))))
+    channels = draw(st.integers(1, sum(c.member_count for c in classes)))
+    return classes, [build_tables(c, db)[0] for c in classes], channels
+
+
+class TestDualCertificates:
+    """The search's bound against the occupation-measure LP of the relaxation.
+
+    Weak duality puts every bound at or below the LP value. At a breakpoint
+    the price maximizes the dual function, and at a slack stop the budget
+    does not bind, so there the bound is the LP value.
+    """
+
+    def assert_certified(self, classes, pens, channels):
+        _, trace, sols = dual_ascent(classes, pens, channels)
+        bound = dual_lower_bound(sols, classes, channels)
+        lp = relaxed_lp_value(classes, pens, channels)
+        reason = stop_reason(trace, channels)
+        assert trace.converged and bound <= lp * (1.0 + 1e-8)
+        if reason != "band":
+            assert abs(bound - lp) <= 1e-8 * abs(lp)
+        return reason, len(trace.iterations)
+
+    @settings(max_examples=40, deadline=None)
+    @given(positive_systems())
+    def test_bound_meets_lp_on_positive_sources(self, system):
+        reason, _ = self.assert_certified(*system)
+        event(f"stop: {reason}")
+
+    @pytest.mark.parametrize("channels,reason", [(2, "band"), (4, "band"), (6, "slack")])
+    def test_grid20_classes(self, channels, reason):
+        classes = list(make_grid_classes())
+        pens = [build_tables(c, 60)[0] for c in classes]
+        assert self.assert_certified(classes, pens, channels)[0] == reason
+
+    def test_two_agent_breakpoint(self):
+        # The CLI tests' two-agent, one-channel pair config: no price puts
+        # its rate in the band, and the search stops at the breakpoint.
+        cls = AgentClassSpec(MarkovSource(CHAIN_A_MATRIX), identity_safety_map(2), loss_01(2), 0.9, 2)
+        reason, probes = self.assert_certified([cls], [build_tables(cls, 250)[0]], 1)
+        assert reason == "breakpoint" and probes <= 8
+
+
 @st.composite
 def masked_sources(draw):
     """A positive (hence primitive) source, a price-free mask active at age D, and p."""
@@ -343,12 +405,12 @@ def masked_sources(draw):
     mask[1:db] = np.array(cells, dtype=bool).reshape(db - 1, nx)
     mask[db] = True
     success = draw(st.floats(0.01, 1.0))
-    return MarkovSource(p, delta_bound=db), mask, success
+    return MarkovSource(p), mask, success
 
 
 def chain_a_masks(lam_grid, delta_bound=60):
     """Greedy masks of chain A's class MDP (p = 0.95) along a price grid."""
-    src = MarkovSource(CHAIN_A_MATRIX, delta_bound=delta_bound, name="chain_a")
+    src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.95)
     pen, _ = build_tables(cls, delta_bound)
     warm, masks = None, []
@@ -368,11 +430,11 @@ class TestRelaxedRate:
         assert abs(got - relaxed_rate_oracle(mask, src.transition, success)) <= 1e-10
 
     def test_all_passive_is_zero(self):
-        src = random_primitive_source(np.random.default_rng(5), 4, delta_bound=20)
+        src = random_primitive_source(np.random.default_rng(5), 4)
         assert relaxed_rate(np.zeros((21, 4), dtype=bool), src, 0.8) == 0.0
 
     def test_all_active_is_one(self):
-        src = random_primitive_source(np.random.default_rng(6), 4, delta_bound=20)
+        src = random_primitive_source(np.random.default_rng(6), 4)
         mask = np.ones((21, 4), dtype=bool)
         mask[0] = False
         for success in (0.3, 1.0):
@@ -381,7 +443,7 @@ class TestRelaxedRate:
     def test_observation_held_forever_gives_zero(self):
         # Observation 0 is never sent, and the primitive source keeps
         # delivering fresh 0s, so every agent ends up holding one forever.
-        src = random_primitive_source(np.random.default_rng(7), 4, delta_bound=20)
+        src = random_primitive_source(np.random.default_rng(7), 4)
         mask = np.ones((21, 4), dtype=bool)
         mask[0] = False
         mask[:, 0] = False
@@ -391,7 +453,7 @@ class TestRelaxedRate:
 
     def test_frozen_chains_are_zero(self):
         for frozen, labels in ((np.eye(3), [0, 1, 2]), (np.eye(3), [0, 0, 1]), (np.eye(2), [0, 1])):
-            src = MarkovSource(frozen, delta_bound=30, name="frozen")
+            src = MarkovSource(frozen, name="frozen")
             cls = AgentClassSpec(src, SafetyMap(max(labels) + 1, np.array(labels)), loss_01(max(labels) + 1), 0.9)
             pen, _ = build_tables(cls, 30)
             lumped = LumpedClass.of(cls, pen)
@@ -402,7 +464,7 @@ class TestRelaxedRate:
     def test_ambiguous_long_run_raises(self):
         # A frozen agent that sends observation 0 keeps renewing into 0, one
         # that holds 1 never sends: the rate depends on where it starts.
-        frozen = MarkovSource(np.eye(2), delta_bound=10, name="frozen")
+        frozen = MarkovSource(np.eye(2), name="frozen")
         mask = np.zeros((11, 2), dtype=bool)
         mask[1:, 0] = True
         with pytest.raises(ConvergenceError, match="frozen"):
@@ -419,7 +481,7 @@ class TestRelaxedRate:
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_non_increasing_in_price_on_fast_grid_class(self):
-        cls = make_grid_classes((1, 1), delta_bound=60)[0]
+        cls = make_grid_classes((1, 1))[0]
         pen, _ = build_tables(cls, 60)
         warm, rates = None, []
         for lam in np.linspace(0.0, 4.0, 33):
@@ -442,7 +504,7 @@ def unlumped(monkeypatch):
 class TestLumpedQuotient:
     def test_grid_walk_lifts_onto_unlumped_solve(self):
         rows, cols = 6, 6
-        src = MarkovSource(_grid2d_matrix(rows, cols, 0.2, 0.2, 0.2, 0.2), delta_bound=40, name="grid6")
+        src = MarkovSource(_grid2d_matrix(rows, cols, 0.2, 0.2, 0.2, 0.2), name="grid6")
         safety = SafetyMap(3, np.repeat(banded_safety_map(rows, (2, 4)).assignment, cols))
         cls = AgentClassSpec(src, safety, loss_safety_example(), success_prob=0.95)
         pen, _ = build_tables(cls, 40)
@@ -459,7 +521,7 @@ class TestLumpedQuotient:
             assert lifted.h.shape == full.h.shape and not lifted.gain.flags.writeable
 
     def test_row_chain_search_is_bit_identical(self, monkeypatch):
-        classes = make_grid_classes((10, 10), delta_bound=40)
+        classes = make_grid_classes((10, 10))
         for c in classes:
             assert (lumpable_partition(c.source.transition, c.safety.assignment) == np.arange(20)).all()
         pens = [build_tables(c, 40)[0] for c in classes]
@@ -474,7 +536,7 @@ class TestLumpedQuotient:
             assert np.array_equal(sol.h, ref.h) and sol.avg_cost == ref.avg_cost
 
     def test_frozen_chain_collapses_onto_labels(self, monkeypatch):
-        frozen = MarkovSource(np.eye(3), delta_bound=30, name="frozen")
+        frozen = MarkovSource(np.eye(3), name="frozen")
         cls = AgentClassSpec(frozen, SafetyMap(2, np.array([0, 0, 1])), loss_01(2), 0.9, member_count=3)
         pen, _ = build_tables(cls, 30)
         lumped = LumpedClass.of(cls, pen)
@@ -494,7 +556,7 @@ class TestLumpedQuotient:
     def test_single_label_lumps_to_one_state(self):
         # Row 0 of this source sums to 1 + ulp: the one-block quotient must
         # still be a valid chain.
-        src = random_primitive_source(np.random.default_rng(2), 5, delta_bound=30)
+        src = random_primitive_source(np.random.default_rng(2), 5)
         assert src.transition[0].sum() > 1.0
         cls = AgentClassSpec(src, SafetyMap(1, np.zeros(5, dtype=int)), loss_01(1), 0.9)
         pen, _ = build_tables(cls, 30)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoi_guard import cli
+from aoi_guard import bandit, cli
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
@@ -224,16 +225,17 @@ classes:
         rows = (out / "tables_0_ice.csv").read_text().splitlines()[3:]
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)
         summary = json.loads((out / "summary.json").read_text())
-        # a frozen source never fills the budget, so the dual search reports
-        # the unmet band honestly
-        assert summary["converged"] is False
+        # a frozen source never fills the budget: the rate at price 0 is
+        # below M, which is optimal by complementary slackness (a slack stop)
+        assert summary["converged"] is True and summary["lambda_star"] == 0.0
+        assert (out / "dual_trace.csv").read_text().splitlines()[3:] == ["1,0.0,0.0"]
         assert summary["avg_costs"]["ice"] == 0.0
         prof = tmp_path / "prof"
         assert main(["profile", "--config", str(cfg), "--output", str(prof), "--deltas", "1,5"]) == 0
         prows = (prof / "profile_0_ice.csv").read_text().splitlines()[3:]
         assert all(float(r.split(",")[2]) == 0.0 for r in prows)
 
-    def test_simulate_warns_once_when_dual_search_unconverged(self, tmp_path, monkeypatch, capsys):
+    def test_simulate_is_quiet_when_dual_search_stops_at_a_breakpoint(self, tmp_path, capsys):
         # chain_pair sends its one agent every slot at price 0: rate 1.0 = M.
         ok = tmp_path / "ok.csv"
         assert main(["simulate", "--config", str(CHAIN_PAIR), "--slots", "2000", "--output", str(ok)]) == 0
@@ -242,32 +244,31 @@ classes:
         assert system.trace.iterations == [(1, 0.0, 1.0)] and system.trace.converged
 
         # Two agents on one channel: the exact relaxed rate jumps from about
-        # 1.06 to 0.82 across the +/-5% band, so no price lands in it and the
-        # search returns its closest probe.
+        # 1.06 to 0.82 across the +/-5% band, so no price lands in it. The
+        # search stops at the breakpoint where the rate jumps, the price that
+        # maximizes the dual function, and reports it as converged.
         cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf"))
-        warned = tmp_path / "warned.csv"
-        assert main(["simulate", "--config", str(cfg), "--output", str(warned)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: dual price search did not converge")
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "mgf.csv")]) == 0
+        assert capsys.readouterr().err == ""
         system = cli.solve_system(load_config(cfg).sim, with_gains=True)
-        assert not system.trace.converged and system.lambda_star == 0.125
-        rate = [r for _, lam, r in system.trace.iterations if lam == system.lambda_star][-1]
-        assert rate == pytest.approx(1.0614, abs=1e-4)
-        assert f"rate {rate!r} at lambda={system.lambda_star!r} against M=1 " in err[0]
+        assert system.trace.converged and len(system.trace.iterations) <= 8
+        assert system.lambda_star == pytest.approx(0.16985441, abs=1e-8)
         assert not any(abs(r - 1.0) <= 0.05 for _, _, r in system.trace.iterations)
+        rates = [r for _, _, r in system.trace.iterations]
+        assert max(r for r in rates if r < 1.0) == pytest.approx(0.8162, abs=1e-4)
+        assert min(r for r in rates if r > 1.0) == pytest.approx(1.0614, abs=1e-4)
 
-        solve = cli.solve_system
-
-        def unconverged(*args, **kwargs):
-            system = solve(*args, **kwargs)
-            system.trace.converged = False
-            return system
-
-        monkeypatch.setattr(cli, "solve_system", unconverged)
-        forced = tmp_path / "forced.csv"
-        assert main(["simulate", "--config", str(CHAIN_PAIR), "--slots", "2000", "--output", str(forced)]) == 0
-        assert len(capsys.readouterr().err.splitlines()) == 1
-        assert forced.read_bytes() == ok.read_bytes()
+    @pytest.mark.parametrize("path,sizing", [(GRID20, {}), (GRID400, {"delta_bound": 40, "channels": 8})],
+                             ids=["grid20", "grid400"])
+    def test_benchmark_configs_stop_inside_the_band(self, path, sizing):
+        # The benchmark's grid20 config and its sizing of grid400 must stop
+        # with a relaxed rate within +/-5% of M: perfbench counts any other
+        # stop as a failed check.
+        sim = replace(load_config(path).sim, **sizing)
+        system = cli.solve_system(sim, with_gains=True)
+        _, lam, rate = system.trace.iterations[-1]
+        assert system.trace.converged and lam == system.lambda_star
+        assert abs(rate - sim.channels) <= 0.05 * sim.channels
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
@@ -352,12 +353,30 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
         # Each agent either sends every slot or holds observation 0 at the
         # bound for good (average cost q(2, 0) = 0.17), so the relaxed rate
-        # jumps from 3 to 0 and the search returns its closest probe.
+        # jumps from 3 to 0. The supporting lines at prices 0 and 1 meet at
+        # the price where both cost 0.17, and the search stops there.
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["converged"] is False and summary["lambda_star"] == 1.0
+        assert summary["converged"] is True
+        assert summary["lambda_star"] == pytest.approx(0.11 / 3, abs=1e-12)
         assert summary["avg_costs"]["pair"] == pytest.approx(0.17, abs=1e-12)
         trace = (out / "dual_trace.csv").read_text().splitlines()[3:]
-        assert {float(row.split(",")[2]) for row in trace} == {0.0, 3.0}
+        assert len(trace) == 3 and {float(row.split(",")[2]) for row in trace} == {0.0, 3.0}
+
+    def test_dual_search_without_bracket_is_a_convergence_error(self, tmp_path, monkeypatch, capsys):
+        # A relaxed rate that no price brings below M leaves the search with
+        # no bracket: it fails after its probe cap instead of returning an
+        # uncertified price. A one-state source keeps every class solve exact
+        # at the huge prices the expansion reaches.
+        monkeypatch.setattr(bandit, "relaxed_rate", lambda *args: 1.0)
+        one = MINIMAL.replace("policy: maf", "policy: mgf").replace("delta_bound: 250", "delta_bound: 20")
+        cfg = write_config(tmp_path, one.replace(PAIR_CLASS, """        - [1.0]
+    safety: {type: assignment, labels: [0]}
+    loss: {name: zero_one, labels: 1}"""))
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert f"after {bandit.DUAL_PROBE_CAP + 1} probes (relaxed rate 2.0 against M=1)" in err
+        assert not out.exists()
 
     def test_ambiguous_relaxed_rate_is_a_convergence_error(self, tmp_path, capsys):
         # Two closed copies of the pair chain, told apart by their labels:

@@ -74,7 +74,7 @@ class TestStepDistribution:
 
     def test_rows_always_sum_to_one(self):
         rng = np.random.default_rng(8)
-        src = random_primitive_source(rng, 5, delta_bound=100)
+        src = random_primitive_source(rng, 5)
         for delta in (0, 1, 17, 100):
             dist = step_law(src, 3, delta)
             assert abs(dist.sum() - 1.0) < 1e-12
@@ -144,7 +144,7 @@ class TestStationaryDistribution:
     def test_rows_converge_to_stationary_monotonically(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            src = random_primitive_source(rng, 5, delta_bound=60)
+            src = random_primitive_source(rng, 5)
             pi = stationary_distribution(src)
             gaps = [
                 max(np.abs(np.linalg.matrix_power(src.transition, d)[x] - pi).sum() for x in range(5))

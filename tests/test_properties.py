@@ -25,7 +25,7 @@ from oracles import random_queue_oracle
 
 class TestSweepParallelism:
     def test_parallel_and_serial_records_match(self, monkeypatch):
-        classes = make_grid_classes((2, 2), delta_bound=40)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=1500, seed=31, policy="maf", delta_bound=40)
         serial = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
         monkeypatch.setenv("AOI_GUARD_THREADS", "0")
@@ -73,7 +73,7 @@ class TestQueueBookkeepingMatchesSim:
         # agent, driven by the same world and policy stream. 45 agents share
         # one channel, so every queue reaches QUEUE_CAPACITY and evicts; the
         # per-agent ages depend on every delivered generation stamp.
-        src = MarkovSource([[0.9, 0.1], [0.2, 0.8]], delta_bound=30, name="pair")
+        src = MarkovSource([[0.9, 0.1], [0.2, 0.8]], name="pair")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.8, 45)
         cfg = SimConfig((cls,), channels=1, slots=3000, seed=9, policy="random_queue", delta_bound=30)
         (rec,) = run_paired(cfg, ["random_queue"], solve_system(cfg), 9)

@@ -21,7 +21,7 @@ from conftest import CHAIN_A_MATRIX, make_grid_classes
 
 
 def chain_a_config(**kw):
-    src = MarkovSource(CHAIN_A_MATRIX, delta_bound=100, name="chain_a")
+    src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2),
                          success_prob=kw.pop("success_prob", 1.0), member_count=kw.pop("members", 1))
     defaults = dict(channels=1, slots=20_000, seed=5, policy="mgf", delta_bound=100)
@@ -59,7 +59,7 @@ class TestAdvanceAoi:
 
 class TestRunSimulation:
     def test_frozen_world_is_free_for_every_policy(self):
-        frozen = MarkovSource(np.eye(3), delta_bound=50, name="frozen")
+        frozen = MarkovSource(np.eye(3), name="frozen")
         cls = AgentClassSpec(frozen, identity_safety_map(3), loss_01(3), 0.9, 4)
         cfg = SimConfig((cls,), channels=2, slots=4000, seed=2, policy="mgf", delta_bound=50)
         system = solve_system(cfg, with_gains=True)
@@ -82,7 +82,7 @@ class TestRunSimulation:
         assert run_simulation(cfg, system) == run_simulation(cfg, system)
 
     def test_budget_respected(self):
-        classes = make_grid_classes((3, 3), delta_bound=60)
+        classes = make_grid_classes((3, 3))
         cfg = SimConfig(classes, channels=2, slots=3000, seed=7, policy="maf", delta_bound=60)
         rec = run_simulation(cfg)
         assert rec.activation_rate <= 2.0
@@ -106,7 +106,7 @@ class TestRunSimulation:
         assert lossy.mean_aoi > clean.mean_aoi
 
     def test_queue_policy_serves_stale_packets(self):
-        classes = make_grid_classes((2, 2), delta_bound=60)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=8000, seed=3, policy="randomized", delta_bound=60)
         system = solve_system(cfg)
         fresh, stale = run_paired(cfg, ["randomized", "random_queue"], system, 3)
@@ -124,12 +124,12 @@ class TestRunSimulation:
     def test_heterogeneous_state_counts(self):
         # Classes whose chains differ in size must pad cleanly end to end.
         small = AgentClassSpec(
-            MarkovSource(CHAIN_A_MATRIX, delta_bound=50, name="small"),
+            MarkovSource(CHAIN_A_MATRIX, name="small"),
             identity_safety_map(2), loss_01(2), 0.9, 2, name="small",
         )
         big_p = np.full((5, 5), 0.2)
         big = AgentClassSpec(
-            MarkovSource(big_p, delta_bound=50, name="big"),
+            MarkovSource(big_p, name="big"),
             identity_safety_map(5), loss_01(5), 0.8, 3, name="big",
         )
         cfg = SimConfig((small, big), channels=2, slots=4000, seed=13, policy="mgf", delta_bound=50)
@@ -149,7 +149,7 @@ class TestRunSimulation:
 
 class TestRunSweep:
     def test_record_grid_shape_and_pairing(self):
-        classes = make_grid_classes((2, 2), delta_bound=40)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=2000, seed=11, policy="maf", delta_bound=40)
         records = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=3)
         assert len(records) == 2 * 2 * 3
@@ -163,20 +163,20 @@ class TestRunSweep:
             assert per_policy["maf"] == per_policy["randomized"]
 
     def test_scale_axis_multiplies_population_and_channels(self):
-        classes = make_grid_classes((2, 2), delta_bound=40)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
         point = config_at(cfg, "scale", 4)
         assert point.agent_count == 16
         assert point.channels == 4
 
     def test_agents_axis_splits_proportionally(self):
-        classes = make_grid_classes((2, 2), delta_bound=40)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
         point = config_at(cfg, "agents", 10)
         assert [c.member_count for c in point.classes] == [5, 5]
 
     def test_rejects_more_channels_than_agents(self):
-        classes = make_grid_classes((2, 2), delta_bound=40)
+        classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
         with pytest.raises(ValidationError):
             run_sweep(cfg, "channels", [5], policies=["maf"])
@@ -191,8 +191,9 @@ class TestScaleInvariance:
     def test_relaxed_price_and_bound_per_agent_do_not_depend_on_scale(self):
         # N = 3r fast-class agents share M = r channels. The relaxed problem
         # of one agent does not depend on r, so the search visits the same
-        # prices (here through bisection) and the bound per agent is equal.
-        base = SimConfig(make_grid_classes((3, 1), delta_bound=60)[:1], channels=1, slots=1000,
+        # prices (here through supporting-line steps) and the bound per agent
+        # is equal.
+        base = SimConfig(make_grid_classes((3, 1))[:1], channels=1, slots=1000,
                          seed=1, policy="mgf", delta_bound=60)
         found = set()
         for r in (1, 2, 4):
@@ -203,7 +204,7 @@ class TestScaleInvariance:
                        bound / point.agent_count))
         assert len(found) == 1
         converged, lams, _ = found.pop()
-        assert converged and len(lams) > 3 and lams[-1] == 0.34375
+        assert converged and len(lams) > 3 and lams[-1] == pytest.approx(0.36842149, abs=1e-8)
 
 
 class TestRecordSerialization:

@@ -52,7 +52,7 @@ class TestBuildTables:
         for _ in range(20):
             nx = int(rng.integers(2, 7))
             ny = int(rng.integers(1, 5))
-            src = random_primitive_source(rng, nx, delta_bound=12)
+            src = random_primitive_source(rng, nx)
             safety = SafetyMap(ny, rng.integers(0, ny, size=nx)) if ny > 1 else SafetyMap(1, np.zeros(nx, int))
             loss = LossMatrix(rng.uniform(0, 3, size=(ny, ny)))
             cls = AgentClassSpec(src, safety, loss)
@@ -73,7 +73,7 @@ class TestBuildTables:
         rng = np.random.default_rng(31)
         for _ in range(10):
             nx = int(rng.integers(2, 7))
-            src = random_primitive_source(rng, nx, delta_bound=100)
+            src = random_primitive_source(rng, nx)
             cls = AgentClassSpec(src, identity_safety_map(nx), loss_01(nx))
             pen, _ = build_tables(cls, 100)
             pi = stationary_distribution(src)
