@@ -38,9 +38,9 @@ RATE_BAND = 0.05
 DUAL_PROBE_CAP = 60
 
 # Policy iteration certifies its tables to a Bellman residual of at most
-# RESIDUAL_TOL. Gains within that resolution of zero are ties; ties stay
-# passive so rounding noise on an exactly indifferent state cannot burn a
-# channel.
+# RESIDUAL_TOL, relative to the price once it exceeds 1. Gains within
+# RESIDUAL_TOL of zero are ties; ties stay passive so rounding noise on an
+# exactly indifferent state cannot burn a channel.
 RESIDUAL_TOL = 1e-9
 GAIN_TIE_EPS = RESIDUAL_TOL
 # While iterating, a state keeps its action unless its gain has the other
@@ -147,7 +147,8 @@ def policy_iteration(
     may keep it at that lower cost, so the one-g optimality equation cannot
     hold at (D, x) and those cells are left out of the residual. A singular
     phase-2 evaluation, a mask that recurs, or a Bellman residual above
-    RESIDUAL_TOL raises ConvergenceError.
+    RESIDUAL_TOL * max(1, lambda) raises ConvergenceError: the values grow
+    with the price, and so does their rounding.
     """
     if lam < 0.0:
         raise ValidationError(f"transmission price must be nonnegative, got {lam}")
@@ -230,7 +231,7 @@ def policy_iteration(
     error = np.abs(np.minimum(q_passive, q_active) - h)
     error[db, ~recurrent & (q[db] < g)] = 0.0
     residual = float(error[1:].max())
-    if not residual <= RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL * max(1.0, lam):
         raise ConvergenceError(f"policy iteration on {source.name} at lambda={lam} leaves Bellman residual "
                                f"{residual:.3e}" + (f" ({why})" if why else ""), residual=residual)
     q_passive[0] = q_active[0] = np.nan

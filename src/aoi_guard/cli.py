@@ -113,10 +113,7 @@ def cmd_solve(manifest: RunManifest) -> int:
 def cmd_simulate(manifest: RunManifest) -> int:
     policies = _policies_for(manifest)
     system = solve_system(manifest.sim, with_gains="mgf" in policies)
-    records: list[SimRecord] = []
-    for rep in range(manifest.replications):
-        cfg = replace(manifest.sim, seed=manifest.sim.seed + rep)
-        records.extend(run_paired(cfg, policies, system, cfg.seed))
+    records = run_paired(manifest.sim, policies, system, manifest.sim.seed, replications=manifest.replications)
     records.sort(key=lambda r: (r.policy, r.seed))
     out = _write_records(manifest, records, "records")
     for line in _summarize(records):

@@ -4,7 +4,7 @@ Provides validated row-stochastic transition matrices, an exact primitivity
 test, stationary laws by one linear solve, the coarsest lumpable partition
 that refines a labelling, builders for the bounded random-walk ("row chain")
 sources used in the grid-world experiments, and the per-class stacking and
-inverse-CDF stepping of the simulator.
+sparse inverse-CDF stepping of the simulator.
 """
 
 from __future__ import annotations
@@ -262,11 +262,38 @@ def stack_padded(arrays, fill) -> np.ndarray:
     return out
 
 
-def step_states(cum_stack: np.ndarray, cls_idx: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF step of every agent's true state with one uniform each.
+def candidate_columns(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each CDF row's candidate columns and the CDF bounds between them.
 
-    `cum_stack` is `stack_padded` over the classes' `cumulative_rows` with
-    fill 1.0, so padded columns never count as below a uniform draw.
+    `cum` holds CDF rows that end at 1.0, such as `stack_padded` over
+    `cumulative_rows` with fill 1.0, flattened to 2-D. A row's candidates
+    are column 0 and every column where its CDF strictly rises. The first
+    column whose CDF is >= u is always one of them, so `step_candidates`
+    picks the same column as the dense count (u > cum).sum() for every u in
+    [0, 1). Returns `cols`, (K, rows): candidate k of each row, and
+    `bounds`, (K - 1, rows): the CDF at candidate k. The last candidate's
+    CDF is at least 1.0, which no uniform exceeds, so it is left out. Rows
+    with fewer candidates are padded with column 0 at bound 1.0.
     """
-    rows = cum_stack[cls_idx, x]
-    return (u[:, None] > rows).sum(axis=1)
+    rises = np.ones(cum.shape, dtype=bool)
+    rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
+    rank = np.cumsum(rises, axis=1) - 1
+    cols = np.zeros((int(rank[:, -1].max()) + 1, cum.shape[0]), dtype=np.intp)
+    bounds = np.ones(cols.shape)
+    r, c = np.nonzero(rises)
+    cols[rank[r, c], r] = c
+    bounds[rank[r, c], r] = cum[r, c]
+    return cols, bounds[:-1]
+
+
+def step_candidates(cols: np.ndarray, bounds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step of every entry of `rows` with one uniform each.
+
+    `cols` and `bounds` come from `candidate_columns`; the result is the
+    column of the first candidate whose CDF is >= u, counted one candidate
+    bound at a time. `rows` and `u` share any shape, and so does the result.
+    """
+    count = np.zeros(rows.shape, dtype=np.intp)
+    for bound in bounds:
+        count += u > bound[rows]
+    return cols[count, rows]

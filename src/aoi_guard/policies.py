@@ -4,7 +4,11 @@ Maximum Gain First activates up to M agents with the largest strictly
 positive gain indices; the baselines pick by age, uniformly at random, or
 uniformly at random with a FIFO queue of stale updates (the simulator keeps
 that queue as a per-agent backlog count of at most QUEUE_CAPACITY packets).
-All ties break toward the lower agent id so runs are reproducible.
+
+Every kernel works on a batch: one row per lane (or per lane and slot), one
+column per agent, and returns a boolean mask of the same shape with True on
+the selected agents. All ties break toward the lower agent id so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -19,25 +23,37 @@ POLICY_KEYS = ("mgf", "randomized", "random_queue", "maf")
 
 
 def top_positive_ids(gains: np.ndarray, budget: int) -> np.ndarray:
-    """Ids of up to `budget` largest strictly positive entries, id tie-break.
+    """Per row, a mask of up to `budget` largest strictly positive entries, id tie-break.
 
     Entries within solver resolution of zero count as zero, not positive.
     """
-    order = np.argsort(-gains, kind="stable")[:budget]
-    return np.sort(order[gains[order] > GAIN_TIE_EPS])
+    rows = np.arange(len(gains))[:, None]
+    top = (-gains).argsort(axis=1, kind="stable")[:, :budget]
+    mask = np.zeros(gains.shape, dtype=bool)
+    mask[rows, top] = gains[rows, top] > GAIN_TIE_EPS
+    return mask
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
-    """Ids of up to `budget` largest entries regardless of sign, id tie-break."""
-    return np.sort(np.argsort(-values, kind="stable")[:budget])
+    """Per row, a mask of up to `budget` largest entries regardless of sign, id tie-break."""
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[np.arange(len(values))[:, None], (-values).argsort(axis=1, kind="stable")[:, :budget]] = True
+    return mask
 
 
-def uniform_subset(count: int, budget: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform subset of `budget` ids out of `count` by partial Fisher-Yates."""
-    budget = min(budget, count)
-    idx = np.arange(count)
-    u = rng.random(budget)
-    for i in range(budget):
-        j = i + int(u[i] * (count - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:budget])
+def uniform_subset(u: np.ndarray, count: int) -> np.ndarray:
+    """Per row of uniforms, a mask of a uniform subset of ids out of `count`.
+
+    Each row of `u` holds one uniform per pick (at most `count` of them) and
+    drives a partial Fisher-Yates shuffle of 0..count-1: pick i swaps
+    position i with i + floor(u[i] * (count - i)).
+    """
+    rows = np.arange(len(u))
+    idx = np.tile(np.arange(count), (len(u), 1))
+    picks = u.shape[1]
+    for i in range(picks):
+        j = i + (u[:, i] * (count - i)).astype(np.intp)
+        idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+    mask = np.zeros((len(u), count), dtype=bool)
+    mask[rows[:, None], idx[:, :picks]] = True
+    return mask

@@ -6,10 +6,19 @@ transmission survives its erasure channel independently, deliveries land one
 slot later and reset that agent's age, and the receiver's tabulated estimate
 is charged against the true safety label.
 
-Runs are reproducible bit for bit: all randomness derives from the config
+One `run_paired` call runs every seed of a run as a lane. Each policy keeps
+(lanes, N) arrays and steps every lane with one set of array operations per
+slot. The world streams in chunks of CHUNK_SLOTS slots that every policy
+reads before the next chunk is drawn; only the chunk and the last
+QUEUE_CAPACITY slots of true states (random_queue's stamps reach that far
+back) are kept, so memory is O((CHUNK_SLOTS + QUEUE_CAPACITY) * N * lanes)
+whatever the horizon.
+
+Runs are reproducible bit for bit: all randomness of a lane derives from its
 seed through fixed substreams (one per agent for motion, one per agent for
 the channel, one for the policy, one for initial states), so policies can be
-compared on common random numbers.
+compared on common random numbers, and a lane's record does not depend on
+the other lanes or on the chunk length.
 """
 
 from __future__ import annotations
@@ -22,7 +31,14 @@ import numpy as np
 
 from .bandit import BanditSolution, DualTrace, dual_ascent
 from .errors import ValidationError
-from .markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution, step_states
+from .markov import (
+    candidate_columns,
+    cumulative_rows,
+    is_primitive,
+    stack_padded,
+    stationary_distribution,
+    step_candidates,
+)
 from .policies import POLICY_KEYS, QUEUE_CAPACITY, top_ids, top_positive_ids, uniform_subset
 from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
 
@@ -114,145 +130,180 @@ def solve_system(config: SimConfig, with_gains: bool | None = None) -> SolvedSys
     return SolvedSystem(penalties, estimators, tuple(sols), lam, trace)
 
 
-class _World:
-    """Precomputed state paths and channel outcomes shared across policies."""
+CHUNK_SLOTS = 256
 
-    def __init__(self, config: SimConfig, seed: int):
+
+class _WorldStream:
+    """True states and channel outcomes of every lane, drawn one chunk at a time.
+
+    Lane l is the world of seed `seeds[l]`. A state is kept as its key
+    cls * S + x, with S the largest state count, which indexes the stacked
+    per-class tables flattened to 2-D. `keys` holds the `history` slots
+    before the current chunk and then the chunk: row r is slot t0 - history + r.
+    Every agent's motion and channel generator draws `random(chunk)` per
+    chunk, the same numbers one `random(slots)` call would give.
+    """
+
+    def __init__(self, config: SimConfig, seeds: list[int], history: int):
         classes = config.classes
-        self.cls_of_agent = np.concatenate(
-            [np.full(c.member_count, i, dtype=int) for i, c in enumerate(classes)]
-        )
-        n = self.cls_of_agent.size
-        t_slots = config.slots
-        seq = np.random.SeedSequence(seed)
-        init_seq, policy_seq = seq.spawn(2)
-        agent_seqs = seq.spawn(2 * n)
-        self.policy_seq = policy_seq
+        self.cls_idx = np.concatenate([np.full(c.member_count, i) for i, c in enumerate(classes)])
+        n, lanes = self.cls_idx.size, len(seeds)
+        width = max(c.source.state_count for c in classes)
+        self.slots, self.history = config.slots, history
+        self.t0 = self.t1 = 0
 
-        rng_init = np.random.default_rng(init_seq)
-        x0 = np.empty(n, dtype=np.int32)
-        for i, c in enumerate(classes):
-            members = np.flatnonzero(self.cls_of_agent == i)
-            if is_primitive(c.source):
-                law = stationary_distribution(c.source)
-            else:
-                law = np.full(c.source.state_count, 1.0 / c.source.state_count)
-            x0[members] = rng_init.choice(c.source.state_count, size=members.size, p=law)
+        laws = [
+            stationary_distribution(c.source) if is_primitive(c.source)
+            else np.full(c.source.state_count, 1.0 / c.source.state_count)
+            for c in classes
+        ]
+        x0 = np.empty((lanes, n), dtype=np.intp)
+        self.policy_seqs, self.motion, self.channel = [], [], []
+        for lane, seed in enumerate(seeds):
+            seq = np.random.SeedSequence(seed)
+            init_seq, policy_seq = seq.spawn(2)
+            agent_seqs = seq.spawn(2 * n)
+            self.policy_seqs.append(policy_seq)
+            rng_init = np.random.default_rng(init_seq)
+            for i, c in enumerate(classes):
+                members = np.flatnonzero(self.cls_idx == i)
+                x0[lane, members] = rng_init.choice(c.source.state_count, size=members.size, p=laws[i])
+            self.motion.append([np.random.default_rng(s) for s in agent_seqs[0::2]])
+            self.channel.append([np.random.default_rng(s) for s in agent_seqs[1::2]])
+        self.key = x0 + self.cls_idx * width
 
         cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
-        self.x_path = np.empty((t_slots, n), dtype=np.int32)
-        self.x_path[0] = x0
-        motion_u = np.empty((t_slots, n))
-        for a in range(n):
-            motion_u[:, a] = np.random.default_rng(agent_seqs[2 * a]).random(t_slots)
-        x = x0.astype(int)
-        cls_idx = self.cls_of_agent
-        for t in range(1, t_slots):
-            x = step_states(cum, cls_idx, x, motion_u[t])
-            self.x_path[t] = x
-        del motion_u
+        cols, self.bounds = candidate_columns(cum.reshape(-1, width))
+        self.next_key = cols + np.arange(cols.shape[1]) // width * width
+        self.label = stack_padded([c.safety.assignment for c in classes], 0).reshape(-1)
+        self.success = np.array([classes[i].success_prob for i in self.cls_idx])[:, None]
 
-        p_agent = np.array([classes[i].success_prob for i in cls_idx])
-        self.channel_ok = np.empty((t_slots, n), dtype=bool)
-        for a in range(n):
-            u = np.random.default_rng(agent_seqs[2 * a + 1]).random(t_slots)
-            self.channel_ok[:, a] = u < p_agent[a]
+        self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
+        self.motion_u = np.empty((lanes, n, CHUNK_SLOTS))
+        self.channel_u = np.empty((lanes, n, CHUNK_SLOTS))
+        self.ok = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
 
-        safety = stack_padded([c.safety.assignment for c in classes], 0)
-        self.y_path = safety[cls_idx, self.x_path]
+    def advance(self) -> bool:
+        """Draw the next chunk of slots; False once the horizon is covered."""
+        t0 = self.t1
+        if t0 >= self.slots:
+            return False
+        t1 = min(t0 + CHUNK_SLOTS, self.slots)
+        length, h = t1 - t0, self.history
+        if t0 > 0:
+            self.keys[:h] = self.keys[self.t1 - self.t0 : self.t1 - self.t0 + h]
+        for lane in range(len(self.motion)):
+            for rng, out in zip(self.motion[lane], self.motion_u[lane]):
+                rng.random(out=out[:length])
+            for rng, out in zip(self.channel[lane], self.channel_u[lane]):
+                rng.random(out=out[:length])
+        self.ok[:length] = (self.channel_u[:, :, :length] < self.success).transpose(2, 0, 1)
+        motion = np.ascontiguousarray(self.motion_u[:, :, :length].transpose(2, 0, 1))
+        key = self.key
+        for i in range(length):
+            if t0 + i > 0:
+                key = step_candidates(self.next_key, self.bounds, key, motion[i])
+            self.keys[h + i] = key
+        self.key, self.t0, self.t1 = key, t0, t1
+        return True
+
+
+class _Lanes:
+    """One policy's receiver and scheduler state on every lane, plus its tallies.
+
+    `arriving` marks the packets that will land at the start of the next
+    slot (pulled and not erased); `gen` is the slot each pulled packet was
+    generated in. random_queue keeps every agent's queue as a backlog count:
+    each agent queues one packet per slot and drops its oldest beyond the
+    queue capacity, so its queue is always the run of stamps
+    t - backlog + 1 .. t.
+    """
+
+    def __init__(self, policy: str, world: _WorldStream):
+        shape = world.key.shape
+        self.delta = np.ones(shape, dtype=np.int64)
+        self.seen = world.key.copy()  # key of the receiver's last observation
+        self.arriving = np.zeros(shape, dtype=bool)
+        self.gen = np.zeros(shape, dtype=np.int64)
+        self.backlog = np.zeros(shape, dtype=np.int64)
+        randomized = policy in ("randomized", "random_queue")
+        self.rngs = [np.random.default_rng(s) for s in world.policy_seqs] if randomized else []
+        self.total_loss = np.zeros(shape[0])
+        self.aoi_sum = np.zeros(shape, dtype=np.int64)
+        self.deliveries = np.zeros(shape[0], dtype=np.int64)
+        self.activations = np.zeros(shape[0], dtype=np.int64)
+        self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int64)
+        self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.intp)
+        self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
 
 
 def _run_policy(
     config: SimConfig,
-    world: _World,
+    world: _WorldStream,
     policy: str,
-    system: SolvedSystem,
-    seed: int,
-    scale: int,
-) -> SimRecord:
-    """Receiver/scheduler loop against a fixed world; one record out."""
-    n = world.cls_of_agent.size
-    t_slots, warmup, budget = config.slots, config.warmup, config.channels
-    db = config.delta_bound
-    cls_idx = world.cls_of_agent
+    lanes: _Lanes,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+) -> None:
+    """One policy's slots of the current chunk on every lane, then their tallies.
 
-    est_stack = stack_padded([e.choices for e in system.estimators], 0)
-    loss_stack = stack_padded([c.loss.entries for c in config.classes], 0.0)
-    if policy == "mgf":
-        if system.solutions is None:
-            raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
-        gain_stack = stack_padded([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0)
+    `tables` holds the estimator choices flattened to (age, key), the
+    (class, label, estimate) loss stack and, for MGF, the gains flattened
+    like the estimator. random_queue's queue capacity is the world's
+    history window, which its stamps never reach past.
+    """
+    est, loss, gain = tables
+    t0, t1, base = world.t0, world.t1, world.t0 - world.history
+    length, budget, db = t1 - t0, config.channels, config.delta_bound
+    delta, seen, arriving, gen, backlog = lanes.delta, lanes.seen, lanes.arriving, lanes.gen, lanes.backlog
+    if lanes.rngs:
+        n = delta.shape[1]
+        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in lanes.rngs])
+        picks = uniform_subset(draws, n).reshape(len(lanes.rngs), length, n).transpose(1, 0, 2)
 
-    rng_policy = np.random.default_rng(world.policy_seq)
-
-    delta = np.ones(n, dtype=np.int64)
-    x_obs = world.x_path[0].astype(int).copy()
-    pend_pull = np.zeros(n, dtype=bool)
-    pend_ok = np.zeros(n, dtype=bool)
-    pend_gen = np.zeros(n, dtype=np.int64)
-    # random_queue: every agent queues one packet per slot and drops its
-    # oldest beyond QUEUE_CAPACITY, so its queue is always the contiguous run
-    # of stamps t - backlog + 1 .. t and a count describes it fully.
-    backlog = np.zeros(n, dtype=np.int64)
-    ids = np.arange(n)
-
-    total_loss = 0.0
-    aoi_sum = np.zeros(n)
-    deliveries = 0
-    activations = 0
-    for t in range(t_slots):
+    for i in range(length):
+        t = t0 + i
         if t > 0:
-            delivered = pend_pull & pend_ok
-            if delivered.any():
-                delta = np.where(delivered, t - pend_gen, delta + 1)
-                x_obs = np.where(delivered, world.x_path[pend_gen, ids], x_obs)
-                deliveries += int(delivered.sum())
+            delta += 1
+            if policy == "random_queue":
+                lane, agent = np.nonzero(arriving)
+                stamp = gen[lane, agent]
+                delta[lane, agent] = t - stamp
+                seen[lane, agent] = world.keys[stamp - base, lane, agent]
             else:
-                delta += 1
-        dc = np.minimum(delta, db)
-        if t >= warmup:
-            yhat = est_stack[cls_idx, dc, x_obs]
-            total_loss += float(loss_stack[cls_idx, world.y_path[t], yhat].sum())
-            aoi_sum += delta
+                np.copyto(delta, 1, where=arriving)
+                np.copyto(seen, world.keys[t - 1 - base], where=arriving)
+        lanes.ages[i] = delta
+        lanes.observed[i] = seen
 
         if policy == "mgf":
-            sel = top_positive_ids(gain_stack[cls_idx, dc, x_obs], budget)
+            sel = top_positive_ids(gain[np.minimum(delta, db), seen], budget)
         elif policy == "maf":
             sel = top_ids(delta, budget)
-        elif policy == "randomized":
-            sel = uniform_subset(n, budget, rng_policy)
-        else:  # random_queue
-            backlog = np.minimum(backlog + 1, QUEUE_CAPACITY)
-            sel = uniform_subset(n, budget, rng_policy)
-        if sel.size > budget:
-            raise RuntimeError(f"{policy} selected {sel.size} agents with {budget} channels")
-        activations += int(sel.size)
-
-        pend_pull[:] = False
-        pend_pull[sel] = True
-        pend_ok = world.channel_ok[t]
-        if policy == "random_queue":
-            pend_gen[sel] = t - backlog[sel] + 1
-            backlog[sel] -= 1
         else:
-            pend_gen[sel] = t
+            sel = picks[i]
+            if policy == "random_queue":
+                np.minimum(backlog + 1, world.history, out=backlog)
+                np.copyto(gen, t - backlog + 1, where=sel)
+                backlog -= sel
+        lanes.picked[i] = sel
+        np.logical_and(sel, world.ok[i], out=arriving)
 
-    accounted = t_slots - warmup
-    agent_mean_aoi = aoi_sum / accounted
-    return SimRecord(
-        policy=policy,
-        seed=seed,
-        agents=n,
-        channels=budget,
-        scale=scale,
-        slots=t_slots,
-        total_loss=total_loss,
-        normalized_penalty=total_loss / (accounted * n),
-        activation_rate=activations / t_slots,
-        mean_aoi=float(agent_mean_aoi.mean()),
-        agent_mean_aoi=tuple(float(v) for v in agent_mean_aoi),
-        deliveries=deliveries,
-    )
+    picked = lanes.picked[:length]
+    counts = picked.sum(axis=2)
+    if counts.max() > budget:
+        raise RuntimeError(f"{policy} selected {counts.max()} agents with {budget} channels")
+    lanes.activations += counts.sum(axis=0)
+    landed = min(length, config.slots - 1 - t0)  # a pull in the last slot never lands
+    lanes.deliveries += (picked[:landed] & world.ok[:landed]).sum(axis=(0, 2))
+    first = max(config.warmup - t0, 0)
+    if first < length:
+        ages = lanes.ages[first:length]
+        labels = world.label[world.keys[world.history + first : world.history + length]]
+        estimates = est[np.minimum(ages, db), lanes.observed[first:length]]
+        per_slot = loss[world.cls_idx, labels, estimates].sum(axis=2)
+        # slot by slot, in the order a running total adds them
+        lanes.total_loss = np.cumsum(np.vstack((lanes.total_loss, per_slot)), axis=0)[-1]
+        lanes.aoi_sum += ages.sum(axis=0)
 
 
 def run_paired(
@@ -261,10 +312,53 @@ def run_paired(
     system: SolvedSystem,
     seed: int,
     scale: int = 1,
+    replications: int = 1,
 ) -> list[SimRecord]:
-    """Run several policies against one shared world (common random numbers)."""
-    world = _World(config, seed)
-    return [_run_policy(config, world, p, system, seed, scale) for p in policies]
+    """Run several policies on the worlds of seeds seed .. seed + replications - 1.
+
+    Each seed is a lane, and every policy sees the same world on it (common
+    random numbers). Records come per policy, lanes in seed order.
+    """
+    if replications < 1:
+        raise ValidationError(f"replications must be >= 1, got {replications}")
+    if "mgf" in policies and system.solutions is None:
+        raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
+    seeds = list(range(seed, seed + replications))
+    world = _WorldStream(config, seeds, QUEUE_CAPACITY if "random_queue" in policies else 1)
+
+    def flat(arrays, fill):  # per-class (age, x) tables -> (age, key)
+        stack = stack_padded(arrays, fill)
+        return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+    est = flat([e.choices for e in system.estimators], 0)
+    gain = flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0) if "mgf" in policies else None
+    tables = (est, stack_padded([c.loss.entries for c in config.classes], 0.0), gain)
+    states = [_Lanes(p, world) for p in policies]
+    while world.advance():
+        for policy, lanes in zip(policies, states):
+            _run_policy(config, world, policy, lanes, tables)
+
+    n, accounted = world.cls_idx.size, config.slots - config.warmup
+    records = []
+    for policy, lanes in zip(policies, states):
+        for lane, lane_seed in enumerate(seeds):
+            total_loss = float(lanes.total_loss[lane])
+            agent_mean_aoi = lanes.aoi_sum[lane] / accounted
+            records.append(SimRecord(
+                policy=policy,
+                seed=lane_seed,
+                agents=n,
+                channels=config.channels,
+                scale=scale,
+                slots=config.slots,
+                total_loss=total_loss,
+                normalized_penalty=total_loss / (accounted * n),
+                activation_rate=int(lanes.activations[lane]) / config.slots,
+                mean_aoi=float(agent_mean_aoi.mean()),
+                agent_mean_aoi=tuple(float(v) for v in agent_mean_aoi),
+                deliveries=int(lanes.deliveries[lane]),
+            ))
+    return records
 
 
 def run_simulation(config: SimConfig, system: SolvedSystem | None = None) -> SimRecord:
@@ -316,8 +410,7 @@ def resolve_workers(tasks: int) -> int:
 
 
 def _sweep_task(args):
-    config, policies, system, seed, scale = args
-    return run_paired(config, policies, system, seed, scale)
+    return run_paired(*args)
 
 
 def run_sweep(
@@ -331,8 +424,9 @@ def run_sweep(
 
     Gains are re-solved at every sweep point (the dual price depends on the
     population and budget); estimation tables only depend on the classes.
-    Points and replications run in parallel when more than one worker is
-    available; per-task seeding keeps results identical either way.
+    Each point is one `run_paired` call with the replications as its lanes;
+    points run in parallel when more than one worker is available, and
+    per-lane seeding keeps results identical either way.
     """
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
@@ -349,8 +443,7 @@ def run_sweep(
             )
         system = solve_system(point, with_gains="mgf" in policies)
         scale = value if axis == "scale" else 1
-        for rep in range(replications):
-            tasks.append((point, policies, system, config.seed + rep, scale))
+        tasks.append((point, policies, system, config.seed, scale, replications))
 
     workers = resolve_workers(len(tasks))
     if workers <= 1:

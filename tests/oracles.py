@@ -9,6 +9,9 @@ from collections import deque
 
 import numpy as np
 
+from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution
+
 
 def enumerate_tables(transition, safety_assignment, loss_entries, delta_bound):
     """Penalty/estimator tables by exhaustive enumeration of label choices.
@@ -130,10 +133,166 @@ def relaxed_rate_oracle(mask, transition, success_prob):
 CHAIN_A = [[0.9, 0.1], [0.2, 0.8]]
 
 
+class ReferenceWorld:
+    """One seed's whole world, drawn up front: the simulator's world before lanes.
+
+    The substreams are spawned from the seed in the simulator's order: one
+    for initial states, one for the policy, then a motion and a channel
+    stream per agent. `x_path` and `channel_ok` are (slots, N); every state
+    after slot 0 is one inverse-CDF step with a dense count over the whole
+    CDF row, and `y_path` holds the true labels.
+    """
+
+    def __init__(self, config, seed):
+        classes = config.classes
+        self.cls_of_agent = np.concatenate(
+            [np.full(c.member_count, i, dtype=int) for i, c in enumerate(classes)]
+        )
+        n = self.cls_of_agent.size
+        t_slots = config.slots
+        seq = np.random.SeedSequence(seed)
+        init_seq, policy_seq = seq.spawn(2)
+        agent_seqs = seq.spawn(2 * n)
+        self.policy_seq = policy_seq
+
+        rng_init = np.random.default_rng(init_seq)
+        x0 = np.empty(n, dtype=np.int32)
+        for i, c in enumerate(classes):
+            members = np.flatnonzero(self.cls_of_agent == i)
+            if is_primitive(c.source):
+                law = stationary_distribution(c.source)
+            else:
+                law = np.full(c.source.state_count, 1.0 / c.source.state_count)
+            x0[members] = rng_init.choice(c.source.state_count, size=members.size, p=law)
+
+        cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
+        self.x_path = np.empty((t_slots, n), dtype=np.int32)
+        self.x_path[0] = x0
+        motion_u = np.empty((t_slots, n))
+        for a in range(n):
+            motion_u[:, a] = np.random.default_rng(agent_seqs[2 * a]).random(t_slots)
+        x = x0.astype(int)
+        cls_idx = self.cls_of_agent
+        for t in range(1, t_slots):
+            x = (motion_u[t][:, None] > cum[cls_idx, x]).sum(axis=1)
+            self.x_path[t] = x
+        del motion_u
+
+        p_agent = np.array([classes[i].success_prob for i in cls_idx])
+        self.channel_ok = np.empty((t_slots, n), dtype=bool)
+        for a in range(n):
+            u = np.random.default_rng(agent_seqs[2 * a + 1]).random(t_slots)
+            self.channel_ok[:, a] = u < p_agent[a]
+
+        safety = stack_padded([c.safety.assignment for c in classes], 0)
+        self.y_path = safety[cls_idx, self.x_path]
+
+
+def _top_positive_ids(gains, budget):
+    order = np.argsort(-gains, kind="stable")[:budget]
+    return np.sort(order[gains[order] > GAIN_TIE_EPS])
+
+
+def _top_ids(values, budget):
+    return np.sort(np.argsort(-values, kind="stable")[:budget])
+
+
+def _uniform_subset(count, budget, rng):
+    budget = min(budget, count)
+    idx = np.arange(count)
+    u = rng.random(budget)
+    for i in range(budget):
+        j = i + int(u[i] * (count - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:budget])
+
+
+def _reference_run(config, world, policy, system, seed, capacity):
+    """One policy's slot loop on one world, one slot and one seed at a time."""
+    n = world.cls_of_agent.size
+    t_slots, warmup, budget = config.slots, config.warmup, config.channels
+    db = config.delta_bound
+    cls_idx = world.cls_of_agent
+
+    est_stack = stack_padded([e.choices for e in system.estimators], 0)
+    loss_stack = stack_padded([c.loss.entries for c in config.classes], 0.0)
+    if policy == "mgf":
+        gain_stack = stack_padded([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0)
+
+    rng_policy = np.random.default_rng(world.policy_seq)
+
+    delta = np.ones(n, dtype=np.int64)
+    x_obs = world.x_path[0].astype(int).copy()
+    pend_pull = np.zeros(n, dtype=bool)
+    pend_ok = np.zeros(n, dtype=bool)
+    pend_gen = np.zeros(n, dtype=np.int64)
+    backlog = np.zeros(n, dtype=np.int64)
+    ids = np.arange(n)
+
+    total_loss = 0.0
+    aoi_sum = np.zeros(n)
+    deliveries = 0
+    activations = 0
+    for t in range(t_slots):
+        if t > 0:
+            delivered = pend_pull & pend_ok
+            if delivered.any():
+                delta = np.where(delivered, t - pend_gen, delta + 1)
+                x_obs = np.where(delivered, world.x_path[pend_gen, ids], x_obs)
+                deliveries += int(delivered.sum())
+            else:
+                delta += 1
+        dc = np.minimum(delta, db)
+        if t >= warmup:
+            yhat = est_stack[cls_idx, dc, x_obs]
+            total_loss += float(loss_stack[cls_idx, world.y_path[t], yhat].sum())
+            aoi_sum += delta
+
+        if policy == "mgf":
+            sel = _top_positive_ids(gain_stack[cls_idx, dc, x_obs], budget)
+        elif policy == "maf":
+            sel = _top_ids(delta, budget)
+        elif policy == "randomized":
+            sel = _uniform_subset(n, budget, rng_policy)
+        else:  # random_queue
+            backlog = np.minimum(backlog + 1, capacity)
+            sel = _uniform_subset(n, budget, rng_policy)
+        if sel.size > budget:
+            raise RuntimeError(f"{policy} selected {sel.size} agents with {budget} channels")
+        activations += int(sel.size)
+
+        pend_pull[:] = False
+        pend_pull[sel] = True
+        pend_ok = world.channel_ok[t]
+        if policy == "random_queue":
+            pend_gen[sel] = t - backlog[sel] + 1
+            backlog[sel] -= 1
+        else:
+            pend_gen[sel] = t
+
+    accounted = t_slots - warmup
+    agent_mean_aoi = aoi_sum / accounted
+    return (policy, seed, n, budget, 1, t_slots, total_loss, total_loss / (accounted * n),
+            activations / t_slots, float(agent_mean_aoi.mean()),
+            tuple(float(v) for v in agent_mean_aoi), deliveries)
+
+
+def reference_records(config, policies, system, seed, capacity=1000):
+    """Every policy's record on one seed's `ReferenceWorld`, as SimRecord field tuples.
+
+    The simulator before lanes and streaming, kept as the differential
+    reference: one world array per seed and one Python slot loop per
+    (policy, seed), with the per-slot selection kernels on 1-D arrays.
+    `capacity` is random_queue's queue length.
+    """
+    world = ReferenceWorld(config, seed)
+    return [_reference_run(config, world, p, system, seed, capacity) for p in policies]
+
+
 def random_queue_oracle(world, channels, slots, warmup, capacity):
     """The random_queue policy with one bounded FIFO of stamps per agent.
 
-    Straight-line loops over a simulator world (`x_path`, `channel_ok`,
+    Straight-line loops over a `ReferenceWorld` (`channel_ok`,
     `policy_seq`): each slot every agent's age grows by one or, on delivery
     of a packet generated at g, becomes t - g; every agent then queues a
     packet stamped t (the deque drops the oldest beyond `capacity`), and the

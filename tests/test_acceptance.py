@@ -51,12 +51,10 @@ def mean_se(values) -> tuple[float, float]:
 
 @pytest.fixture(scope="session")
 def grid_runs(grid_config, grid_system):
-    """20 paired seeds x 4 policies at T=1e5 on the 20-agent grid."""
+    """20 paired seeds x 4 policies at T=1e5 on the 20-agent grid, as 20 lanes of one run."""
     runs = {p: [] for p in POLICY_ORDER}
-    for rep in range(20):
-        cfg = grid_config
-        for rec in run_paired(cfg, list(POLICY_ORDER), grid_system, seed=cfg.seed + rep):
-            runs[rec.policy].append(rec)
+    for rec in run_paired(grid_config, list(POLICY_ORDER), grid_system, grid_config.seed, replications=20):
+        runs[rec.policy].append(rec)
     return runs
 
 
@@ -65,16 +63,14 @@ def scaling_results():
     """MGF penalties and dual bounds for r in {1, 2, 4, 8} with N=4r, M=r."""
     base = SimConfig(make_grid_classes((2, 2)), channels=1, slots=50_000, seed=201, policy="mgf")
     values = [1, 2, 4, 8]
-    bounds = {}
+    bounds, penalties = {}, {}
     for r in values:
         point = config_at(base, "scale", r)
         system = solve_system(point, with_gains=True)
         bounds[r] = dual_lower_bound(list(system.solutions), list(point.classes), point.channels)
         bounds[r] /= point.agent_count
-    records = run_sweep(base, "scale", values, policies=["mgf"], replications=10)
-    penalties = {
-        r: np.array([rec.normalized_penalty for rec in records if rec.scale == r]) for r in values
-    }
+        records = run_paired(point, ["mgf"], system, base.seed, scale=r, replications=10)
+        penalties[r] = np.array([rec.normalized_penalty for rec in records])
     return values, penalties, bounds
 
 

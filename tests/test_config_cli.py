@@ -378,6 +378,20 @@ class TestExitCodes:
         assert f"after {bandit.DUAL_PROBE_CAP + 1} probes (relaxed rate 2.0 against M=1)" in err
         assert not out.exists()
 
+    def test_dual_search_without_bracket_on_the_pair_chain(self, tmp_path, monkeypatch, capsys):
+        # The same failure on the two-state pair chain: its class solves at
+        # the huge prices the expansion reaches pass their residual check,
+        # which scales with the price, so the search ends with its own error.
+        monkeypatch.setattr(bandit, "relaxed_rate", lambda *args: 1.0)
+        pair = MINIMAL.replace("policy: maf", "policy: mgf").replace("delta_bound: 250", "delta_bound: 20")
+        cfg = write_config(tmp_path, pair)
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "dual price search: no price up to lambda=" in err
+        assert f"after {bandit.DUAL_PROBE_CAP + 1} probes (relaxed rate 2.0 against M=1)" in err
+        assert "residual" not in err
+
     def test_ambiguous_relaxed_rate_is_a_convergence_error(self, tmp_path, capsys):
         # Two closed copies of the pair chain, told apart by their labels:
         # both copies cost the same, but an agent's renewals never leave the

@@ -19,12 +19,13 @@ from aoi_guard import (
 from aoi_guard.markov import (
     LUMP_TOL,
     SafetyMap,
+    candidate_columns,
     cumulative_rows,
     lumpable_partition,
     recurrent_states,
     stack_padded,
     stationary_law,
-    step_states,
+    step_candidates,
 )
 
 from conftest import random_primitive_source
@@ -333,9 +334,9 @@ class TestBuildRowChain:
 
 
 def step_one(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
-    """One agent's successor of x through the shared inverse-CDF step."""
-    cum = stack_padded([cumulative_rows(source.transition)], 1.0)
-    return int(step_states(cum, np.zeros(1, dtype=int), np.array([x]), rng.random(1))[0])
+    """One agent's successor of x through the simulator's sparse inverse-CDF step."""
+    cols, bounds = candidate_columns(cumulative_rows(source.transition))
+    return int(step_candidates(cols, bounds, np.array([x]), rng.random(1))[0])
 
 
 class TestSampleNext:
@@ -357,10 +358,10 @@ class TestSampleNext:
         # follow its own row, and the narrow class never lands on padding.
         wide = MarkovSource(np.full((3, 3), 1 / 3))
         cum = stack_padded([cumulative_rows(chain_a.transition), cumulative_rows(wide.transition)], 1.0)
+        cols, bounds = candidate_columns(cum.reshape(-1, 3))
         n = 200_000
-        cls_idx = np.repeat([0, 1], n)
-        x = np.zeros(2 * n, dtype=int)
-        nxt = step_states(cum, cls_idx, x, np.random.default_rng(123).random(2 * n))
+        rows = np.repeat([0, 3], n)  # state 0 of each class, rows cls * 3 + x
+        nxt = step_candidates(cols, bounds, rows, np.random.default_rng(123).random(2 * n))
         freq_a = np.bincount(nxt[:n], minlength=3) / n
         freq_w = np.bincount(nxt[n:], minlength=3) / n
         assert np.abs(freq_a - (0.9, 0.1, 0.0)).max() < 0.003

@@ -7,68 +7,86 @@ from aoi_guard.policies import top_ids, top_positive_ids, uniform_subset
 from conftest import CHAIN_A_MATRIX
 
 
+def ids(mask: np.ndarray) -> list[int]:
+    """The selected ids of a one-row mask."""
+    (row,) = mask
+    return np.flatnonzero(row).tolist()
+
+
 class TestMgfSelect:
     """MGF's selection: the kernel applied to each agent's looked-up gain."""
 
     def test_top_positive_gains(self):
-        assert top_positive_ids(np.array([0.5, -0.1, 0.2]), 2).tolist() == [0, 2]
+        assert ids(top_positive_ids(np.array([[0.5, -0.1, 0.2]]), 2)) == [0, 2]
 
     def test_all_negative_selects_nobody(self):
-        assert top_positive_ids(np.array([-0.5, -0.1, -0.2]), 5).tolist() == []
+        assert ids(top_positive_ids(np.array([[-0.5, -0.1, -0.2]]), 5)) == []
 
     def test_zero_gain_not_selected(self):
-        assert top_positive_ids(np.array([0.0, 0.3]), 2).tolist() == [1]
+        assert ids(top_positive_ids(np.array([[0.0, 0.3]]), 2)) == [1]
 
     def test_ties_break_to_lower_id(self):
-        assert top_positive_ids(np.array([0.3, 0.3, 0.3]), 2).tolist() == [0, 1]
+        assert ids(top_positive_ids(np.array([[0.3, 0.3, 0.3]]), 2)) == [0, 1]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
-        gains = rng.normal(size=12)
+        gains = rng.normal(size=(1, 12))
         base = top_positive_ids(gains, 4)
         scaled = top_positive_ids(gains * 37.5, 4)
         assert (base == scaled).all()
+
+    def test_rows_select_independently(self):
+        # Each lane is its own selection: a batch equals its rows one by one.
+        rng = np.random.default_rng(6)
+        gains = np.round(rng.normal(size=(7, 9)), 1)
+        batch = top_positive_ids(gains, 3)
+        assert all((batch[r] == top_positive_ids(gains[r : r + 1], 3)[0]).all() for r in range(7))
 
 
 class TestMafSelect:
     """MAF's selection: the kernel applied to the agents' ages."""
 
     def test_orders_by_age(self):
-        assert top_ids(np.array([7, 3, 9]), 2).tolist() == [0, 2]
+        assert ids(top_ids(np.array([[7, 3, 9]]), 2)) == [0, 2]
 
     def test_equal_ages_tie_break(self):
-        assert top_ids(np.array([4, 4, 4]), 2).tolist() == [0, 1]
+        assert ids(top_ids(np.array([[4, 4, 4]]), 2)) == [0, 1]
 
     def test_budget_covers_everyone(self):
-        assert top_ids(np.array([1, 2, 3]), 7).tolist() == [0, 1, 2]
+        assert ids(top_ids(np.array([[1, 2, 3]]), 7)) == [0, 1, 2]
 
 
 class TestRandomizedSelect:
+    """The uniform subset: one partial Fisher-Yates shuffle per row of uniforms."""
+
     def test_selects_all_when_budget_equals_agents(self):
-        assert uniform_subset(3, 3, np.random.default_rng(0)).tolist() == [0, 1, 2]
+        assert ids(uniform_subset(np.random.default_rng(0).random((1, 3)), 3)) == [0, 1, 2]
 
     def test_deterministic_under_seed(self):
-        a = uniform_subset(20, 2, np.random.default_rng(9))
-        b = uniform_subset(20, 2, np.random.default_rng(9))
-        assert a.tolist() == b.tolist()
+        a = uniform_subset(np.random.default_rng(9).random((1, 2)), 20)
+        b = uniform_subset(np.random.default_rng(9).random((1, 2)), 20)
+        assert ids(a) == ids(b)
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(77)
-        counts = np.zeros(4, dtype=int)
-        for _ in range(1_000_000):
-            counts[uniform_subset(4, 1, rng)[0]] += 1
+        counts = uniform_subset(rng.random((1_000_000, 1)), 4).sum(axis=0)
         freqs = counts / counts.sum()
         assert np.abs(freqs - 0.25).max() < 0.002
 
     def test_subsets_uniform_over_pairs(self):
         rng = np.random.default_rng(78)
-        counts = {}
-        for _ in range(60_000):
-            key = tuple(uniform_subset(4, 2, rng))
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 6
-        freqs = np.array(list(counts.values())) / 60_000
+        masks = uniform_subset(rng.random((60_000, 2)), 4)
+        keys, counts = np.unique(masks, axis=0, return_counts=True)
+        assert len(counts) == 6 and (keys.sum(axis=1) == 2).all()
+        freqs = counts / 60_000
         assert np.abs(freqs - 1 / 6).max() < 0.01
+
+    def test_rows_match_one_shuffle_per_slot(self):
+        # A block of uniforms drawn up front is the stream of one draw per
+        # slot, so the batch picks what slot-by-slot shuffles would.
+        block = uniform_subset(np.random.default_rng(79).random((50, 3)), 8)
+        rng = np.random.default_rng(79)
+        assert all((block[t] == uniform_subset(rng.random((1, 3)), 8)[0]).all() for t in range(50))
 
 
 def queue_ages_after(monkeypatch, agents: int, pulls: dict[int, list[int]], slot: int) -> list[float]:
@@ -79,9 +97,13 @@ def queue_ages_after(monkeypatch, agents: int, pulls: dict[int, list[int]], slot
     the record's per-agent mean AoI is that slot's age, t + 1 - generation
     time of the packet delivered.
     """
-    def scripted(count, budget, rng):
-        scripted.t += 1
-        return np.array(pulls.get(scripted.t, []), dtype=int)
+    def scripted(u, count):
+        # one lane, so the rows of u are consecutive slots
+        masks = np.zeros((len(u), count), dtype=bool)
+        for row in masks:
+            scripted.t += 1
+            row[pulls.get(scripted.t, [])] = True
+        return masks
 
     scripted.t = -1
     monkeypatch.setattr(simulate, "uniform_subset", scripted)

@@ -15,9 +15,10 @@ from aoi_guard import (
     dual_lower_bound,
     solve_system,
 )
-from aoi_guard.simulate import CSV_HEADER, _World, config_at, records_to_csv, records_to_json
+from aoi_guard.simulate import CSV_HEADER, config_at, records_to_csv, records_to_json
 
 from conftest import CHAIN_A_MATRIX, make_grid_classes
+from oracles import ReferenceWorld
 
 
 def chain_a_config(**kw):
@@ -42,7 +43,7 @@ class TestAdvanceAoi:
         # survived the channel and one more than before otherwise.
         cfg = chain_a_config(policy="randomized", success_prob=0.6, slots=3000, warmup=0)
         rec = run_simulation(cfg)
-        ok = _World(cfg, cfg.seed).channel_ok[:, 0]
+        ok = ReferenceWorld(cfg, cfg.seed).channel_ok[:, 0]
         age, total = 1, 1
         for t in range(1, cfg.slots):
             age = 1 if ok[t - 1] else age + 1
@@ -89,9 +90,32 @@ class TestRunSimulation:
 
     def test_over_budget_selection_is_an_internal_error(self, monkeypatch):
         # The channel check is a raise, not an assert, so python -O keeps it.
-        monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.arange(budget + 1))
+        monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.ones(values.shape, dtype=bool))
         with pytest.raises(RuntimeError, match="1 channels"):
             run_simulation(chain_a_config(members=3, policy="maf", slots=100))
+
+    def test_slot_loops_go_through_the_traced_names(self, monkeypatch):
+        # perfbench times each policy's slot loop and kernels, and the world
+        # initial law, by wrapping these module attributes; the loop's
+        # third positional argument names the policy.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(args[2] if name == "_run_policy" else name)
+                return fn(*args)
+            monkeypatch.setattr(simulate, name, wrapper)
+
+        for name in ("_run_policy", "top_positive_ids", "top_ids", "uniform_subset", "is_primitive",
+                     "stationary_distribution"):
+            counted(name, getattr(simulate, name))
+        cfg = chain_a_config(members=2, slots=300)
+        run_paired(cfg, ["mgf", "maf", "randomized", "random_queue"], solve_system(cfg), 5, replications=3)
+        assert {c: calls.count(c) for c in set(calls)} == {
+            "mgf": 2, "maf": 2, "randomized": 2, "random_queue": 2,  # one call per 256-slot chunk
+            "top_positive_ids": 300, "top_ids": 300, "uniform_subset": 4,  # per slot or per chunk
+            "is_primitive": 1, "stationary_distribution": 1,  # the class's initial law, once per call
+        }
 
     def test_mgf_without_solutions_is_an_error(self):
         cfg = chain_a_config()
