@@ -19,11 +19,19 @@ search solves each class on the coarsest lumpable quotient of its source
 that refines the labels and lifts the tables back to every state. The
 400-position grid walk lumps onto its 20 rows; the row chains of the 20-row
 grid do not lump further, and their quotient is the chain itself.
+
+Each quotient carries one read-only stack of its transition powers P^delta,
+delta = 0..D, built once per dual search ((D + 1) |X|^2 doubles, capped at
+POWER_STACK_BYTES with a ValidationError). Every evaluation reads it and
+works on the whole age axis at once: the renewal sums are a cumulative
+product and sums over ages, the renewal kernel is one contraction with the
+stack, and the backward pass over the ages is a doubling scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +54,8 @@ GAIN_TIE_EPS = RESIDUAL_TOL
 # While iterating, a state keeps its action unless its gain has the other
 # sign by more than this.
 SWITCH_EPS = 1e-12
+# Largest P^delta stack a class solve may allocate, in bytes.
+POWER_STACK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -76,44 +86,111 @@ class BanditSolution:
         return mask
 
 
-def renewal_sums(mask: np.ndarray, source: MarkovSource, success_prob: float, q: np.ndarray | None = None):
+def power_stack(transition: np.ndarray, delta_bound: int) -> np.ndarray:
+    """Read-only stack powers[d] = P^d for d = 0..delta_bound, one matrix product per age.
+
+    Raises ValidationError before allocating when the stack would take more
+    than POWER_STACK_BYTES: a class whose labels do not lump keeps all its
+    states, and at that size every evaluation would cost minutes anyway.
+    """
+    nx = transition.shape[0]
+    size = (delta_bound + 1) * nx * nx * 8
+    if size > POWER_STACK_BYTES:
+        raise ValidationError(f"the P^delta stack for delta_bound={delta_bound} on a {nx}-state quotient takes "
+                              f"{size} bytes, above the {POWER_STACK_BYTES}-byte budget")
+    powers = np.empty((delta_bound + 1, nx, nx))
+    powers[0] = np.eye(nx)
+    for d in range(1, delta_bound + 1):
+        np.matmul(powers[d - 1], transition, out=powers[d])
+    powers.setflags(write=False)
+    return powers
+
+
+def renewal_sums(mask: np.ndarray, powers: np.ndarray, success_prob: float, q: np.ndarray | None = None):
     """Expected sums over one renewal cycle, per observation x it starts with at age 1.
 
     `mask[delta, x]` (rows 1..D, row 0 unused, as from
     `BanditSolution.active_mask`) says whether the agent transmits at age
     delta holding observation x; a delivery ends the cycle, and the next one
-    starts at age 1 from P^delta. Returns (reach, length, acts, cost, kernel,
-    power): the probability the cycle runs at age D; its expected slots,
-    activations and summed penalty q (zero when q is None); the law K of the
-    next cycle's observation; and P^D. At age D an active observation stays
-    until a delivery; a passive one is held forever, its sums stop before
-    age D and its row of K lacks the mass reach[x].
+    starts at age 1 from P^delta, read from the stack `powers` of
+    `power_stack`. Returns (reach, length, acts, cost, kernel, power): the
+    probability the cycle runs at age D; its expected slots, activations and
+    summed penalty q (zero when q is None); the law K of the next cycle's
+    observation; and P^D. At age D an active observation stays until a
+    delivery; a passive one is held forever, its sums stop before age D and
+    its row of K lacks the mass reach[x].
+
+    Every sum runs over the age axis at once: the probability of reaching
+    each age is a cumulative product of the per-age survival factors, and K
+    is one contraction of the delivered mass at each age with the stack.
     """
     db = mask.shape[0] - 1
-    p = source.transition
-    nx = source.state_count
-    reach = np.ones(nx)
-    length, acts, cost = np.zeros(nx), np.zeros(nx), np.zeros(nx)
-    kernel = np.zeros((nx, nx))
-    power = p  # P^delta
-    sends = mask.astype(float)
-    for delta in range(1, db):
-        sent = reach * sends[delta]
-        length += reach
-        acts += sent
-        if q is not None:
-            cost += reach * q[delta]
-        delivered = success_prob * sent
-        kernel += delivered[:, None] * power
-        reach = reach - delivered
-        power = power @ p
-    stay = np.where(mask[db], reach / success_prob, 0.0)
-    length += stay
-    acts += stay
-    if q is not None:
-        cost += stay * q[db]
-    kernel += np.where(mask[db], reach, 0.0)[:, None] * power
-    return reach, length, acts, cost, kernel, power
+    sends = mask[1:db].astype(float)
+    reach = np.ones((db, mask.shape[1]))  # reach[d - 1]: the cycle runs at age d
+    np.cumprod(1.0 - success_prob * sends, axis=0, out=reach[1:])
+    ages, last = reach[:-1], reach[-1]
+    sent = ages * sends
+    stay = np.where(mask[db], last / success_prob, 0.0)
+    length = ages.sum(axis=0) + stay
+    acts = sent.sum(axis=0) + stay
+    cost = np.zeros(mask.shape[1]) if q is None else (ages * q[1:db]).sum(axis=0) + stay * q[db]
+    delivered = np.vstack((success_prob * sent, np.where(mask[db], last, 0.0)))
+    kernel = np.einsum("dx,dxy->xy", delivered, powers[1:])
+    return last, length, acts, cost, kernel, powers[db]
+
+
+def evaluate_policy(mask: np.ndarray, q: np.ndarray, powers: np.ndarray, success_prob: float, lam: float,
+                    q_min: float):
+    """(h, g, q_passive, q_active) of one mask of `policy_iteration`; None if its system is singular.
+
+    With h1 = h(1, .) and the cycle sums of `renewal_sums` (cost C = penalty
+    + lambda per activation), the relative values solve (I - K) h1 + L g = C
+    with h(1, 0) = 0. A mask passive at age D for some x is a phase-2 mask:
+    g = q_min and the held states share one terminal value. Every
+    h(delta, .) then follows from reset = P^delta h1 and the backward
+    recursion h(d) = a(d) + c(d) h(d + 1) from h(D), run as a doubling scan
+    over the ages.
+    """
+    db = mask.shape[0] - 1
+    nx = mask.shape[1]
+    reach, length, acts, cost, kernel, _ = renewal_sums(mask, powers, success_prob, q)
+    cost += lam * acts
+    system = np.eye(nx) - kernel
+    # h1(0) = 0, so column 0 of I - K is free for the other unknown: g in
+    # phase 1, the held states' terminal value in phase 2 (some x held).
+    phase2 = not mask[db].all()
+    if phase2:
+        system[:, 0] = -np.where(mask[db], 0.0, reach)
+        cost -= q_min * length
+    else:
+        system[:, 0] = length
+    solution, _, rank, _ = np.linalg.lstsq(system, cost, rcond=None)
+    if rank < nx:
+        return None
+    g, terminal = (q_min, solution[0]) if phase2 else (float(solution[0]), 0.0)
+    h1 = solution
+    h1[0] = 0.0
+    reset = (powers.reshape(-1, nx) @ h1).reshape(db + 1, nx)  # reset[d] = P^d h1
+    base = q - g
+    active = base + lam
+    sent = success_prob * reset
+    h = np.zeros((db + 1, nx))
+    h[db] = np.where(mask[db], active[db] / success_prob + reset[db], terminal)
+    if db > 1:
+        # Ages 2..D as affine maps h(d) = a(d) + c(d) h(min(d + span, D)); age D
+        # is the fixed point (c = 0). Each step doubles the span.
+        a = np.where(mask[2:], active[2:] + sent[2:], base[2:])
+        c = np.where(mask[2:], 1.0 - success_prob, 1.0)
+        a[-1], c[-1] = h[db], 0.0
+        span, rows = 1, db - 1
+        while span < rows:
+            ahead = np.minimum(np.arange(rows) + span, rows - 1)
+            a, c = a + c * a[ahead], c * c[ahead]
+            span *= 2
+        h[2:] = a
+    h[1] = h1
+    up = np.vstack((h[1:], h[db:]))  # up[d] = h[min(d + 1, db)]; row 0 is filler
+    return h, g, base + up, active + (1.0 - success_prob) * up + sent
 
 
 def policy_iteration(
@@ -122,33 +199,34 @@ def policy_iteration(
     success_prob: float,
     lam: float,
     mask_init: np.ndarray | None = None,
+    powers: np.ndarray | None = None,
 ) -> BanditSolution:
     """Solve one class MDP by Howard policy iteration over renewal cycles.
 
-    A mask is evaluated exactly. With h1 = h(1, .) and the cycle sums of
-    `renewal_sums` (cost C = penalty + lambda per activation), the relative
-    values solve (I - K) h1 + L g = C with h(1, 0) = 0; one backward pass
-    over the ages then gives every h(delta, .) from the vectors P^delta h1.
-    Improvement switches each state whose gain has the other sign by more
-    than SWITCH_EPS, until the mask repeats. It starts from `mask_init`, by
-    default the all-active mask, whose renewal kernel is irreducible
-    whenever the source is.
+    Each mask is evaluated exactly over its renewal cycles by
+    `evaluate_policy`, which reads the source's P^delta stack `powers`
+    (built here when not given). Improvement switches each state whose gain
+    has the other sign by more than SWITCH_EPS, until the mask repeats. It
+    starts from `mask_init`, by default the all-active mask, whose renewal
+    kernel is irreducible whenever the source is.
 
     Phase 1 transmits at age D, so every observation renews. Its average
     cost g solves the MDP when g <= q_min, the least q(D, x) over the
     source's recurrent observations, since holding one of them at the age
-    bound then never pays. Otherwise, or when its renewal kernel has more
-    than one stationary law (frozen or reducible chains), phase 2 fixes
-    g = q_min: the recurrent observations with q(D, x) tied to q_min are
-    held at age D with one shared terminal value, and iteration solves the
-    stochastic shortest path to them, starting from the mask that sends
-    every other observation at every age. No delivery draws a transient
-    observation again: an agent that starts on one whose q(D, x) is below g
-    may keep it at that lower cost, so the one-g optimality equation cannot
-    hold at (D, x) and those cells are left out of the residual. A singular
-    phase-2 evaluation, a mask that recurs, or a Bellman residual above
-    RESIDUAL_TOL * max(1, lambda) raises ConvergenceError: the values grow
-    with the price, and so does their rounding.
+    bound then never pays. As in improvement, holding must beat g by more
+    than SWITCH_EPS: a g tied with q_min up to rounding stays. Otherwise, or
+    when its renewal kernel has more than one stationary law (frozen or
+    reducible chains), phase 2 fixes g = q_min: the recurrent observations
+    with q(D, x) tied to q_min are held at age D with one shared terminal
+    value, and iteration solves the stochastic shortest path to them,
+    starting from the mask that sends every other observation at every age.
+    No delivery draws a transient observation again: an agent that starts on
+    one whose q(D, x) is below g may keep it at that lower cost, so the
+    one-g optimality equation cannot hold at (D, x) and those cells are left
+    out of the residual. A singular phase-2 evaluation, a mask that recurs,
+    or a Bellman residual above RESIDUAL_TOL * max(1, lambda) raises
+    ConvergenceError: the values grow with the price, and so does their
+    rounding.
     """
     if lam < 0.0:
         raise ValidationError(f"transmission price must be nonnegative, got {lam}")
@@ -159,52 +237,19 @@ def policy_iteration(
     nx = source.state_count
     if q.shape[1] != nx:
         raise ValidationError(f"penalty table covers {q.shape[1]} states, source has {nx}")
-    trans = source.transition
-    fail = 1.0 - success_prob
-    recurrent = recurrent_states(trans)
+    if powers is None:
+        powers = power_stack(source.transition, db)
+    recurrent = recurrent_states(source.transition)
     q_min = float(q[db, recurrent].min())
     hold = recurrent & (q[db] <= q_min + SWITCH_EPS)
     evaluations = 0
-
-    def evaluate(mask: np.ndarray):
-        """(h, g, q_passive, q_active) of a mask; None if its system is singular."""
-        reach, length, acts, cost, kernel, _ = renewal_sums(mask, source, success_prob, q)
-        cost += lam * acts
-        system = np.eye(nx) - kernel
-        # h1(0) = 0, so column 0 of I - K is free for the other unknown: g in
-        # phase 1, the held states' terminal value in phase 2 (some x held).
-        phase2 = not mask[db].all()
-        if phase2:
-            system[:, 0] = -np.where(mask[db], 0.0, reach)
-            cost -= q_min * length
-        else:
-            system[:, 0] = length
-        solution, _, rank, _ = np.linalg.lstsq(system, cost, rcond=None)
-        if rank < nx:
-            return None
-        g, terminal = (q_min, solution[0]) if phase2 else (float(solution[0]), 0.0)
-        reset = np.empty((db + 1, nx))  # reset[d] = P^d h1
-        reset[0] = solution
-        reset[0, 0] = 0.0
-        for d in range(1, db + 1):
-            reset[d] = trans @ reset[d - 1]
-        base = q - g
-        active = base + lam
-        sent = success_prob * reset
-        h = np.zeros((db + 1, nx))
-        h[db] = np.where(mask[db], active[db] / success_prob + reset[db], terminal)
-        for d in range(db - 1, 1, -1):
-            h[d] = np.where(mask[d], active[d] + fail * h[d + 1] + sent[d], base[d] + h[d + 1])
-        h[1] = reset[0]
-        up = np.vstack((h[1:], h[db:]))  # up[d] = h[min(d + 1, db)]; row 0 is filler
-        return h, g, base + up, active + fail * up + sent
 
     def iterate(mask: np.ndarray, at_bound: np.ndarray):
         nonlocal evaluations
         seen = set()
         while True:
             mask[0], mask[db] = False, at_bound
-            evaluated = evaluate(mask)
+            evaluated = evaluate_policy(mask, q, powers, success_prob, lam, q_min)
             if evaluated is None:
                 return None
             evaluations += 1
@@ -221,7 +266,7 @@ def policy_iteration(
     start = np.ones((db + 1, nx), dtype=bool) if mask_init is None else np.array(mask_init, dtype=bool)
     result = iterate(start, np.ones(nx, dtype=bool))
     why = "its renewal kernel has more than one stationary law" if result is None else (
-        f"holding at age {db} beats its average cost {result[1]!r}" if result[1] > q_min else "")
+        f"holding at age {db} beats its average cost {result[1]!r}" if result[1] > q_min + SWITCH_EPS else "")
     if why:
         result = iterate(np.tile(~hold, (db + 1, 1)), ~hold)
         if result is None:
@@ -254,7 +299,9 @@ class LumpedClass:
     represented by its first member: the quotient's rows are that member's
     row-to-block masses (not renormalized) and its penalty column is the
     member's. The ordering keeps state 0 in block 0, so the reference state
-    of policy iteration is the same on both chains.
+    of policy iteration is the same on both chains. `powers` is the
+    quotient's P^delta stack, built on first use and read by every probe of
+    the dual search.
     """
 
     source: MarkovSource
@@ -277,6 +324,10 @@ class LumpedClass:
             PenaltyTable(values, penalty.delta_bound),
             block,
         )
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        return power_stack(self.source.transition, self.penalty.delta_bound)
 
     def lift(self, sol: BanditSolution) -> BanditSolution:
         """A quotient solution read back on every source state."""
@@ -307,7 +358,8 @@ class DualTrace:
         return rows
 
 
-def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float) -> float:
+def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float,
+                 powers: np.ndarray | None = None) -> float:
     """One agent's long-run activations per slot under an active mask.
 
     The mask is read as in `renewal_sums`, whose per-observation cycle sums
@@ -315,9 +367,12 @@ def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float) ->
     and time sums weighted by the stationary law of the renewal kernel K. An
     observation held forever renews here as if sent at age D, so the law
     shows whether agents end up holding one; the rate is then 0. Otherwise K
-    must have a unique law (ConvergenceError).
+    must have a unique law (ConvergenceError). `powers` is the source's
+    P^delta stack, built here when not given.
     """
-    reach, length, acts, _, kernel, power = renewal_sums(mask, source, success_prob)
+    if powers is None:
+        powers = power_stack(source.transition, mask.shape[0] - 1)
+    reach, length, acts, _, kernel, power = renewal_sums(mask, powers, success_prob)
     held = ~mask[-1] & (reach > 0.0)
     if held.all():
         return 0.0
@@ -338,10 +393,12 @@ def dual_ascent(
     `penalties` are the classes' penalty tables from `build_tables`, all at
     one age bound. At each probed price every class MDP is solved on its
     `LumpedClass` quotient by `policy_iteration`, starting from the previous
-    probe's greedy mask. The relaxed activation rate is the sum over classes
-    of member count times `relaxed_rate` of the greedy mask, and it is a
-    supergradient, plus M, of the concave piecewise linear dual function
-    L(lambda) = sum of member count times `avg_cost`, minus lambda M.
+    probe's greedy mask; the quotient's P^delta stack is built once and
+    every probe's solve and rate read it. The relaxed activation rate is the
+    sum over classes of member count times `relaxed_rate` of the greedy
+    mask, and it is a supergradient, plus M, of the concave piecewise linear
+    dual function L(lambda) = sum of member count times `avg_cost`, minus
+    lambda M.
 
     The search probes lambda = 0 and stops there when the rate is at most
     M + 5%: in the band, or below it (`slack`, optimal by complementary
@@ -372,9 +429,9 @@ def dual_ascent(
         """(rate, L(lambda), solutions) at one price."""
         sols, rate, value = [], 0.0, -lam * channels
         for i, (c, lc) in enumerate(zip(classes, lumped)):
-            sol = relative_value_iteration(lc.penalty, lc.source, c.success_prob, lam, warm[i])
+            sol = relative_value_iteration(lc.penalty, lc.source, c.success_prob, lam, warm[i], lc.powers)
             warm[i] = sol.active_mask()
-            rate += c.member_count * relaxed_rate(warm[i], lc.source, c.success_prob)
+            rate += c.member_count * relaxed_rate(warm[i], lc.source, c.success_prob, lc.powers)
             value += c.member_count * sol.avg_cost
             sols.append(lc.lift(sol))
         trace.iterations.append((len(trace.iterations) + 1, lam, rate))

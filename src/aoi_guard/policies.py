@@ -35,10 +35,19 @@ def top_positive_ids(gains: np.ndarray, budget: int) -> np.ndarray:
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest entries regardless of sign, id tie-break."""
-    mask = np.zeros(values.shape, dtype=bool)
-    mask[np.arange(len(values))[:, None], (-values).argsort(axis=1, kind="stable")[:, :budget]] = True
-    return mask
+    """Per row, a mask of up to `budget` largest integer entries regardless of sign, id tie-break.
+
+    With N columns, value * N + (N - 1 - id) is a unique key that orders by
+    value and then by lower id, so one partition threshold per row picks the
+    set without sorting it.
+    """
+    count = values.shape[1]
+    if budget >= count:
+        return np.ones(values.shape, dtype=bool)
+    key = values * count
+    key += np.arange(count - 1, -1, -1)
+    kth = count - budget
+    return key >= np.partition(key, kth, axis=1)[:, kth, None]
 
 
 def uniform_subset(u: np.ndarray, count: int) -> np.ndarray:

@@ -24,7 +24,6 @@ the other lanes or on the chunk length.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -449,6 +448,9 @@ def run_sweep(
     if workers <= 1:
         batches = [_sweep_task(t) for t in tasks]
     else:
+        # Imported here so that commands without a pool never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_task, tasks))
     records = [r for batch in batches for r in batch]

@@ -91,6 +91,81 @@ def rvi_fixed_sweeps(q, transition, success_prob, lam, delta_bound, sweeps=200, 
     return h, q_passive, q_active, g
 
 
+def renewal_sums_loop(mask, source, success_prob, q=None):
+    """`bandit.renewal_sums` as one step per age, with P^delta by repeated products.
+
+    The library's sums before the P^delta stack, kept as the differential
+    reference: returns (reach, length, acts, cost, kernel, P^D).
+    """
+    db = mask.shape[0] - 1
+    p = source.transition
+    nx = source.state_count
+    reach = np.ones(nx)
+    length, acts, cost = np.zeros(nx), np.zeros(nx), np.zeros(nx)
+    kernel = np.zeros((nx, nx))
+    power = p  # P^delta
+    sends = mask.astype(float)
+    for delta in range(1, db):
+        sent = reach * sends[delta]
+        length += reach
+        acts += sent
+        if q is not None:
+            cost += reach * q[delta]
+        delivered = success_prob * sent
+        kernel += delivered[:, None] * power
+        reach = reach - delivered
+        power = power @ p
+    stay = np.where(mask[db], reach / success_prob, 0.0)
+    length += stay
+    acts += stay
+    if q is not None:
+        cost += stay * q[db]
+    kernel += np.where(mask[db], reach, 0.0)[:, None] * power
+    return reach, length, acts, cost, kernel, power
+
+
+def evaluate_policy_loop(mask, q, source, success_prob, lam, q_min):
+    """`bandit.evaluate_policy` with `renewal_sums_loop` and one backward step per age.
+
+    Returns (h, g, q_passive, q_active), or None if the mask's system is
+    singular.
+    """
+    db = mask.shape[0] - 1
+    nx = source.state_count
+    trans = source.transition
+    fail = 1.0 - success_prob
+    reach, length, acts, cost, kernel, _ = renewal_sums_loop(mask, source, success_prob, q)
+    cost += lam * acts
+    system = np.eye(nx) - kernel
+    # h1(0) = 0, so column 0 of I - K is free for the other unknown: g in
+    # phase 1, the held states' terminal value in phase 2 (some x held).
+    phase2 = not mask[db].all()
+    if phase2:
+        system[:, 0] = -np.where(mask[db], 0.0, reach)
+        cost -= q_min * length
+    else:
+        system[:, 0] = length
+    solution, _, rank, _ = np.linalg.lstsq(system, cost, rcond=None)
+    if rank < nx:
+        return None
+    g, terminal = (q_min, solution[0]) if phase2 else (float(solution[0]), 0.0)
+    reset = np.empty((db + 1, nx))  # reset[d] = P^d h1
+    reset[0] = solution
+    reset[0, 0] = 0.0
+    for d in range(1, db + 1):
+        reset[d] = trans @ reset[d - 1]
+    base = q - g
+    active = base + lam
+    sent = success_prob * reset
+    h = np.zeros((db + 1, nx))
+    h[db] = np.where(mask[db], active[db] / success_prob + reset[db], terminal)
+    for d in range(db - 1, 1, -1):
+        h[d] = np.where(mask[d], active[d] + fail * h[d + 1] + sent[d], base[d] + h[d + 1])
+    h[1] = reset[0]
+    up = np.vstack((h[1:], h[db:]))  # up[d] = h[min(d + 1, db)]; row 0 is filler
+    return h, g, base + up, active + fail * up + sent
+
+
 def relaxed_rate_oracle(mask, transition, success_prob):
     """One agent's activations per slot under a mask, from its explicit chain.
 

@@ -21,9 +21,9 @@ from aoi_guard import (
 from aoi_guard import bandit
 from aoi_guard.bandit import LumpedClass, relaxed_rate
 from aoi_guard.config import _grid2d_matrix
-from aoi_guard.markov import SafetyMap, lumpable_partition, stack_padded
+from aoi_guard.markov import SafetyMap, lumpable_partition, recurrent_states, stack_padded
 from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
-from oracles import relaxed_lp_value, relaxed_rate_oracle, rvi_fixed_sweeps
+from oracles import evaluate_policy_loop, relaxed_lp_value, relaxed_rate_oracle, renewal_sums_loop, rvi_fixed_sweeps
 
 # Frozen from the straight-line 200-sweep oracle in oracles.py (chain A,
 # identity safety, 0-1 loss, p=0.95, lambda=0.05, delta_bound=40). The
@@ -384,6 +384,24 @@ class TestDualCertificates:
         pens = [build_tables(c, 60)[0] for c in classes]
         assert self.assert_certified(classes, pens, channels)[0] == reason
 
+    @pytest.mark.parametrize("rows,success,delta_bound", [
+        ([[0.3990410011764109, 0.0511016666267199, 0.13246018489272535, 0.4173971473041438],
+          [0.3639006607048563, 0.3070467319028537, 0.2296307828048233, 0.09942182458746668],
+          [0.1802557476165491, 0.36790489200773885, 0.22919438761815336, 0.2226449727575586],
+          [0.2581779903130467, 0.2322512035900399, 0.26042631935755495, 0.24914448673935846]], 0.99, 11),
+        ([[0.35540316321167853, 0.2793756796944372, 0.29866161861859675, 0.06655953847528752],
+          [0.3197737684424133, 0.05050769121239962, 0.41326259541926635, 0.21645594492592074],
+          [0.5514034589018615, 0.10846820116923253, 0.07513815023184565, 0.2649901896970603],
+          [0.15328995716203647, 0.43804204728839086, 0.35345445694818745, 0.05521353860138519]], 0.99609375, 14),
+    ])
+    def test_average_cost_tied_with_the_least_saturated_penalty(self, rows, success, delta_bound):
+        # Near the price where holding at the age bound starts to pay, phase
+        # 1's average cost equals q_min up to rounding. Switching to phase 2
+        # on that tie left a Bellman residual of 1.8e-3 on the first source and
+        # a singular shortest path on the second.
+        cls = AgentClassSpec(MarkovSource(rows), identity_safety_map(4), loss_01(4), success, 2)
+        self.assert_certified([cls], [build_tables(cls, delta_bound)[0]], 1)
+
     def test_two_agent_breakpoint(self):
         # The CLI tests' two-agent, one-channel pair config: no price puts
         # its rate in the band, and the search stops at the breakpoint.
@@ -490,6 +508,89 @@ class TestRelaxedRate:
             rates.append(relaxed_rate(warm, cls.source, 0.95))
         assert rates[0] > rates[-1] > 0.0
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+def greedy(q_passive, q_active):
+    mask = q_passive - q_active > bandit.GAIN_TIE_EPS
+    mask[0] = False
+    return mask
+
+
+def assert_matches_loops(mask, q, src, success, lam):
+    """The stack's renewal sums and mask evaluation against the per-age loops of the oracle."""
+    recurrent = recurrent_states(src.transition)
+    q_min = float(q[-1, recurrent].min())
+    powers = bandit.power_stack(src.transition, mask.shape[0] - 1)
+    got = bandit.renewal_sums(mask, powers, success, q)
+    want = renewal_sums_loop(mask, src, success, q)
+    evaluated = bandit.evaluate_policy(mask, q, powers, success, lam, q_min)
+    reference = evaluate_policy_loop(mask, q, src, success, lam, q_min)
+    assert (evaluated is None) == (reference is None)
+    if evaluated is not None:
+        got, want = got + evaluated, want + reference
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, float(np.abs(b).max()))
+    if evaluated is not None:
+        assert np.array_equal(greedy(*evaluated[2:]), greedy(*reference[2:]))
+    return evaluated
+
+
+@st.composite
+def priced_masks(draw):
+    """A `masked_sources` case with a penalty table in [0, 1] and a price in [0, 2].
+
+    Drawn with `hold`, the observation with the least q(D, x) is held at age
+    D: a phase-2 mask of policy iteration.
+    """
+    src, mask, success = draw(masked_sources())
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=mask.size, max_size=mask.size))
+    q = np.array(cells).reshape(mask.shape)
+    hold = draw(st.booleans())
+    if hold:
+        mask[-1, np.argmin(q[-1])] = False
+    return src, mask, success, q, draw(st.floats(0.0, 2.0)), hold
+
+
+class TestPowerStack:
+    """The per-class P^delta stack and the age-vectorized sums that read it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(priced_masks())
+    def test_matches_per_age_loops(self, case):
+        src, mask, success, q, lam, hold = case
+        evaluated = assert_matches_loops(mask, q, src, success, lam)
+        assert hold or evaluated is not None
+        event(f"hold: {hold}, singular: {evaluated is None}")
+
+    def test_grid20_classes_at_the_default_bound(self):
+        for cls in make_grid_classes():
+            pen, _ = build_tables(cls, 250)
+            sol = policy_iteration(pen, cls.source, cls.success_prob, 3.0)
+            for mask in (sol.active_mask(), np.ones_like(sol.active_mask())):
+                assert_matches_loops(mask, pen.values, cls.source, cls.success_prob, 3.0)
+
+    def test_stack_is_the_repeated_product(self):
+        src = random_primitive_source(np.random.default_rng(3), 4)
+        powers = bandit.power_stack(src.transition, 9)
+        assert powers.shape == (10, 4, 4) and not powers.flags.writeable
+        assert (powers[0] == np.eye(4)).all() and (powers[1] == src.transition).all()
+        power = src.transition
+        for d in range(2, 10):
+            power = power @ src.transition
+            assert (powers[d] == power).all()
+
+    def test_dual_search_builds_one_stack_per_class(self, monkeypatch):
+        builds, build = [], bandit.power_stack
+
+        def counted(transition, delta_bound):
+            builds.append(delta_bound)
+            return build(transition, delta_bound)
+
+        monkeypatch.setattr(bandit, "power_stack", counted)
+        classes = list(make_grid_classes())
+        _, trace, _ = dual_ascent(classes, [build_tables(c, 250)[0] for c in classes], channels=2)
+        assert [lam for _, lam, _ in trace.iterations] == [0.0, 1.0, 3.0]
+        assert builds == [250, 250]
 
 
 def unlumped(monkeypatch):

@@ -409,6 +409,17 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "s")]) == EXIT_CONVERGENCE
         assert "more than one stationary law" in capsys.readouterr().err
 
+    def test_oversize_power_stack_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
+        # The pair chain's stack at D = 250 takes 251 * 2 * 2 doubles; with a
+        # smaller budget the solve fails before allocating it.
+        monkeypatch.setattr(bandit, "POWER_STACK_BYTES", 4096)
+        cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf"))
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "delta_bound=250 on a 2-state quotient takes 8032 bytes, above the 4096-byte budget" in err
+        assert not out.exists()
+
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -422,3 +433,12 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "aoi-guard" in proc.stdout
+
+    def test_cli_import_leaves_process_pools_unloaded(self):
+        # Only `sweep` runs a process pool; every other command should not pay
+        # for importing multiprocessing.
+        code = ("import sys, aoi_guard.cli; "
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aoi_guard.simulate as simulate
 from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, identity_safety_map, loss_01
 from aoi_guard.policies import top_ids, top_positive_ids, uniform_subset
 
 from conftest import CHAIN_A_MATRIX
+from oracles import _top_ids
 
 
 def ids(mask: np.ndarray) -> list[int]:
@@ -54,6 +57,21 @@ class TestMafSelect:
 
     def test_budget_covers_everyone(self):
         assert ids(top_ids(np.array([[1, 2, 3]]), 7)) == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_stable_sort_oracle(self, data):
+        # Few distinct ages force ties; budgets run past the population.
+        count = data.draw(st.integers(1, 12))
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 4), min_size=count, max_size=count),
+                                  min_size=1, max_size=3))
+        ages = np.array(rows, dtype=np.int64)
+        budget = data.draw(st.integers(1, count + 1))
+        mask = top_ids(ages, budget)
+        for row, got in zip(ages, mask):
+            expect = np.zeros(count, dtype=bool)
+            expect[_top_ids(row, budget)] = True
+            assert (got == expect).all()
 
 
 class TestRandomizedSelect:
