@@ -18,11 +18,9 @@ from .bandit import (
 from .errors import ConfigError, ConvergenceError, ValidationError
 from .loss import (
     LossMatrix,
-    conditional_entropy_given,
     loss_01,
     loss_quadratic,
     loss_safety_example,
-    optimal_estimate,
 )
 from .markov import (
     MarkovSource,
@@ -65,7 +63,6 @@ __all__ = [
     "banded_safety_map",
     "build_row_chain",
     "build_tables",
-    "conditional_entropy_given",
     "dual_ascent",
     "dual_lower_bound",
     "identity_safety_map",
@@ -73,7 +70,6 @@ __all__ = [
     "loss_01",
     "loss_quadratic",
     "loss_safety_example",
-    "optimal_estimate",
     "policy_iteration",
     "run_paired",
     "run_simulation",

@@ -343,7 +343,9 @@ class DualTrace:
     """Iteration log of the dual search: (iteration, lambda, activation rate).
 
     `dual_ascent` returns only certified stops, so `converged` is True on
-    every trace it returns. The last row tells the stop apart: a rate within
+    every trace it returns. The field stays because it is part of the solve
+    artifact: `summary.json` writes it, and the benchmark harness reads it
+    and requires it True. The last row tells the stop apart: a rate within
     +/-5% of M is a `band` stop; otherwise lambda = 0 is a `slack` stop and
     any other price a `breakpoint`.
     """

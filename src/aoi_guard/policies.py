@@ -1,9 +1,14 @@
 """Selection kernels of the scheduling policies: who gets the channels this slot.
 
-Maximum Gain First activates up to M agents with the largest strictly
-positive gain indices; the baselines pick by age, uniformly at random, or
-uniformly at random with a FIFO queue of stale updates (the simulator keeps
-that queue as a per-agent backlog count of at most QUEUE_CAPACITY packets).
+Maximum Gain First is a priority policy on fixed gain tables: it activates
+up to M agents with the highest-ranked gains among the states that the
+relaxed policy activates (`BanditSolution.active_mask`, gain strictly
+positive). `gain_keys` ranks every table cell once per run, equal gains
+sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
+both select through one integer kernel, `top_ids`. The other baselines pick
+uniformly at random, or uniformly at random with a FIFO queue of stale
+updates (the simulator keeps that queue as a per-agent backlog count of at
+most QUEUE_CAPACITY packets).
 
 Every kernel works on a batch: one row per lane (or per lane and slot), one
 column per agent, and returns a boolean mask of the same shape with True on
@@ -15,23 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bandit import GAIN_TIE_EPS
-
 QUEUE_CAPACITY = 1000
 
 POLICY_KEYS = ("mgf", "randomized", "random_queue", "maf")
 
 
-def top_positive_ids(gains: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest strictly positive entries, id tie-break.
+def gain_keys(gains: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Integer key of every gain cell: its rank among the distinct gains, -1 where `active` is False.
 
-    Entries within solver resolution of zero count as zero, not positive.
+    Equal gains share a rank, so `top_ids` on the keys orders as a stable
+    sort of the gains would.
     """
-    rows = np.arange(len(gains))[:, None]
-    top = (-gains).argsort(axis=1, kind="stable")[:, :budget]
-    mask = np.zeros(gains.shape, dtype=bool)
-    mask[rows, top] = gains[rows, top] > GAIN_TIE_EPS
-    return mask
+    ranks = np.unique(gains, return_inverse=True)[1].reshape(gains.shape)
+    return np.where(active, ranks, -1)
+
+
+def top_positive_ids(keys: np.ndarray, budget: int) -> np.ndarray:
+    """Per row, a mask of up to `budget` largest nonnegative keys, id tie-break."""
+    return top_ids(keys, budget) & (keys >= 0)
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from .markov import (
     stationary_distribution,
     step_candidates,
 )
-from .policies import POLICY_KEYS, QUEUE_CAPACITY, top_ids, top_positive_ids, uniform_subset
+from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset
 from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
 
 THREADS_ENV = "AOI_GUARD_THREADS"
@@ -246,11 +246,14 @@ def _run_policy(
     """One policy's slots of the current chunk on every lane, then their tallies.
 
     `tables` holds the estimator choices flattened to (age, key), the
-    (class, label, estimate) loss stack and, for MGF, the gains flattened
-    like the estimator. random_queue's queue capacity is the world's
-    history window, which its stamps never reach past.
+    (class, label, estimate) loss stack and, for MGF, the `gain_keys`
+    flattened like the estimator: each cell's gain rank, or -1 where the
+    relaxed policy's `active_mask` leaves it passive, so the eligible agents
+    are exactly the relaxed policy's active set. random_queue's queue
+    capacity is the world's history window, which its stamps never reach
+    past.
     """
-    est, loss, gain = tables
+    est, loss, gain_key = tables
     t0, t1, base = world.t0, world.t1, world.t0 - world.history
     length, budget, db = t1 - t0, config.channels, config.delta_bound
     delta, seen, arriving, gen, backlog = lanes.delta, lanes.seen, lanes.arriving, lanes.gen, lanes.backlog
@@ -275,7 +278,7 @@ def _run_policy(
         lanes.observed[i] = seen
 
         if policy == "mgf":
-            sel = top_positive_ids(gain[np.minimum(delta, db), seen], budget)
+            sel = top_positive_ids(gain_key[np.minimum(delta, db), seen], budget)
         elif policy == "maf":
             sel = top_ids(delta, budget)
         else:
@@ -330,8 +333,11 @@ def run_paired(
         return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
     est = flat([e.choices for e in system.estimators], 0)
-    gain = flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0) if "mgf" in policies else None
-    tables = (est, stack_padded([c.loss.entries for c in config.classes], 0.0), gain)
+    gain_key = None
+    if "mgf" in policies:
+        gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
+                             flat([s.active_mask() for s in system.solutions], False))
+    tables = (est, stack_padded([c.loss.entries for c in config.classes], 0.0), gain_key)
     states = [_Lanes(p, world) for p in policies]
     while world.advance():
         for policy, lanes in zip(policies, states):

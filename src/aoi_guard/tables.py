@@ -75,9 +75,9 @@ def build_tables(cls: AgentClassSpec, delta_bound: int) -> tuple[PenaltyTable, E
     """Tabulate penalty q(delta, x) and estimate f(delta, x) for all ages.
 
     For each age the label law given (delta, x) is the delta-step state law
-    pushed through the safety map; entries are its optimal_estimate results,
-    computed here in one vectorized pass per age. Ties on the minimum go to
-    the lowest label index.
+    pushed through the safety map; entries are its Bayes-optimal label and
+    that label's expected loss, computed in one vectorized pass per age.
+    Ties on the minimum go to the lowest label index.
     """
     if delta_bound < 1:
         raise ValidationError(f"delta_bound must be >= 1, got {delta_bound}")

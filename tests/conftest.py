@@ -12,8 +12,16 @@ from aoi_guard import (
     loss_safety_example,
     solve_system,
 )
+from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.policies import gain_keys, top_positive_ids
 
 CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
+
+
+def mgf_select(gains, budget: int) -> np.ndarray:
+    """MGF's mask on a float gain table: keys from the whole table, eligibility as `active_mask`."""
+    gains = np.asarray(gains, dtype=float)
+    return top_positive_ids(gain_keys(gains, gains > GAIN_TIE_EPS), budget)
 
 
 @pytest.fixture()

@@ -10,7 +10,48 @@ from collections import deque
 import numpy as np
 
 from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.errors import ValidationError
 from aoi_guard.markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution
+
+
+def optimal_estimate(dist, loss) -> tuple[int, float]:
+    """Bayes-optimal label and its expected loss under the given label law.
+
+    Returns (argmin over y_hat of sum_y dist[y] * L[y, y_hat], attained
+    minimum); ties go to the lowest label index. The minimum is the
+    generalized entropy of dist under this loss.
+    """
+    d = np.asarray(dist, dtype=float)
+    if d.shape != (loss.label_count,):
+        raise ValidationError(f"distribution over {d.shape} labels does not match {loss.label_count}x{loss.label_count} loss")
+    if abs(d.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"distribution sums to {d.sum():.12g}, not 1 within 1e-9")
+    expected = d @ loss.entries
+    best = int(np.argmin(expected))
+    return best, float(expected[best])
+
+
+def conditional_entropy_given(x_given_z, y_given_xz, loss) -> tuple[float, float]:
+    """Both sides of the conditioning inequality at a fixed event Z = z.
+
+    x_given_z is the law of the side information X given z; y_given_xz[x] is
+    the label law given (X = x, z). Returns (entropy of Y given z alone,
+    expected entropy of Y given both X and z). The first is always >= the
+    second: extra conditioning never raises the minimum achievable risk.
+    """
+    w = np.asarray(x_given_z, dtype=float)
+    cond = np.asarray(y_given_xz, dtype=float)
+    if cond.ndim != 2 or cond.shape != (w.shape[0], loss.label_count):
+        raise ValidationError(f"y_given_xz shape {cond.shape} does not match |X|={w.shape[0]}, |Y|={loss.label_count}")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"x_given_z sums to {w.sum():.12g}, not 1 within 1e-9")
+    row_err = np.abs(cond.sum(axis=1) - 1.0)
+    if np.any(row_err > 1e-9):
+        raise ValidationError(f"row {int(np.argmax(row_err))} of y_given_xz is not a distribution")
+    marginal = w @ cond
+    _, coarse = optimal_estimate(marginal, loss)
+    fine = float(np.dot(w, np.min(cond @ loss.entries, axis=1)))
+    return coarse, fine
 
 
 def enumerate_tables(transition, safety_assignment, loss_entries, delta_bound):

@@ -16,7 +16,6 @@ from aoi_guard import (
     MarkovSource,
     SimConfig,
     build_tables,
-    conditional_entropy_given,
     dual_lower_bound,
     identity_safety_map,
     loss_01,
@@ -33,7 +32,7 @@ from aoi_guard.markov import SafetyMap
 from aoi_guard.simulate import config_at
 
 from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
-from oracles import enumerate_tables
+from oracles import conditional_entropy_given, enumerate_tables
 
 BOUNDARY_ROWS = {6, 7, 13, 14}  # 1-indexed rows flanking both label changes
 POLICY_ORDER = ("mgf", "maf", "randomized", "random_queue")

@@ -4,13 +4,13 @@ import pytest
 from aoi_guard import (
     LossMatrix,
     ValidationError,
-    conditional_entropy_given,
     loss_01,
     loss_quadratic,
     loss_safety_example,
-    optimal_estimate,
 )
 from aoi_guard.loss import CAUTIOUS, DANGEROUS, SAFE
+
+from oracles import conditional_entropy_given, optimal_estimate
 
 
 class TestLossBuilders:

@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 import aoi_guard.simulate as simulate
 from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, identity_safety_map, loss_01
-from aoi_guard.policies import top_ids, top_positive_ids, uniform_subset
+from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.policies import gain_keys, top_ids, uniform_subset
 
-from conftest import CHAIN_A_MATRIX
-from oracles import _top_ids
+from conftest import CHAIN_A_MATRIX, mgf_select
+from oracles import _top_ids, _top_positive_ids
 
 
 def ids(mask: np.ndarray) -> list[int]:
@@ -17,33 +18,54 @@ def ids(mask: np.ndarray) -> list[int]:
 
 
 class TestMgfSelect:
-    """MGF's selection: the kernel applied to each agent's looked-up gain."""
+    """MGF's selection: `top_ids` on the agents' gain keys, passive keys masked out."""
 
     def test_top_positive_gains(self):
-        assert ids(top_positive_ids(np.array([[0.5, -0.1, 0.2]]), 2)) == [0, 2]
+        assert ids(mgf_select([[0.5, -0.1, 0.2]], 2)) == [0, 2]
 
     def test_all_negative_selects_nobody(self):
-        assert ids(top_positive_ids(np.array([[-0.5, -0.1, -0.2]]), 5)) == []
+        assert ids(mgf_select([[-0.5, -0.1, -0.2]], 5)) == []
 
     def test_zero_gain_not_selected(self):
-        assert ids(top_positive_ids(np.array([[0.0, 0.3]]), 2)) == [1]
+        assert ids(mgf_select([[0.0, 0.3]], 2)) == [1]
 
     def test_ties_break_to_lower_id(self):
-        assert ids(top_positive_ids(np.array([[0.3, 0.3, 0.3]]), 2)) == [0, 1]
+        assert ids(mgf_select([[0.3, 0.3, 0.3]], 2)) == [0, 1]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         gains = rng.normal(size=(1, 12))
-        base = top_positive_ids(gains, 4)
-        scaled = top_positive_ids(gains * 37.5, 4)
-        assert (base == scaled).all()
+        assert (mgf_select(gains, 4) == mgf_select(gains * 37.5, 4)).all()
 
     def test_rows_select_independently(self):
-        # Each lane is its own selection: a batch equals its rows one by one.
+        # Each lane is its own selection: a batch equals its rows one by one,
+        # though the rows' keys rank the gains of the whole table.
         rng = np.random.default_rng(6)
         gains = np.round(rng.normal(size=(7, 9)), 1)
-        batch = top_positive_ids(gains, 3)
-        assert all((batch[r] == top_positive_ids(gains[r : r + 1], 3)[0]).all() for r in range(7))
+        batch = mgf_select(gains, 3)
+        assert all((batch[r] == mgf_select(gains[r : r + 1], 3)[0]).all() for r in range(7))
+
+    def test_keys_rank_equal_gains_equally_and_mark_passive_cells(self):
+        gains = np.array([[0.5, -0.0, 0.2], [0.0, 0.5, -0.3]])
+        keys = gain_keys(gains, gains > 0.1)
+        assert keys.tolist() == [[3, -1, 2], [-1, 3, -1]]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_the_float_sort_oracle(self, data):
+        # Rounded gains and the values around the tie rule force equal keys;
+        # budgets run past the population.
+        values = st.one_of(st.sampled_from([0.0, -0.0, GAIN_TIE_EPS, -GAIN_TIE_EPS, 2 * GAIN_TIE_EPS]),
+                           st.integers(-4, 4).map(lambda k: k / 4))
+        count = data.draw(st.integers(1, 15))
+        rows = data.draw(st.lists(st.lists(values, min_size=count, max_size=count), min_size=1, max_size=3))
+        gains = np.array(rows)
+        budget = data.draw(st.integers(1, count + 1))
+        mask = mgf_select(gains, budget)
+        for row, got in zip(gains, mask):
+            expect = np.zeros(count, dtype=bool)
+            expect[_top_positive_ids(row, budget)] = True
+            assert (got == expect).all()
 
 
 class TestMafSelect:

@@ -20,10 +20,11 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.markov import candidate_columns, cumulative_rows, stack_padded, step_candidates
-from aoi_guard.policies import QUEUE_CAPACITY, top_positive_ids
+from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.policies import QUEUE_CAPACITY, gain_keys, top_positive_ids
 from aoi_guard.simulate import resolve_workers
 
-from conftest import make_grid_classes
+from conftest import make_grid_classes, mgf_select
 from oracles import ReferenceWorld, random_queue_oracle, reference_records
 
 
@@ -51,24 +52,24 @@ class TestSweepParallelism:
 
 class TestPolicyKernelEquivalence:
     def test_mgf_wrapper_matches_kernel(self):
-        # The simulator looks MGF's gains up in one padded stack of every
-        # class's table; that must select as a per-agent lookup would.
+        # The simulator ranks MGF's gains once in one padded stack of every
+        # class's table; the looked-up keys must select as the agents' own
+        # gains would.
         rng = np.random.default_rng(13)
         tables = [np.vstack([np.zeros((1, w)), rng.normal(size=(9, w))]) for w in (1, 3)]
         stack = stack_padded(tables, 0.0)
+        keys = gain_keys(stack, stack > GAIN_TIE_EPS)
         for _ in range(50):
             cls = rng.integers(0, 2, size=6)
             ages = rng.integers(1, 10, size=6)
             x = np.array([rng.integers(0, tables[c].shape[1]) for c in cls])
             gains = np.array([[tables[c][d, xi] for c, d, xi in zip(cls, ages, x)]])
-            want = top_positive_ids(gains, 3)
-            assert (top_positive_ids(stack[cls, ages, x][None], 3) == want).all()
+            assert (top_positive_ids(keys[cls, ages, x][None], 3) == mgf_select(gains, 3)).all()
 
     def test_budget_beyond_population_selects_all_positive(self):
         rng = np.random.default_rng(14)
         gains = rng.normal(size=(1, 10))
-        picked = top_positive_ids(gains, 50)
-        assert (picked == (gains > 0)).all()
+        assert (mgf_select(gains, 50) == (gains > 0)).all()
 
 
 class TestQueueBookkeepingMatchesSim:

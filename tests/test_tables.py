@@ -9,13 +9,12 @@ from aoi_guard import (
     build_tables,
     identity_safety_map,
     loss_01,
-    optimal_estimate,
     stationary_distribution,
 )
 from aoi_guard.markov import SafetyMap
 
 from conftest import random_primitive_source
-from oracles import enumerate_tables
+from oracles import enumerate_tables, optimal_estimate
 
 
 class TestBuildTables:
