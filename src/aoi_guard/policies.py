@@ -18,6 +18,8 @@ reproducible.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 QUEUE_CAPACITY = 1000
@@ -51,9 +53,17 @@ def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
     if budget >= count:
         return np.ones(values.shape, dtype=bool)
     key = values * count
-    key += np.arange(count - 1, -1, -1)
+    key += _reversed_ids(count)
     kth = count - budget
     return key >= np.partition(key, kth, axis=1)[:, kth, None]
+
+
+@cache
+def _reversed_ids(count: int) -> np.ndarray:
+    """The tie term N - 1 - id of `top_ids`, built once per N."""
+    ids = np.arange(count - 1, -1, -1)
+    ids.flags.writeable = False
+    return ids
 
 
 def uniform_subset(u: np.ndarray, count: int) -> np.ndarray:

@@ -6,19 +6,23 @@ transmission survives its erasure channel independently, deliveries land one
 slot later and reset that agent's age, and the receiver's tabulated estimate
 is charged against the true safety label.
 
-One `run_paired` call runs every seed of a run as a lane. Each policy keeps
-(lanes, N) arrays and steps every lane with one set of array operations per
-slot. The world streams in chunks of CHUNK_SLOTS slots that every policy
-reads before the next chunk is drawn; only the chunk and the last
-QUEUE_CAPACITY slots of true states (random_queue's stamps reach that far
-back) are kept, so memory is O((CHUNK_SLOTS + QUEUE_CAPACITY) * N * lanes)
+One `run_paired` call runs every seed of a run as a lane and every policy as
+a row: the receiver and scheduler state is one set of (P, lanes, N) arrays,
+and one slot loop steps all policies on all lanes with one set of array
+operations per slot (one age update, one selection call for MGF and MAF
+together, one delivery). The world streams in chunks of CHUNK_SLOTS slots
+that the loop reads before the next chunk is drawn; only the chunk and the
+last QUEUE_CAPACITY slots of true states (random_queue's stamps reach that
+far back) are kept, with each policy's ages, observations and picks of the
+chunk, so memory is O((CHUNK_SLOTS * P + QUEUE_CAPACITY) * N * lanes)
 whatever the horizon.
 
 Runs are reproducible bit for bit: all randomness of a lane derives from its
 seed through fixed substreams (one per agent for motion, one per agent for
-the channel, one for the policy, one for initial states), so policies can be
-compared on common random numbers, and a lane's record does not depend on
-the other lanes or on the chunk length.
+the channel, one for the random policies, one for initial states), so
+policies can be compared on common random numbers, and a lane's record does
+not depend on the other lanes, the other policies of the call or the chunk
+length.
 """
 
 from __future__ import annotations
@@ -207,30 +211,47 @@ class _WorldStream:
         return True
 
 
-class _Lanes:
-    """One policy's receiver and scheduler state on every lane, plus its tallies.
+# Row order of the policy axis: the rows that select through `top_ids` come
+# first, so MGF and MAF can select in one call on adjacent rows, and
+# random_queue, the only row with the stamp rule, comes last.
+ROW_ORDER = ("mgf", "maf", "randomized", "random_queue")
 
+
+class _Lanes:
+    """Every policy's receiver and scheduler state on every lane, plus their tallies.
+
+    State arrays have shape (P, lanes, N): row r belongs to `policies[r]`,
+    the policies run in ROW_ORDER. The first `top` rows (MGF, MAF) select
+    through `top_ids`; when both run, `top_keys` stacks their keys for one
+    selection call. The other rows read one uniform subset per slot drawn
+    from the policy stream, which randomized and random_queue share.
     `arriving` marks the packets that will land at the start of the next
-    slot (pulled and not erased); `gen` is the slot each pulled packet was
-    generated in. random_queue keeps every agent's queue as a backlog count:
-    each agent queues one packet per slot and drops its oldest beyond the
-    queue capacity, so its queue is always the run of stamps
-    t - backlog + 1 .. t.
+    slot (pulled and not erased); `gen` is the slot random_queue's pulled
+    packets were generated in. random_queue keeps every agent's queue as a
+    backlog count: each agent queues one packet per slot and drops its
+    oldest beyond the queue capacity, so its queue is always the run of
+    stamps t - backlog + 1 .. t.
     """
 
-    def __init__(self, policy: str, world: _WorldStream):
-        shape = world.key.shape
+    def __init__(self, policies: list[str], world: _WorldStream):
+        self.policies = [p for p in ROW_ORDER if p in policies]
+        self.mgf = "mgf" in self.policies
+        self.top = self.mgf + ("maf" in self.policies)
+        self.queue = "random_queue" in self.policies
+        lanes, n = world.key.shape
+        shape = (len(self.policies), lanes, n)
         self.delta = np.ones(shape, dtype=np.int64)
-        self.seen = world.key.copy()  # key of the receiver's last observation
+        self.seen = np.broadcast_to(world.key, shape).copy()  # key of the receiver's last observation
         self.arriving = np.zeros(shape, dtype=bool)
-        self.gen = np.zeros(shape, dtype=np.int64)
-        self.backlog = np.zeros(shape, dtype=np.int64)
-        randomized = policy in ("randomized", "random_queue")
+        self.gen = np.zeros((lanes, n), dtype=np.int64)
+        self.backlog = np.zeros((lanes, n), dtype=np.int64)
+        randomized = self.top < len(self.policies)
         self.rngs = [np.random.default_rng(s) for s in world.policy_seqs] if randomized else []
-        self.total_loss = np.zeros(shape[0])
+        self.top_keys = np.empty((2, lanes, n), dtype=np.int64) if self.top == 2 else None
+        self.total_loss = np.zeros(shape[:2])
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
-        self.deliveries = np.zeros(shape[0], dtype=np.int64)
-        self.activations = np.zeros(shape[0], dtype=np.int64)
+        self.deliveries = np.zeros(shape[:2], dtype=np.int64)
+        self.activations = np.zeros(shape[:2], dtype=np.int64)
         self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int64)
         self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.intp)
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
@@ -239,12 +260,14 @@ class _Lanes:
 def _run_policy(
     config: SimConfig,
     world: _WorldStream,
-    policy: str,
-    lanes: _Lanes,
+    name: str,
+    state: _Lanes,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray | None],
 ) -> None:
-    """One policy's slots of the current chunk on every lane, then their tallies.
+    """Every policy row's slots of the current chunk on every lane, then their tallies.
 
+    `name` joins the names of the policies the state steps with "+"; the
+    benchmark's tracer names the loop's span by it.
     `tables` holds the estimator choices flattened to (age, key), the
     (class, label, estimate) loss stack and, for MGF, the `gain_keys`
     flattened like the estimator: each cell's gain rank, or -1 where the
@@ -256,56 +279,77 @@ def _run_policy(
     est, loss, gain_key = tables
     t0, t1, base = world.t0, world.t1, world.t0 - world.history
     length, budget, db = t1 - t0, config.channels, config.delta_bound
-    delta, seen, arriving, gen, backlog = lanes.delta, lanes.seen, lanes.arriving, lanes.gen, lanes.backlog
-    if lanes.rngs:
-        n = delta.shape[1]
-        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in lanes.rngs])
-        picks = uniform_subset(draws, n).reshape(len(lanes.rngs), length, n).transpose(1, 0, 2)
+    delta, seen, arriving, picked = state.delta, state.seen, state.arriving, state.picked
+    rows, lanes, n = delta.shape
+    top, queue = state.top, state.queue
+    fresh = rows - queue  # rows that deliver fresh packets: all but random_queue
+    fresh_delta, fresh_seen, fresh_arriving = delta[:fresh], seen[:fresh], arriving[:fresh]
+    ok = world.ok[:, None]  # (slot, 1, lane, agent): same-rank operands broadcast faster
+    top_picked = picked.reshape(CHUNK_SLOTS, rows * lanes, n)[:, : top * lanes]
+    head_delta, head_seen = delta[0], seen[0]
+    mgf, top_keys = state.mgf, state.top_keys
+    if top_keys is not None:
+        # MGF and MAF select in one call on their stacked keys. MAF's key is
+        # its age, always >= 1, so the `keys >= 0` eligibility mask of MGF
+        # leaves MAF's rows as `top_ids` picks them.
+        stacked, maf_delta = top_keys.reshape(2 * lanes, n), delta[1]
+    if top < rows:
+        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in state.rngs])
+        picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
+        picked[:length, top:] = picks[:, None]
+    if queue:
+        gen, backlog = state.gen, state.backlog
+        queue_delta, queue_seen, queue_arriving = delta[-1], seen[-1], arriving[-1]
+        queue_picked = picked[:, -1]
 
     for i in range(length):
         t = t0 + i
         if t > 0:
             delta += 1
-            if policy == "random_queue":
-                lane, agent = np.nonzero(arriving)
+            if fresh:
+                np.copyto(fresh_delta, 1, where=fresh_arriving)
+                np.copyto(fresh_seen, world.keys[t - 1 - base], where=fresh_arriving)
+            if queue:  # a delivered packet generated at slot g sets the age to t - g
+                lane, agent = np.nonzero(queue_arriving)
                 stamp = gen[lane, agent]
-                delta[lane, agent] = t - stamp
-                seen[lane, agent] = world.keys[stamp - base, lane, agent]
-            else:
-                np.copyto(delta, 1, where=arriving)
-                np.copyto(seen, world.keys[t - 1 - base], where=arriving)
-        lanes.ages[i] = delta
-        lanes.observed[i] = seen
+                queue_delta[lane, agent] = t - stamp
+                queue_seen[lane, agent] = world.keys[stamp - base, lane, agent]
+        state.ages[i] = delta
+        state.observed[i] = seen
 
-        if policy == "mgf":
-            sel = top_positive_ids(gain_key[np.minimum(delta, db), seen], budget)
-        elif policy == "maf":
-            sel = top_ids(delta, budget)
-        else:
-            sel = picks[i]
-            if policy == "random_queue":
-                np.minimum(backlog + 1, world.history, out=backlog)
-                np.copyto(gen, t - backlog + 1, where=sel)
-                backlog -= sel
-        lanes.picked[i] = sel
-        np.logical_and(sel, world.ok[i], out=arriving)
+        if top_keys is not None:
+            top_keys[0] = gain_key[np.minimum(head_delta, db), head_seen]
+            top_keys[1] = maf_delta
+            top_picked[i] = top_positive_ids(stacked, budget)
+        elif mgf:
+            top_picked[i] = top_positive_ids(gain_key[np.minimum(head_delta, db), head_seen], budget)
+        elif top:
+            top_picked[i] = top_ids(head_delta, budget)
+        if queue:
+            sel = queue_picked[i]
+            np.minimum(backlog + 1, world.history, out=backlog)
+            np.copyto(gen, t - backlog + 1, where=sel)
+            backlog -= sel
+        np.logical_and(picked[i], ok[i], out=arriving)
 
-    picked = lanes.picked[:length]
-    counts = picked.sum(axis=2)
-    if counts.max() > budget:
-        raise RuntimeError(f"{policy} selected {counts.max()} agents with {budget} channels")
-    lanes.activations += counts.sum(axis=0)
+    picked = picked[:length]
+    counts = picked.sum(axis=3)
+    most = counts.max(axis=(0, 2))
+    if most.max() > budget:
+        row = int(most.argmax())
+        raise RuntimeError(f"{state.policies[row]} selected {most[row]} agents with {budget} channels")
+    state.activations += counts.sum(axis=0)
     landed = min(length, config.slots - 1 - t0)  # a pull in the last slot never lands
-    lanes.deliveries += (picked[:landed] & world.ok[:landed]).sum(axis=(0, 2))
+    state.deliveries += (picked[:landed] & ok[:landed]).sum(axis=(0, 3))
     first = max(config.warmup - t0, 0)
     if first < length:
-        ages = lanes.ages[first:length]
+        ages = state.ages[first:length]
         labels = world.label[world.keys[world.history + first : world.history + length]]
-        estimates = est[np.minimum(ages, db), lanes.observed[first:length]]
-        per_slot = loss[world.cls_idx, labels, estimates].sum(axis=2)
+        estimates = est[np.minimum(ages, db), state.observed[first:length]]
+        per_slot = loss[world.cls_idx, labels[:, None], estimates].sum(axis=3)
         # slot by slot, in the order a running total adds them
-        lanes.total_loss = np.cumsum(np.vstack((lanes.total_loss, per_slot)), axis=0)[-1]
-        lanes.aoi_sum += ages.sum(axis=0)
+        state.total_loss = np.cumsum(np.concatenate((state.total_loss[None], per_slot)), axis=0)[-1]
+        state.aoi_sum += ages.sum(axis=0)
 
 
 def run_paired(
@@ -319,7 +363,9 @@ def run_paired(
     """Run several policies on the worlds of seeds seed .. seed + replications - 1.
 
     Each seed is a lane, and every policy sees the same world on it (common
-    random numbers). Records come per policy, lanes in seed order.
+    random numbers). All policies step together as rows of one state, one
+    slot loop for all of them. Records come per policy in the order given,
+    lanes in seed order.
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
@@ -338,17 +384,19 @@ def run_paired(
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
                              flat([s.active_mask() for s in system.solutions], False))
     tables = (est, stack_padded([c.loss.entries for c in config.classes], 0.0), gain_key)
-    states = [_Lanes(p, world) for p in policies]
+    state = _Lanes(policies, world)
+    name = "+".join(state.policies)
     while world.advance():
-        for policy, lanes in zip(policies, states):
-            _run_policy(config, world, policy, lanes, tables)
+        if state.policies:
+            _run_policy(config, world, name, state, tables)
 
     n, accounted = world.cls_idx.size, config.slots - config.warmup
     records = []
-    for policy, lanes in zip(policies, states):
+    for policy in policies:
+        row = state.policies.index(policy)
         for lane, lane_seed in enumerate(seeds):
-            total_loss = float(lanes.total_loss[lane])
-            agent_mean_aoi = lanes.aoi_sum[lane] / accounted
+            total_loss = float(state.total_loss[row, lane])
+            agent_mean_aoi = state.aoi_sum[row, lane] / accounted
             records.append(SimRecord(
                 policy=policy,
                 seed=lane_seed,
@@ -358,10 +406,10 @@ def run_paired(
                 slots=config.slots,
                 total_loss=total_loss,
                 normalized_penalty=total_loss / (accounted * n),
-                activation_rate=int(lanes.activations[lane]) / config.slots,
+                activation_rate=int(state.activations[row, lane]) / config.slots,
                 mean_aoi=float(agent_mean_aoi.mean()),
                 agent_mean_aoi=tuple(float(v) for v in agent_mean_aoi),
-                deliveries=int(lanes.deliveries[lane]),
+                deliveries=int(state.deliveries[row, lane]),
             ))
     return records
 

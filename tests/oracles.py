@@ -154,7 +154,7 @@ def renewal_sums_loop(mask, source, success_prob, q=None):
             cost += reach * q[delta]
         delivered = success_prob * sent
         kernel += delivered[:, None] * power
-        reach = reach - delivered
+        reach = reach * (1.0 - success_prob * sends[delta])  # not reach - delivered: no cancellation at p ~ 1
         power = power @ p
     stay = np.where(mask[db], reach / success_prob, 0.0)
     length += stay

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import aoi_guard.simulate as simulate
@@ -21,7 +21,7 @@ from aoi_guard import (
 )
 from aoi_guard.markov import candidate_columns, cumulative_rows, stack_padded, step_candidates
 from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.policies import QUEUE_CAPACITY, gain_keys, top_positive_ids
+from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_positive_ids
 from aoi_guard.simulate import resolve_workers
 
 from conftest import make_grid_classes, mgf_select
@@ -122,28 +122,55 @@ def simulations(draw):
     return cfg, draw(st.integers(0, 10_000)), draw(st.integers(1, 3)), draw(st.sampled_from([3, 40]))
 
 
+def policy_subsets(min_size=1):
+    """A subset of the policies, at least `min_size` of them, in a random order."""
+    return st.permutations(POLICY_KEYS).flatmap(
+        lambda order: st.integers(min_size, len(order)).map(lambda k: list(order[:k])))
+
+
+def solved(cfg, policies):
+    """The config's tables, and gains if MGF runs; MGF is dropped where they cannot be solved."""
+    try:
+        return solve_system(cfg, with_gains="mgf" in policies), policies
+    except ConvergenceError:  # a frozen class may have no single average cost
+        policies = [p for p in policies if p != "mgf"]
+        assume(policies)
+        return solve_system(cfg, with_gains=False), policies
+
+
 class TestLanesMatchReference:
-    """The lane-batched, streamed simulator against the one-lane reference."""
+    """The lane-batched, streamed, policy-stacked simulator against the one-lane reference."""
 
     @settings(max_examples=40, deadline=None)
-    @given(simulations())
-    def test_records_equal_the_reference(self, case):
+    @given(simulations(), policy_subsets())
+    def test_records_equal_the_reference(self, case, policies):
         # Runs of 257-700 slots span two or three 256-slot chunks, and a queue
-        # capacity of 3 or 40 makes random_queue's history window wrap.
+        # capacity of 3 or 40 makes random_queue's history window wrap. Any
+        # subset of the policies in any order checks the rows' mapping onto
+        # records and the one-policy paths.
         cfg, seed, replications, capacity = case
-        policies = ["mgf", "maf", "randomized", "random_queue"]
-        try:
-            system = solve_system(cfg, with_gains=True)
-        except ConvergenceError:  # a frozen class may have no single average cost
-            system, policies = solve_system(cfg, with_gains=False), policies[1:]
+        system, policies = solved(cfg, policies)
         event(f"{len(policies)} policies, {-(-cfg.slots // simulate.CHUNK_SLOTS)} chunk(s)")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "QUEUE_CAPACITY", capacity)
             got = run_paired(cfg, policies, system, seed, replications=replications)
-        want = [rec for lane in range(replications)
-                for rec in reference_records(cfg, policies, system, seed + lane, capacity)]
-        key = lambda rec: (rec[0], rec[1])  # noqa: E731 - (policy, seed)
-        assert sorted((tuple(vars(r).values()) for r in got), key=key) == sorted(want, key=key)
+        want = [reference_records(cfg, policies, system, seed + lane, capacity) for lane in range(replications)]
+        assert [tuple(vars(r).values()) for r in got] == [
+            want[lane][k] for k in range(len(policies)) for lane in range(replications)
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(simulations(), policy_subsets(min_size=2))
+    def test_each_policy_runs_as_it_would_alone(self, case, policies):
+        # Common random numbers: a policy's records do not depend on the
+        # policies that share its slot loop.
+        cfg, seed, replications, capacity = case
+        system, policies = solved(cfg, policies)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "QUEUE_CAPACITY", capacity)
+            mixed = run_paired(cfg, policies, system, seed, replications=replications)
+            alone = [rec for p in policies for rec in run_paired(cfg, [p], system, seed, replications=replications)]
+        assert mixed == alone
 
 
 class TestSparseStep:

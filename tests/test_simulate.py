@@ -95,9 +95,9 @@ class TestRunSimulation:
             run_simulation(chain_a_config(members=3, policy="maf", slots=100))
 
     def test_slot_loops_go_through_the_traced_names(self, monkeypatch):
-        # perfbench times each policy's slot loop and kernels, and the world
-        # initial law, by wrapping these module attributes; the loop's
-        # third positional argument names the policy.
+        # perfbench times the slot loop and kernels, and the world initial
+        # law, by wrapping these module attributes; the loop's third
+        # positional argument names the policies it steps, joined by "+".
         calls = []
 
         def counted(name, fn):
@@ -106,15 +106,28 @@ class TestRunSimulation:
                 return fn(*args)
             monkeypatch.setattr(simulate, name, wrapper)
 
+        def tally():
+            tallied = {c: calls.count(c) for c in set(calls)}
+            calls.clear()
+            return tallied
+
         for name in ("_run_policy", "top_positive_ids", "top_ids", "uniform_subset", "is_primitive",
                      "stationary_distribution"):
             counted(name, getattr(simulate, name))
         cfg = chain_a_config(members=2, slots=300)
-        run_paired(cfg, ["mgf", "maf", "randomized", "random_queue"], solve_system(cfg), 5, replications=3)
-        assert {c: calls.count(c) for c in set(calls)} == {
-            "mgf": 2, "maf": 2, "randomized": 2, "random_queue": 2,  # one call per 256-slot chunk
-            "top_positive_ids": 300, "top_ids": 300, "uniform_subset": 4,  # per slot or per chunk
+        system = solve_system(cfg)
+        run_paired(cfg, ["maf", "random_queue", "mgf", "randomized"], system, 5, replications=3)
+        assert tally() == {
+            "mgf+maf+randomized+random_queue": 2,  # one loop call per 256-slot chunk
+            "top_positive_ids": 300,  # MGF and MAF together, once per slot
+            "uniform_subset": 2,  # both random policies' picks, once per chunk
             "is_primitive": 1, "stationary_distribution": 1,  # the class's initial law, once per call
+        }
+        for policy in ("mgf", "maf"):
+            run_paired(cfg, [policy], system, 5, replications=3)
+        assert tally() == {
+            "mgf": 2, "maf": 2, "top_positive_ids": 300, "top_ids": 300,
+            "is_primitive": 2, "stationary_distribution": 2,
         }
 
     def test_mgf_without_solutions_is_an_error(self):
