@@ -37,7 +37,6 @@ from .simulate import (
     SimRecord,
     SolvedSystem,
     run_paired,
-    run_simulation,
     run_sweep,
     solve_system,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "loss_safety_example",
     "policy_iteration",
     "run_paired",
-    "run_simulation",
     "run_sweep",
     "solve_system",
     "stationary_distribution",

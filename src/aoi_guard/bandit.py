@@ -351,7 +351,6 @@ class DualTrace:
     """
 
     iterations: list[tuple[int, float, float]] = field(default_factory=list)
-    lambda_star: float = 0.0
     converged: bool = False
 
     def csv_rows(self) -> list[str]:
@@ -440,7 +439,7 @@ def dual_ascent(
         return rate, value, sols
 
     def finish(lam: float, sols: list[BanditSolution]):
-        trace.lambda_star, trace.converged = lam, True
+        trace.converged = True
         return lam, trace, sols
 
     rate, value, sols = probe(0.0)

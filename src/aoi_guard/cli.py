@@ -1,5 +1,9 @@
 """Command-line surface: solve | simulate | sweep | profile.
 
+`main` loads the manifest, sets the `--seed`, `--slots` and `--policy`
+overrides on that same object, and hands it to one `cmd_*` function together
+with the `--output` path (and, for the record-writing commands, the
+`--format`).
 Every output file embeds the tool version and the config digest, so a result
 can always be traced back to the exact manifest that produced it. Exit codes
 distinguish failure families: 2 parse, 3 validation, 4 solver convergence,
@@ -17,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ParseError, RunManifest, load_config
+from .config import ParseError, RunManifest, load_config, parse_policies
 from .errors import ConvergenceError, ValidationError
-from .policies import POLICY_KEYS
 from .simulate import (
     SimRecord,
     records_to_csv,
@@ -45,11 +48,13 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_records(manifest: RunManifest, records: list[SimRecord], default_name: str) -> Path:
-    out = manifest.output or Path(f"{manifest.name}_{default_name}")
+def _write_records(
+    manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str
+) -> Path:
+    out = output or Path(f"{manifest.name}_{default_name}")
     if out.is_dir():
         out = out / f"{manifest.name}_{default_name}"
-    if manifest.fmt == "json":
+    if fmt == "json":
         out = out.with_suffix(".json")
         body = {
             "version": __version__,
@@ -61,10 +66,6 @@ def _write_records(manifest: RunManifest, records: list[SimRecord], default_name
         out = out.with_suffix(".csv")
         _write_text(out, _stamp_lines(manifest) + records_to_csv(records))
     return out
-
-
-def _policies_for(manifest: RunManifest) -> list[str]:
-    return list(POLICY_KEYS) if manifest.run_all else [manifest.sim.policy]
 
 
 def _summarize(records: list[SimRecord]) -> list[str]:
@@ -82,9 +83,9 @@ def _mean(records: list[SimRecord], policy: str) -> float:
     return float(np.mean(vals))
 
 
-def cmd_solve(manifest: RunManifest) -> int:
+def cmd_solve(manifest: RunManifest, output: Path | None) -> int:
     system = solve_system(manifest.sim, with_gains=True)
-    out_dir = manifest.output or Path(f"{manifest.name}_solve")
+    out_dir = output or Path(f"{manifest.name}_solve")
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp_lines(manifest)
     for i, cls in enumerate(manifest.sim.classes):
@@ -110,39 +111,39 @@ def cmd_solve(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
-    policies = _policies_for(manifest)
-    system = solve_system(manifest.sim, with_gains="mgf" in policies)
-    records = run_paired(manifest.sim, policies, system, manifest.sim.seed, replications=manifest.replications)
+def cmd_simulate(manifest: RunManifest, output: Path | None, fmt: str) -> int:
+    system = solve_system(manifest.sim, with_gains="mgf" in manifest.policies)
+    records = run_paired(
+        manifest.sim, manifest.policies, system, manifest.sim.seed, replications=manifest.replications
+    )
     records.sort(key=lambda r: (r.policy, r.seed))
-    out = _write_records(manifest, records, "records")
+    out = _write_records(manifest, records, "records", output, fmt)
     for line in _summarize(records):
         print(line)
     print(f"wrote {len(records)} record(s) -> {out}")
     return EXIT_OK
 
 
-def cmd_sweep(manifest: RunManifest) -> int:
+def cmd_sweep(manifest: RunManifest, output: Path | None, fmt: str) -> int:
     if manifest.sweep_axis is None:
         raise ValidationError(f"{manifest.path}: sweep command needs a 'sweep' section (axis, values)")
-    policies = _policies_for(manifest)
     records = run_sweep(
         manifest.sim,
         manifest.sweep_axis,
         manifest.sweep_values,
-        policies=policies,
+        policies=manifest.policies,
         replications=manifest.replications,
     )
-    out = _write_records(manifest, records, f"sweep_{manifest.sweep_axis}")
+    out = _write_records(manifest, records, f"sweep_{manifest.sweep_axis}", output, fmt)
     for line in _summarize(records):
         print(line)
     print(f"wrote {len(records)} record(s) -> {out}")
     return EXIT_OK
 
 
-def cmd_profile(manifest: RunManifest, deltas: list[int]) -> int:
+def cmd_profile(manifest: RunManifest, deltas: list[int], output: Path | None) -> int:
     system = solve_system(manifest.sim, with_gains=True)
-    out_dir = manifest.output or Path(f"{manifest.name}_profile")
+    out_dir = output or Path(f"{manifest.name}_profile")
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp_lines(manifest)
     summary: dict = {"version": __version__, "config_digest": manifest.digest, "classes": {}}
@@ -195,35 +196,24 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         manifest = load_config(args.config)
-        manifest.command = args.command
-        manifest.output = args.output
-        manifest.fmt = args.format
-        sim = manifest.sim
         if args.seed is not None:
-            sim = replace(sim, seed=args.seed)
+            manifest.sim = replace(manifest.sim, seed=args.seed)
         if args.slots is not None:
-            sim = replace(sim, slots=args.slots, warmup=None)
+            manifest.sim = replace(manifest.sim, slots=args.slots, warmup=None)
         if args.policy is not None:
-            if args.policy == "all":
-                manifest.run_all = True
-            elif args.policy in POLICY_KEYS:
-                sim = replace(sim, policy=args.policy)
-                manifest.run_all = False
-            else:
-                raise ValidationError(f"--policy must be 'all' or one of {', '.join(POLICY_KEYS)}")
-        manifest.sim = sim
+            manifest.policies = parse_policies(args.policy, "--policy")
 
         if args.command == "solve":
-            return cmd_solve(manifest)
+            return cmd_solve(manifest, args.output)
         if args.command == "simulate":
-            return cmd_simulate(manifest)
+            return cmd_simulate(manifest, args.output, args.format)
         if args.command == "sweep":
-            return cmd_sweep(manifest)
+            return cmd_sweep(manifest, args.output, args.format)
         try:
             deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
         except ValueError:
             raise ValidationError(f"--deltas must be comma-separated integers, got {args.deltas!r}")
-        return cmd_profile(manifest, deltas)
+        return cmd_profile(manifest, deltas, args.output)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

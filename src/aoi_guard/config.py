@@ -4,6 +4,11 @@ The loader validates everything eagerly (matrix stochasticity, band edges,
 probability ranges, policy names) and reports the offending key by path, so
 a typo fails at load time instead of ten minutes into a sweep. The file's
 SHA-256 digest rides along into every output for provenance.
+
+The manifest is the parsed config and nothing else: where a command writes
+and in which format are arguments of the command. Its `policies` is the one
+list of policies a run compares; `parse_policies` makes it from the config's
+`policy` key and from the CLI's `--policy` override alike.
 """
 
 from __future__ import annotations
@@ -29,19 +34,31 @@ class ParseError(Exception):
 
 @dataclass
 class RunManifest:
-    """Everything a command needs: parsed config, replications, sweep, provenance."""
+    """The parsed config: simulation, policies, replications, sweep, provenance.
+
+    Where a command writes and in which format are not part of it: they are
+    arguments of each command. The CLI's `--seed`, `--slots` and `--policy`
+    overrides are set on the loaded manifest itself, so whoever holds the
+    object `load_config` returned sees the run that actually happened.
+    """
 
     sim: SimConfig
+    policies: tuple[str, ...]
     replications: int
     sweep_axis: str | None
     sweep_values: list[int] | None
     digest: str
     path: Path
     name: str
-    command: str = ""
-    output: Path | None = None
-    fmt: str = "csv"
-    run_all: bool = False
+
+
+def parse_policies(value, where: str) -> tuple[str, ...]:
+    """The policies a `policy` value names: 'all' is every one, a policy name just that one."""
+    if value == "all":
+        return POLICY_KEYS
+    if value in POLICY_KEYS:
+        return (value,)
+    raise ConfigError(f"{where}: {value!r} is not 'all' or one of {', '.join(POLICY_KEYS)}")
 
 
 def _need(mapping: dict, key: str, where: str):
@@ -197,12 +214,8 @@ def load_config(path) -> RunManifest:
 
     policy = doc.get("policy")
     if policy is None:
-        raise ConfigError(f"{where}: missing required key 'policy' (one of {', '.join(POLICY_KEYS)})")
-    if policy not in POLICY_KEYS and policy != "all":
-        raise ConfigError(f"{where}.policy: {policy!r} is not one of {', '.join(POLICY_KEYS)}")
-    run_all = policy == "all"
-    if run_all:
-        policy = "mgf"
+        raise ConfigError(f"{where}: missing required key 'policy' ('all' or one of {', '.join(POLICY_KEYS)})")
+    policies = parse_policies(policy, f"{where}.policy")
 
     try:
         sim = SimConfig(
@@ -211,7 +224,6 @@ def load_config(path) -> RunManifest:
             slots=_number(doc, "slots", where, integer=True),
             warmup=_number(doc, "warmup", where, integer=True) if "warmup" in doc else None,
             seed=_number(doc, "seed", where, default=0, integer=True),
-            policy=policy,
             delta_bound=_number(doc, "delta_bound", where, default=250, integer=True),
         )
     except ConfigError:
@@ -236,11 +248,11 @@ def load_config(path) -> RunManifest:
 
     return RunManifest(
         sim=sim,
+        policies=policies,
         replications=_number(doc, "replications", where, default=1, integer=True),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         digest=digest,
         path=path,
         name=str(doc.get("name", path.stem)),
-        run_all=run_all,
     )

@@ -28,6 +28,7 @@ length.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,14 +51,13 @@ THREADS_ENV = "AOI_GUARD_THREADS"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: population, budget, horizon, policy, seed."""
+    """One simulation run: population, budget, horizon, seed, age bound."""
 
     classes: tuple[AgentClassSpec, ...]
     channels: int
     slots: int
     warmup: int | None = None
     seed: int = 0
-    policy: str = "mgf"
     delta_bound: int = 250
 
     def __post_init__(self):
@@ -66,8 +66,6 @@ class SimConfig:
             raise ValidationError("need at least one agent")
         if self.channels < 1:
             raise ValidationError(f"channels must be >= 1, got {self.channels}")
-        if self.policy not in POLICY_KEYS:
-            raise ValidationError(f"policy must be one of {', '.join(POLICY_KEYS)}; got {self.policy!r}")
         if self.delta_bound < 1:
             raise ValidationError(f"delta_bound must be >= 1, got {self.delta_bound}")
         if self.seed < 0:
@@ -120,10 +118,8 @@ class SolvedSystem:
     trace: DualTrace | None = None
 
 
-def solve_system(config: SimConfig, with_gains: bool | None = None) -> SolvedSystem:
-    """Build estimation tables for every class; solve gains if MGF needs them."""
-    if with_gains is None:
-        with_gains = config.policy == "mgf"
+def solve_system(config: SimConfig, with_gains: bool) -> SolvedSystem:
+    """Build estimation tables for every class; solve the gains too if asked (MGF needs them)."""
     built = [build_tables(c, config.delta_bound) for c in config.classes]
     penalties = tuple(b[0] for b in built)
     estimators = tuple(b[1] for b in built)
@@ -352,9 +348,16 @@ def _run_policy(
         state.aoi_sum += ages.sum(axis=0)
 
 
+def _check_policies(policies: Sequence[str]) -> None:
+    """Reject any name that is not a policy; repeated names are allowed."""
+    for p in policies:
+        if p not in POLICY_KEYS:
+            raise ValidationError(f"unknown policy {p!r}; expected one of {', '.join(POLICY_KEYS)}")
+
+
 def run_paired(
     config: SimConfig,
-    policies: list[str],
+    policies: Sequence[str],
     system: SolvedSystem,
     seed: int,
     scale: int = 1,
@@ -367,6 +370,7 @@ def run_paired(
     slot loop for all of them. Records come per policy in the order given,
     lanes in seed order.
     """
+    _check_policies(policies)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if "mgf" in policies and system.solutions is None:
@@ -412,13 +416,6 @@ def run_paired(
                 deliveries=int(state.deliveries[row, lane]),
             ))
     return records
-
-
-def run_simulation(config: SimConfig, system: SolvedSystem | None = None) -> SimRecord:
-    """Simulate one policy per the config; solves tables on entry if needed."""
-    if system is None:
-        system = solve_system(config)
-    return run_paired(config, [config.policy], system, config.seed)[0]
 
 
 SWEEP_AXES = ("agents", "channels", "scale")
@@ -470,7 +467,7 @@ def run_sweep(
     config: SimConfig,
     axis: str,
     values: list[int],
-    policies: list[str] | None = None,
+    policies: Sequence[str] = POLICY_KEYS,
     replications: int = 1,
 ) -> list[SimRecord]:
     """One record per (policy, axis value, seed), seeds shared for pairing.
@@ -483,10 +480,7 @@ def run_sweep(
     """
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
-    policies = list(policies) if policies is not None else list(POLICY_KEYS)
-    for p in policies:
-        if p not in POLICY_KEYS:
-            raise ValidationError(f"unknown policy {p!r}")
+    _check_policies(policies)
     tasks = []
     for value in values:
         point = config_at(config, axis, value)

@@ -58,7 +58,7 @@ def random_primitive_source(rng, states):
 
 @pytest.fixture(scope="session")
 def grid_config():
-    return SimConfig(make_grid_classes(), channels=2, slots=100_000, seed=1, policy="mgf")
+    return SimConfig(make_grid_classes(), channels=2, slots=100_000, seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from aoi_guard import (
     loss_safety_example,
     policy_iteration,
     run_paired,
-    run_simulation,
     run_sweep,
     solve_system,
     stationary_distribution,
@@ -60,7 +59,7 @@ def grid_runs(grid_config, grid_system):
 @pytest.fixture(scope="session")
 def scaling_results():
     """MGF penalties and dual bounds for r in {1, 2, 4, 8} with N=4r, M=r."""
-    base = SimConfig(make_grid_classes((2, 2)), channels=1, slots=50_000, seed=201, policy="mgf")
+    base = SimConfig(make_grid_classes((2, 2)), channels=1, slots=50_000, seed=201)
     values = [1, 2, 4, 8]
     bounds, penalties = {}, {}
     for r in values:
@@ -181,8 +180,8 @@ def test_criterion_06_closed_form_average_cost_and_simulation():
     closed_form = 2 / 15  # pi=(2/3,1/3) against q(1,.)=(0.1,0.2)
     cost_ok = abs(sol.avg_cost - closed_form) < 1e-4
 
-    cfg = SimConfig((cls,), channels=1, slots=1_000_000, seed=1006, policy="mgf")
-    rec = run_simulation(cfg)
+    cfg = SimConfig((cls,), channels=1, slots=1_000_000, seed=1006)
+    (rec,) = run_paired(cfg, ["mgf"], solve_system(cfg, with_gains=True), cfg.seed)
     sim_gap = abs(rec.normalized_penalty - closed_form) / closed_form
     report(6, "closed-form average cost", cost_ok and sim_gap < 0.02,
            f"avg_cost = {sol.avg_cost:.6f} (target {closed_form:.6f}); 1e6-slot sim off by {sim_gap:.2%}")
@@ -276,9 +275,7 @@ def test_criterion_10_scaling_trend(scaling_results):
 
 def test_channel_sweep_improves_every_policy(grid_config):
     """More channels never hurt: penalty non-increasing in M within noise."""
-    cfg = SimConfig(
-        grid_config.classes, channels=2, slots=20_000, seed=301, policy="mgf"
-    )
+    cfg = SimConfig(grid_config.classes, channels=2, slots=20_000, seed=301)
     values = [2, 6, 10]
     records = run_sweep(cfg, "channels", values, policies=list(POLICY_ORDER), replications=6)
     for policy in POLICY_ORDER:

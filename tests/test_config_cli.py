@@ -12,6 +12,8 @@ from aoi_guard import bandit, cli
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
+from aoi_guard.policies import POLICY_KEYS
+from aoi_guard.simulate import records_to_csv, run_paired
 
 REPO = Path(__file__).resolve().parent.parent
 GRID20 = REPO / "configs" / "grid20.yaml"
@@ -58,7 +60,7 @@ class TestLoadConfig:
         assert sim.channels == 2
         assert all(c.success_prob == 0.95 for c in sim.classes)
         assert sim.classes[0].loss.entries[2, 0] == 1000  # safety-example loss
-        assert manifest.run_all
+        assert manifest.policies == POLICY_KEYS
         assert manifest.replications == 20
         assert sim.delta_bound == 250
         assert manifest.sweep_axis == "channels"
@@ -282,7 +284,37 @@ classes:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "policy"))]
         assert len(rows) == 2  # one policy x two channel counts x one seed
 
-    def test_flag_overrides(self, tmp_path):
+    @pytest.mark.parametrize("flag", [None, "maf", "all"])
+    @pytest.mark.parametrize("config_policy", ["all", "maf"])
+    def test_policy_list_from_config_and_flag(self, tmp_path, config_policy, flag):
+        # The config's `policy` key and the `--policy` flag go through one
+        # parse: 'all' is every policy, a name is that one, and the flag wins.
+        text = MINIMAL.replace("policy: maf", f"policy: {config_policy}").replace("slots: 2000", "slots: 600")
+        cfg = write_config(tmp_path, text + "replications: 2\n")
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out)]
+        assert main(argv + (["--policy", flag] if flag else [])) == EXIT_OK
+        manifest = load_config(cfg)
+        assert manifest.policies == (POLICY_KEYS if config_policy == "all" else ("maf",))
+        expected = POLICY_KEYS if (flag or config_policy) == "all" else ("maf",)
+        system = cli.solve_system(manifest.sim, with_gains="mgf" in expected)
+        records = run_paired(manifest.sim, expected, system, manifest.sim.seed, replications=2)
+        records.sort(key=lambda r: (r.policy, r.seed))
+        body = "".join(out.read_text().splitlines(keepends=True)[2:])
+        assert body == records_to_csv(records)
+        assert len(records) == 2 * len(expected)
+
+    def test_flag_overrides(self, tmp_path, monkeypatch):
+        # Callers that wrap `cli.load_config` (the benchmark harness does)
+        # read the run's seed, horizon and policies off the object it
+        # returned, so the flags must land on that object too.
+        loaded = []
+
+        def capture(path):
+            loaded.append(load_config(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_config", capture)
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "r.csv"
         rc = main(["simulate", "--config", str(cfg), "--output", str(out),
@@ -290,6 +322,9 @@ classes:
         assert rc == 0
         row = [l for l in out.read_text().splitlines() if l.startswith("randomized")][0]
         assert row.split(",")[4:6] == ["9", "1500"]
+        (manifest,) = loaded
+        assert (manifest.sim.seed, manifest.sim.slots) == (9, 1500)
+        assert manifest.policies == ("randomized",)
 
 
 class TestExitCodes:
@@ -300,6 +335,12 @@ class TestExitCodes:
     def test_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.replace("channels: 1", "channels: 0"))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+
+    def test_unknown_policy_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["simulate", "--config", str(cfg), "--policy", "greedy"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--policy" in err and "'greedy'" in err and "'all'" in err
 
     def test_bad_profile_deltas(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -149,8 +149,8 @@ def queue_ages_after(monkeypatch, agents: int, pulls: dict[int, list[int]], slot
     monkeypatch.setattr(simulate, "uniform_subset", scripted)
     src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 1.0, agents)
-    cfg = SimConfig((cls,), channels=1, slots=slot + 2, warmup=slot + 1, policy="random_queue", delta_bound=20)
-    (rec,) = simulate.run_paired(cfg, ["random_queue"], simulate.solve_system(cfg), 0)
+    cfg = SimConfig((cls,), channels=1, slots=slot + 2, warmup=slot + 1, delta_bound=20)
+    (rec,) = simulate.run_paired(cfg, ["random_queue"], simulate.solve_system(cfg, with_gains=False), 0)
     return list(rec.agent_mean_aoi)
 
 

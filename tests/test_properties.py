@@ -31,7 +31,7 @@ from oracles import ReferenceWorld, random_queue_oracle, reference_records
 class TestSweepParallelism:
     def test_parallel_and_serial_records_match(self, monkeypatch):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=1500, seed=31, policy="maf", delta_bound=40)
+        cfg = SimConfig(classes, channels=1, slots=1500, seed=31, delta_bound=40)
         serial = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
         monkeypatch.setenv("AOI_GUARD_THREADS", "0")
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
@@ -80,8 +80,8 @@ class TestQueueBookkeepingMatchesSim:
         # per-agent ages depend on every delivered generation stamp.
         src = MarkovSource([[0.9, 0.1], [0.2, 0.8]], name="pair")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.8, 45)
-        cfg = SimConfig((cls,), channels=1, slots=3000, seed=9, policy="random_queue", delta_bound=30)
-        (rec,) = run_paired(cfg, ["random_queue"], solve_system(cfg), 9)
+        cfg = SimConfig((cls,), channels=1, slots=3000, seed=9, delta_bound=30)
+        (rec,) = run_paired(cfg, ["random_queue"], solve_system(cfg, with_gains=False), 9)
 
         ref = random_queue_oracle(ReferenceWorld(cfg, 9), cfg.channels, cfg.slots, cfg.warmup, QUEUE_CAPACITY)
         assert ref["peak_queue"] == QUEUE_CAPACITY
@@ -118,7 +118,7 @@ def simulations(draw):
     channels = draw(st.integers(1, n + 1))
     slots = draw(st.one_of(st.integers(2, 40), st.integers(257, 700)))
     warmup = draw(st.integers(0, slots - 1))
-    cfg = SimConfig(tuple(classes), channels=channels, slots=slots, warmup=warmup, policy="maf", delta_bound=12)
+    cfg = SimConfig(tuple(classes), channels=channels, slots=slots, warmup=warmup, delta_bound=12)
     return cfg, draw(st.integers(0, 10_000)), draw(st.integers(1, 3)), draw(st.sampled_from([3, 40]))
 
 

@@ -10,7 +10,6 @@ from aoi_guard import (
     identity_safety_map,
     loss_01,
     run_paired,
-    run_simulation,
     run_sweep,
     dual_lower_bound,
     solve_system,
@@ -25,9 +24,16 @@ def chain_a_config(**kw):
     src = MarkovSource(CHAIN_A_MATRIX, name="chain_a")
     cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2),
                          success_prob=kw.pop("success_prob", 1.0), member_count=kw.pop("members", 1))
-    defaults = dict(channels=1, slots=20_000, seed=5, policy="mgf", delta_bound=100)
+    defaults = dict(channels=1, slots=20_000, seed=5, delta_bound=100)
     defaults.update(kw)
     return SimConfig((cls,), **defaults)
+
+
+def run_one(cfg, policy="mgf", system=None):
+    """One policy's record on the config's seed; solves the tables (and MGF's gains) if not given."""
+    if system is None:
+        system = solve_system(cfg, with_gains=policy == "mgf")
+    return run_paired(cfg, [policy], system, cfg.seed)[0]
 
 
 class TestAdvanceAoi:
@@ -35,14 +41,14 @@ class TestAdvanceAoi:
 
     def test_delivered_pull_resets(self):
         # One agent pulled every slot over a reliable channel.
-        rec = run_simulation(chain_a_config(policy="randomized", slots=500))
+        rec = run_one(chain_a_config(slots=500), "randomized")
         assert rec.agent_mean_aoi == (1.0,)
 
     def test_erased_pull_grows(self):
         # Pulled every slot; the age after slot t is 1 if slot t-1's packet
         # survived the channel and one more than before otherwise.
-        cfg = chain_a_config(policy="randomized", success_prob=0.6, slots=3000, warmup=0)
-        rec = run_simulation(cfg)
+        cfg = chain_a_config(success_prob=0.6, slots=3000, warmup=0)
+        rec = run_one(cfg, "randomized")
         ok = ReferenceWorld(cfg, cfg.seed).channel_ok[:, 0]
         age, total = 1, 1
         for t in range(1, cfg.slots):
@@ -54,7 +60,7 @@ class TestAdvanceAoi:
     def test_idle_grows(self):
         # Two reliable agents, one channel, MAF: each is pulled every other
         # slot, so from slot 1 on each age alternates 1, 2.
-        rec = run_simulation(chain_a_config(members=2, policy="maf", slots=401, warmup=1))
+        rec = run_one(chain_a_config(members=2, slots=401, warmup=1), "maf")
         assert rec.agent_mean_aoi == (1.5, 1.5)
 
 
@@ -62,37 +68,37 @@ class TestRunSimulation:
     def test_frozen_world_is_free_for_every_policy(self):
         frozen = MarkovSource(np.eye(3), name="frozen")
         cls = AgentClassSpec(frozen, identity_safety_map(3), loss_01(3), 0.9, 4)
-        cfg = SimConfig((cls,), channels=2, slots=4000, seed=2, policy="mgf", delta_bound=50)
+        cfg = SimConfig((cls,), channels=2, slots=4000, seed=2, delta_bound=50)
         system = solve_system(cfg, with_gains=True)
         for rec in run_paired(cfg, ["mgf", "maf", "randomized", "random_queue"], system, 2):
             assert rec.normalized_penalty == 0.0
 
     def test_chain_a_matches_bandit_closed_form(self):
         cfg = chain_a_config(slots=200_000)
-        rec = run_simulation(cfg)
+        rec = run_one(cfg)
         assert rec.normalized_penalty == pytest.approx(2 / 15, abs=0.004)
 
     def test_reliable_always_pulled_agent_has_unit_age(self):
-        rec = run_simulation(chain_a_config())
+        rec = run_one(chain_a_config())
         assert rec.mean_aoi == 1.0
         assert rec.activation_rate == 1.0
 
     def test_bit_for_bit_reproducibility(self):
         cfg = chain_a_config(success_prob=0.7, slots=5000)
-        system = solve_system(cfg)
-        assert run_simulation(cfg, system) == run_simulation(cfg, system)
+        system = solve_system(cfg, with_gains=True)
+        assert run_one(cfg, "mgf", system) == run_one(cfg, "mgf", system)
 
     def test_budget_respected(self):
         classes = make_grid_classes((3, 3))
-        cfg = SimConfig(classes, channels=2, slots=3000, seed=7, policy="maf", delta_bound=60)
-        rec = run_simulation(cfg)
+        cfg = SimConfig(classes, channels=2, slots=3000, seed=7, delta_bound=60)
+        rec = run_one(cfg, "maf")
         assert rec.activation_rate <= 2.0
 
     def test_over_budget_selection_is_an_internal_error(self, monkeypatch):
         # The channel check is a raise, not an assert, so python -O keeps it.
         monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.ones(values.shape, dtype=bool))
         with pytest.raises(RuntimeError, match="1 channels"):
-            run_simulation(chain_a_config(members=3, policy="maf", slots=100))
+            run_one(chain_a_config(members=3, slots=100), "maf")
 
     def test_slot_loops_go_through_the_traced_names(self, monkeypatch):
         # perfbench times the slot loop and kernels, and the world initial
@@ -115,7 +121,7 @@ class TestRunSimulation:
                      "stationary_distribution"):
             counted(name, getattr(simulate, name))
         cfg = chain_a_config(members=2, slots=300)
-        system = solve_system(cfg)
+        system = solve_system(cfg, with_gains=True)
         run_paired(cfg, ["maf", "random_queue", "mgf", "randomized"], system, 5, replications=3)
         assert tally() == {
             "mgf+maf+randomized+random_queue": 2,  # one loop call per 256-slot chunk
@@ -134,29 +140,37 @@ class TestRunSimulation:
         cfg = chain_a_config()
         tables_only = solve_system(cfg, with_gains=False)
         with pytest.raises(ValidationError, match="gain"):
-            run_simulation(cfg, tables_only)
+            run_one(cfg, "mgf", tables_only)
 
     def test_erasures_slow_the_resets(self):
-        lossy = run_simulation(chain_a_config(success_prob=0.5, policy="maf", slots=30_000))
-        clean = run_simulation(chain_a_config(policy="maf", slots=30_000))
+        lossy = run_one(chain_a_config(success_prob=0.5, slots=30_000), "maf")
+        clean = run_one(chain_a_config(slots=30_000), "maf")
         assert lossy.deliveries < clean.deliveries
         assert lossy.mean_aoi > clean.mean_aoi
 
     def test_queue_policy_serves_stale_packets(self):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=8000, seed=3, policy="randomized", delta_bound=60)
-        system = solve_system(cfg)
+        cfg = SimConfig(classes, channels=1, slots=8000, seed=3, delta_bound=60)
+        system = solve_system(cfg, with_gains=False)
         fresh, stale = run_paired(cfg, ["randomized", "random_queue"], system, 3)
         assert stale.mean_aoi > fresh.mean_aoi
         assert stale.normalized_penalty > fresh.normalized_penalty
 
-    def test_config_validation(self):
+    def test_config_validation(self, monkeypatch):
         with pytest.raises(ValidationError):
             chain_a_config(channels=0)
         with pytest.raises(ValidationError):
-            chain_a_config(policy="noop")
-        with pytest.raises(ValidationError):
             chain_a_config(slots=100, warmup=100)
+        # Policy names are checked on entry, before any of the world is drawn.
+        cfg = chain_a_config(slots=100)
+        system = solve_system(cfg, with_gains=False)
+
+        def no_world(*args):
+            raise AssertionError("the world was drawn")
+
+        monkeypatch.setattr(simulate, "_WorldStream", no_world)
+        with pytest.raises(ValidationError, match="noop"):
+            run_paired(cfg, ["maf", "noop"], system, 1)
 
     def test_heterogeneous_state_counts(self):
         # Classes whose chains differ in size must pad cleanly end to end.
@@ -169,7 +183,7 @@ class TestRunSimulation:
             MarkovSource(big_p, name="big"),
             identity_safety_map(5), loss_01(5), 0.8, 3, name="big",
         )
-        cfg = SimConfig((small, big), channels=2, slots=4000, seed=13, policy="mgf", delta_bound=50)
+        cfg = SimConfig((small, big), channels=2, slots=4000, seed=13, delta_bound=50)
         system = solve_system(cfg, with_gains=True)
         for rec in run_paired(cfg, ["mgf", "maf", "randomized", "random_queue"], system, 13):
             assert rec.activation_rate <= 2.0
@@ -179,7 +193,7 @@ class TestRunSimulation:
         # M = N with reliable channels: every agent can transmit every slot,
         # so MGF attains the sum of the single-agent optima (0.1333 each).
         cfg = chain_a_config(members=3, channels=3, slots=60_000)
-        rec = run_simulation(cfg)
+        rec = run_one(cfg)
         assert rec.normalized_penalty == pytest.approx(2 / 15, abs=0.01)
         assert rec.activation_rate == pytest.approx(3.0)
 
@@ -187,7 +201,7 @@ class TestRunSimulation:
 class TestRunSweep:
     def test_record_grid_shape_and_pairing(self):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=2000, seed=11, policy="maf", delta_bound=40)
+        cfg = SimConfig(classes, channels=1, slots=2000, seed=11, delta_bound=40)
         records = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=3)
         assert len(records) == 2 * 2 * 3
         seeds = {r.seed for r in records}
@@ -201,20 +215,20 @@ class TestRunSweep:
 
     def test_scale_axis_multiplies_population_and_channels(self):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
+        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, delta_bound=40)
         point = config_at(cfg, "scale", 4)
         assert point.agent_count == 16
         assert point.channels == 4
 
     def test_agents_axis_splits_proportionally(self):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
+        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, delta_bound=40)
         point = config_at(cfg, "agents", 10)
         assert [c.member_count for c in point.classes] == [5, 5]
 
     def test_rejects_more_channels_than_agents(self):
         classes = make_grid_classes((2, 2))
-        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, policy="maf", delta_bound=40)
+        cfg = SimConfig(classes, channels=1, slots=2000, seed=1, delta_bound=40)
         with pytest.raises(ValidationError):
             run_sweep(cfg, "channels", [5], policies=["maf"])
 
@@ -231,7 +245,7 @@ class TestScaleInvariance:
         # prices (here through supporting-line steps) and the bound per agent
         # is equal.
         base = SimConfig(make_grid_classes((3, 1))[:1], channels=1, slots=1000,
-                         seed=1, policy="mgf", delta_bound=60)
+                         seed=1, delta_bound=60)
         found = set()
         for r in (1, 2, 4):
             point = config_at(base, "scale", r)
@@ -246,7 +260,7 @@ class TestScaleInvariance:
 
 class TestRecordSerialization:
     def test_csv_header_and_row_layout(self):
-        rec = run_simulation(chain_a_config(slots=2000))
+        rec = run_one(chain_a_config(slots=2000))
         text = records_to_csv([rec])
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -255,7 +269,7 @@ class TestRecordSerialization:
         assert fields[1:6] == ["1", "1", "1", "5", "2000"]
 
     def test_json_mirrors_csv_fields(self):
-        rec = run_simulation(chain_a_config(slots=2000))
+        rec = run_one(chain_a_config(slots=2000))
         (obj,) = records_to_json([rec])
         assert obj["policy"] == "mgf"
         assert obj["N"] == 1 and obj["M"] == 1 and obj["r"] == 1
