@@ -1,13 +1,13 @@
 """Command-line surface: solve | simulate | sweep | profile.
 
-`main` loads the manifest, sets the `--seed`, `--slots` and `--policy`
-overrides on that same object, and hands it to one `cmd_*` function together
-with the `--output` path (and, for the record-writing commands, the
-`--format`).
-Every output file embeds the tool version and the config digest, so a result
-can always be traced back to the exact manifest that produced it. Exit codes
-distinguish failure families: 2 parse, 3 validation, 4 solver convergence,
-5 I/O.
+`main` loads the manifest, sets the `--seed` override (and, for `simulate`
+and `sweep`, the `--slots` and `--policy` overrides) on that same object, and
+hands it to one `cmd_*` function together with the `--output` path (and, for
+the record-writing commands, the `--format`).
+Every output file goes through `_write`, which stamps it with the tool version
+and the config digest, so a result can always be traced back to the exact
+manifest that produced it. Exit codes distinguish failure families: 2 parse,
+3 validation, 4 solver convergence, 5 I/O.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ParseError, RunManifest, load_config, parse_policies
 from .errors import ConvergenceError, ValidationError
-from .simulate import (
-    SimRecord,
-    records_to_csv,
-    records_to_json,
-    run_paired,
-    run_sweep,
-    solve_system,
-)
+from .simulate import SimRecord, records_to_csv, records_to_json, run_paired, run_sweep, solve_system
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,55 +32,41 @@ EXIT_CONVERGENCE = 4
 EXIT_IO = 5
 
 
-def _stamp_lines(manifest: RunManifest) -> str:
-    return f"# aoi-guard {__version__}\n# config_digest={manifest.digest}\n"
+def _write(path: Path, manifest: RunManifest, body: dict | str) -> None:
+    """Write one stamped artifact.
 
-
-def _write_text(path: Path, text: str) -> None:
+    A `.json` path gets the object `{"version", "config_digest", **body}`;
+    any other path gets two `#` stamp lines above the rows of `body`, written
+    after them rather than joined to them, so a large table is not copied.
+    """
+    if path.suffix == ".json":
+        parts = [json.dumps({"version": __version__, "config_digest": manifest.digest, **body}, indent=2), "\n"]
+    else:
+        parts = [f"# aoi-guard {__version__}\n# config_digest={manifest.digest}\n", body]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as fh:
+        fh.writelines(parts)
 
 
-def _write_records(
-    manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str
-) -> Path:
+def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str) -> int:
+    """Write the records, print each policy's mean penalty (ties by name) and the path."""
     out = output or Path(f"{manifest.name}_{default_name}")
     if out.is_dir():
         out = out / f"{manifest.name}_{default_name}"
-    if fmt == "json":
-        out = out.with_suffix(".json")
-        body = {
-            "version": __version__,
-            "config_digest": manifest.digest,
-            "records": records_to_json(records),
-        }
-        _write_text(out, json.dumps(body, indent=2) + "\n")
-    else:
-        out = out.with_suffix(".csv")
-        _write_text(out, _stamp_lines(manifest) + records_to_csv(records))
-    return out
-
-
-def _summarize(records: list[SimRecord]) -> list[str]:
-    lines = []
-    for policy in sorted({r.policy for r in records}, key=lambda p: _mean(records, p)):
-        lines.append(
-            f"{policy}: mean normalized penalty {_mean(records, policy):.6g} over "
-            f"{sum(1 for r in records if r.policy == policy)} run(s)"
-        )
-    return lines
-
-
-def _mean(records: list[SimRecord], policy: str) -> float:
-    vals = [r.normalized_penalty for r in records if r.policy == policy]
-    return float(np.mean(vals))
+    out = out.with_suffix(f".{fmt}")
+    _write(out, manifest, {"records": records_to_json(records)} if fmt == "json" else records_to_csv(records))
+    penalties: dict[str, list[float]] = {}
+    for r in records:
+        penalties.setdefault(r.policy, []).append(r.normalized_penalty)
+    for mean, policy in sorted((float(np.mean(v)), p) for p, v in penalties.items()):
+        print(f"{policy}: mean normalized penalty {mean:.6g} over {len(penalties[policy])} run(s)")
+    print(f"wrote {len(records)} record(s) -> {out}")
+    return EXIT_OK
 
 
 def cmd_solve(manifest: RunManifest, output: Path | None) -> int:
     system = solve_system(manifest.sim, with_gains=True)
     out_dir = output or Path(f"{manifest.name}_solve")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp_lines(manifest)
     for i, cls in enumerate(manifest.sim.classes):
         pen, est, sol = system.penalties[i], system.estimators[i], system.solutions[i]
         rows = ["delta,x,q,f,alpha"]
@@ -97,16 +76,14 @@ def cmd_solve(manifest: RunManifest, output: Path | None) -> int:
                     f"{delta},{x},{float(pen.values[delta, x])!r},"
                     f"{int(est.choices[delta, x])},{float(sol.gain[delta, x])!r}"
                 )
-        _write_text(out_dir / f"tables_{i}_{cls.name}.csv", stamp + "\n".join(rows) + "\n")
-    _write_text(out_dir / "dual_trace.csv", stamp + "\n".join(system.trace.csv_rows()) + "\n")
+        _write(out_dir / f"tables_{i}_{cls.name}.csv", manifest, "\n".join(rows) + "\n")
+    _write(out_dir / "dual_trace.csv", manifest, "\n".join(system.trace.csv_rows()) + "\n")
     summary = {
-        "version": __version__,
-        "config_digest": manifest.digest,
         "lambda_star": system.lambda_star,
         "avg_costs": {cls.name: sol.avg_cost for cls, sol in zip(manifest.sim.classes, system.solutions)},
         "converged": system.trace.converged,
     }
-    _write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    _write(out_dir / "summary.json", manifest, summary)
     print(f"lambda_star={system.lambda_star!r} converged={system.trace.converged} -> {out_dir}")
     return EXIT_OK
 
@@ -117,11 +94,7 @@ def cmd_simulate(manifest: RunManifest, output: Path | None, fmt: str) -> int:
         manifest.sim, manifest.policies, system, manifest.sim.seed, replications=manifest.replications
     )
     records.sort(key=lambda r: (r.policy, r.seed))
-    out = _write_records(manifest, records, "records", output, fmt)
-    for line in _summarize(records):
-        print(line)
-    print(f"wrote {len(records)} record(s) -> {out}")
-    return EXIT_OK
+    return _report(manifest, records, "records", output, fmt)
 
 
 def cmd_sweep(manifest: RunManifest, output: Path | None, fmt: str) -> int:
@@ -134,26 +107,18 @@ def cmd_sweep(manifest: RunManifest, output: Path | None, fmt: str) -> int:
         policies=manifest.policies,
         replications=manifest.replications,
     )
-    out = _write_records(manifest, records, f"sweep_{manifest.sweep_axis}", output, fmt)
-    for line in _summarize(records):
-        print(line)
-    print(f"wrote {len(records)} record(s) -> {out}")
-    return EXIT_OK
+    return _report(manifest, records, f"sweep_{manifest.sweep_axis}", output, fmt)
 
 
 def cmd_profile(manifest: RunManifest, deltas: list[int], output: Path | None) -> int:
     system = solve_system(manifest.sim, with_gains=True)
     out_dir = output or Path(f"{manifest.name}_profile")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp_lines(manifest)
-    summary: dict = {"version": __version__, "config_digest": manifest.digest, "classes": {}}
+    classes = {}
     for i, cls in enumerate(manifest.sim.classes):
         pen, sol = system.penalties[i], system.solutions[i]
         rows = ["delta,x,q,alpha"]
         per_delta = {}
         for delta in deltas:
-            if not 1 <= delta <= manifest.sim.delta_bound:
-                raise ValidationError(f"profile delta {delta} outside [1, {manifest.sim.delta_bound}]")
             q = pen.values[delta]
             for x in range(cls.source.state_count):
                 rows.append(f"{delta},{x},{float(q[x])!r},{float(sol.gain[delta, x])!r}")
@@ -163,9 +128,9 @@ def cmd_profile(manifest: RunManifest, deltas: list[int], output: Path | None) -
                 "above_half_max": [int(x) for x in np.flatnonzero(q > half)],
                 "argmax_alpha_x": int(np.argmax(sol.gain[delta])),
             }
-        _write_text(out_dir / f"profile_{i}_{cls.name}.csv", stamp + "\n".join(rows) + "\n")
-        summary["classes"][cls.name] = per_delta
-    _write_text(out_dir / "profile_summary.json", json.dumps(summary, indent=2) + "\n")
+        _write(out_dir / f"profile_{i}_{cls.name}.csv", manifest, "\n".join(rows) + "\n")
+        classes[cls.name] = per_delta
+    _write(out_dir / "profile_summary.json", manifest, {"classes": classes})
     print(f"profiles for deltas {deltas} -> {out_dir}")
     return EXIT_OK
 
@@ -183,10 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="experiment manifest (YAML)")
         p.add_argument("--output", type=Path, default=None, help="output file or directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--slots", type=int, default=None, help="override the config horizon")
-        p.add_argument("--policy", default=None, help="override the config policy; 'all' runs every one")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--slots", type=int, default=None, help="override the config horizon")
+            p.add_argument("--policy", default=None, help="override the config policy; 'all' runs every one")
         if name == "profile":
             p.add_argument("--deltas", default="1,2,5,10", help="comma-separated ages to profile")
     return parser
@@ -198,22 +164,24 @@ def main(argv: list[str] | None = None) -> int:
         manifest = load_config(args.config)
         if args.seed is not None:
             manifest.sim = replace(manifest.sim, seed=args.seed)
+        if args.command == "solve":
+            return cmd_solve(manifest, args.output)
+        if args.command == "profile":
+            try:
+                deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
+            except ValueError:
+                raise ValidationError(f"--deltas must be comma-separated integers, got {args.deltas!r}")
+            for delta in deltas:
+                if not 1 <= delta <= manifest.sim.delta_bound:
+                    raise ValidationError(f"profile delta {delta} outside [1, {manifest.sim.delta_bound}]")
+            return cmd_profile(manifest, deltas, args.output)
+
         if args.slots is not None:
             manifest.sim = replace(manifest.sim, slots=args.slots, warmup=None)
         if args.policy is not None:
             manifest.policies = parse_policies(args.policy, "--policy")
-
-        if args.command == "solve":
-            return cmd_solve(manifest, args.output)
-        if args.command == "simulate":
-            return cmd_simulate(manifest, args.output, args.format)
-        if args.command == "sweep":
-            return cmd_sweep(manifest, args.output, args.format)
-        try:
-            deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
-        except ValueError:
-            raise ValidationError(f"--deltas must be comma-separated integers, got {args.deltas!r}")
-        return cmd_profile(manifest, deltas, args.output)
+        command = cmd_simulate if args.command == "simulate" else cmd_sweep
+        return command(manifest, args.output, args.format)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -246,10 +246,14 @@ def load_config(path) -> RunManifest:
         if not isinstance(sweep_values, list) or not all(isinstance(v, int) and v > 0 for v in sweep_values):
             raise ConfigError(f"{where}.sweep.values: expected a list of positive integers")
 
+    replications = _number(doc, "replications", where, default=1, integer=True)
+    if replications < 1:
+        raise ConfigError(f"{where}.replications: must be >= 1, got {replications}")
+
     return RunManifest(
         sim=sim,
         policies=policies,
-        replications=_number(doc, "replications", where, default=1, integer=True),
+        replications=replications,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         digest=digest,

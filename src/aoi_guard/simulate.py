@@ -97,14 +97,21 @@ class SimRecord:
     agent_mean_aoi: tuple[float, ...]
     deliveries: int
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.policy},{self.agents},{self.channels},{self.scale},{self.seed},{self.slots},"
-            f"{self.total_loss!r},{self.normalized_penalty!r},{self.activation_rate!r},{self.mean_aoi!r}"
-        )
 
-
-CSV_HEADER = "policy,N,M,r,seed,slots,total_loss,normalized_penalty,activation_rate,mean_aoi"
+# The record schema: each artifact column, in order, and the SimRecord field it holds.
+RECORD_COLUMNS = (
+    ("policy", "policy"),
+    ("N", "agents"),
+    ("M", "channels"),
+    ("r", "scale"),
+    ("seed", "seed"),
+    ("slots", "slots"),
+    ("total_loss", "total_loss"),
+    ("normalized_penalty", "normalized_penalty"),
+    ("activation_rate", "activation_rate"),
+    ("mean_aoi", "mean_aoi"),
+)
+CSV_HEADER = ",".join(column for column, _ in RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -476,21 +483,23 @@ def run_sweep(
     population and budget); estimation tables only depend on the classes.
     Each point is one `run_paired` call with the replications as its lanes;
     points run in parallel when more than one worker is available, and
-    per-lane seeding keeps results identical either way.
+    per-lane seeding keeps results identical either way. Every point is
+    built and checked before the first solve.
     """
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
     _check_policies(policies)
-    tasks = []
-    for value in values:
-        point = config_at(config, axis, value)
+    points = [config_at(config, axis, value) for value in values]
+    for value, point in zip(values, points):
         if point.agent_count < point.channels:
             raise ValidationError(
                 f"sweep point {axis}={value} has N={point.agent_count} < M={point.channels}"
             )
-        system = solve_system(point, with_gains="mgf" in policies)
-        scale = value if axis == "scale" else 1
-        tasks.append((point, policies, system, config.seed, scale, replications))
+    tasks = [
+        (point, policies, solve_system(point, with_gains="mgf" in policies), config.seed,
+         value if axis == "scale" else 1, replications)
+        for value, point in zip(values, points)
+    ]
 
     workers = resolve_workers(len(tasks))
     if workers <= 1:
@@ -506,23 +515,14 @@ def run_sweep(
     return records
 
 
-def records_to_csv(records: list[SimRecord]) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
-
-
 def records_to_json(records: list[SimRecord]) -> list[dict]:
-    return [
-        {
-            "policy": r.policy,
-            "N": r.agents,
-            "M": r.channels,
-            "r": r.scale,
-            "seed": r.seed,
-            "slots": r.slots,
-            "total_loss": r.total_loss,
-            "normalized_penalty": r.normalized_penalty,
-            "activation_rate": r.activation_rate,
-            "mean_aoi": r.mean_aoi,
-        }
-        for r in records
+    return [{column: getattr(r, field) for column, field in RECORD_COLUMNS} for r in records]
+
+
+def records_to_csv(records: list[SimRecord]) -> str:
+    """CSV text, header first; floats are written with repr so they parse back exactly."""
+    rows = [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in records_to_json(records)
     ]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"

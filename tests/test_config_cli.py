@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_guard import bandit, cli
+from aoi_guard import __version__, bandit, cli, simulate
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
 from aoi_guard.policies import POLICY_KEYS
-from aoi_guard.simulate import records_to_csv, run_paired
+from aoi_guard.simulate import CSV_HEADER, RECORD_COLUMNS, records_to_csv, run_paired
 
 REPO = Path(__file__).resolve().parent.parent
 GRID20 = REPO / "configs" / "grid20.yaml"
@@ -25,6 +26,19 @@ def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def count_solves(monkeypatch, owner):
+    """Count the calls of `owner.solve_system`, which still runs."""
+    calls = []
+    real = owner.solve_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, "solve_system", counted)
+    return calls
 
 
 MINIMAL = """
@@ -326,6 +340,62 @@ classes:
         assert (manifest.sim.seed, manifest.sim.slots) == (9, 1500)
         assert manifest.policies == ("randomized",)
 
+    def test_every_artifact_is_stamped_and_records_round_trip(self, tmp_path):
+        text = MINIMAL.replace("policy: maf", "policy: all").replace("slots: 2000", "slots: 600")
+        cfg = write_config(tmp_path, text + "replications: 2\nsweep: {axis: channels, values: [1, 2]}\n")
+        out = tmp_path / "out"
+        for argv in (["solve"], ["profile", "--deltas", "1,5"], ["simulate"], ["sweep"]):
+            for fmt in ("csv", "json") if argv[0] in ("simulate", "sweep") else (None,):
+                dest = out / (f"{argv[0]}.{fmt}" if fmt else argv[0])
+                extra = ["--format", fmt] if fmt else []
+                assert main(argv + ["--config", str(cfg), "--output", str(dest)] + extra) == EXIT_OK
+        manifest = load_config(cfg)
+        artifacts = sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(artifacts) == 3 + 2 + 4  # tables, trace, summary; profile, summary; records
+        for path in artifacts:
+            if path.suffix == ".json":
+                body = json.loads(path.read_text())
+                assert list(body)[:2] == ["version", "config_digest"], path
+                assert (body["version"], body["config_digest"]) == (__version__, manifest.digest)
+            else:
+                lines = path.read_text().splitlines()
+                assert lines[:2] == [f"# aoi-guard {__version__}", f"# config_digest={manifest.digest}"], path
+
+        system = cli.solve_system(manifest.sim, with_gains=True)
+        records = run_paired(manifest.sim, POLICY_KEYS, system, manifest.sim.seed, replications=2)
+        records.sort(key=lambda r: (r.policy, r.seed))
+        lines = (out / "simulate.csv").read_text().splitlines()
+        assert lines[2] == CSV_HEADER and len(lines) == 3 + len(records)
+        for line, rec in zip(lines[3:], records):
+            for cell, (_, field) in zip(line.split(","), RECORD_COLUMNS, strict=True):
+                value = getattr(rec, field)
+                assert type(value)(cell) == value, (field, cell)  # floats parse back exactly
+        for name in ("simulate.json", "sweep.json"):
+            rows = json.loads((out / name).read_text())["records"]
+            assert rows and all(list(row) == CSV_HEADER.split(",") for row in rows)
+        assert json.loads((out / "simulate.json").read_text())["records"] == [
+            {column: getattr(r, field) for column, field in RECORD_COLUMNS} for r in records
+        ]
+
+    def test_tied_summaries_print_in_one_order_under_any_hash_seed(self, tmp_path):
+        # chain_pair's one agent on one channel: several policies tie on the
+        # mean penalty, and ties must not print in string-hash order.
+        orders = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "aoi_guard.cli", "simulate", "--config", str(CHAIN_PAIR),
+                 "--policy", "all", "--slots", "4000", "--output", str(tmp_path / f"r{hash_seed}.csv")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary = [line.split(": mean normalized penalty ") for line in proc.stdout.splitlines()[:-1]]
+            assert sorted(p for p, _ in summary) == sorted(POLICY_KEYS)
+            means = [float(m.split()[0]) for _, m in summary]
+            assert len(set(means)) < len(means)  # the case has ties
+            assert summary == sorted(summary, key=lambda pm: (float(pm[1].split()[0]), pm[0]))
+            orders.append([p for p, _ in summary])
+        assert orders[0] == orders[1]
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
@@ -345,6 +415,41 @@ class TestExitCodes:
     def test_bad_profile_deltas(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["profile", "--config", str(cfg), "--deltas", "1,x"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_zero_replications_fail_at_load(self, tmp_path, monkeypatch, capsys, command):
+        text = MINIMAL + "replications: 0\nsweep: {axis: channels, values: [1, 2]}\n"
+        cfg = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="replications"):
+            load_config(cfg)
+        calls = count_solves(monkeypatch, cli)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
+        assert "replications" in capsys.readouterr().err
+        assert calls == []
+
+    def test_sweep_checks_every_point_before_solving(self, tmp_path, monkeypatch, capsys):
+        # Two agents: the second point's three channels exceed them.
+        cfg = write_config(tmp_path, MINIMAL + "sweep: {axis: channels, values: [1, 3]}\n")
+        calls = count_solves(monkeypatch, simulate)
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
+        assert "channels=3 has N=2 < M=3" in capsys.readouterr().err
+        assert calls == []
+
+    def test_profile_delta_outside_bound_fails_before_solving(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        calls = count_solves(monkeypatch, cli)
+        out = tmp_path / "prof"
+        assert main(["profile", "--config", str(cfg), "--deltas", "1,251", "--output", str(out)]) == EXIT_VALIDATION
+        assert "profile delta 251 outside [1, 250]" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--slots", "10"], ["--policy", "maf"]])
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    def test_solve_and_profile_reject_record_flags(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)] + flag)
+        assert exc.value.code == 2
 
     def test_negative_seed(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

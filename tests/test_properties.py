@@ -32,10 +32,19 @@ class TestSweepParallelism:
     def test_parallel_and_serial_records_match(self, monkeypatch):
         classes = make_grid_classes((2, 2))
         cfg = SimConfig(classes, channels=1, slots=1500, seed=31, delta_bound=40)
+        workers = []
+
+        def recorded(tasks):
+            workers.append(resolve_workers(tasks))
+            return workers[-1]
+
+        monkeypatch.setattr(simulate, "resolve_workers", recorded)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("AOI_GUARD_THREADS", "1")
         serial = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
         monkeypatch.setenv("AOI_GUARD_THREADS", "0")
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         parallel = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
+        assert workers == [1, 2]
         assert serial == parallel
 
     def test_env_var_caps_workers(self, monkeypatch):
