@@ -353,11 +353,6 @@ class DualTrace:
     iterations: list[tuple[int, float, float]] = field(default_factory=list)
     converged: bool = False
 
-    def csv_rows(self) -> list[str]:
-        rows = ["iteration,lambda,activation_rate"]
-        rows += [f"{j},{lam!r},{rate!r}" for j, lam, rate in self.iterations]
-        return rows
-
 
 def relaxed_rate(mask: np.ndarray, source: MarkovSource, success_prob: float,
                  powers: np.ndarray | None = None) -> float:

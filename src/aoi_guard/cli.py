@@ -6,8 +6,9 @@ hands it to one `cmd_*` function together with the `--output` path (and, for
 the record-writing commands, the `--format`).
 Every output file goes through `_write`, which stamps it with the tool version
 and the config digest, so a result can always be traced back to the exact
-manifest that produced it. Exit codes distinguish failure families: 2 parse,
-3 validation, 4 solver convergence, 5 I/O.
+manifest that produced it. `_write` alone decides how a value is written;
+`simulate` and `bandit` return data only. Exit codes distinguish failure
+families: 2 parse, 3 validation, 4 solver convergence, 5 I/O.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import ParseError, RunManifest, load_config, parse_policies
 from .errors import ConvergenceError, ValidationError
-from .simulate import SimRecord, records_to_csv, records_to_json, run_paired, run_sweep, solve_system
+from .simulate import SimRecord, run_paired, run_sweep, solve_system
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -32,20 +35,46 @@ EXIT_CONVERGENCE = 4
 EXIT_IO = 5
 
 
-def _write(path: Path, manifest: RunManifest, body: dict | str) -> None:
+# The record schema: each artifact column, in order, and the SimRecord field it holds.
+RECORD_COLUMNS = (
+    ("policy", "policy"),
+    ("N", "agents"),
+    ("M", "channels"),
+    ("r", "scale"),
+    ("seed", "seed"),
+    ("slots", "slots"),
+    ("total_loss", "total_loss"),
+    ("normalized_penalty", "normalized_penalty"),
+    ("activation_rate", "activation_rate"),
+    ("mean_aoi", "mean_aoi"),
+)
+
+
+def _write(path: Path, manifest: RunManifest, body: dict | tuple[Sequence[str], Iterable[Sequence]]) -> None:
     """Write one stamped artifact.
 
-    A `.json` path gets the object `{"version", "config_digest", **body}`;
-    any other path gets two `#` stamp lines above the rows of `body`, written
-    after them rather than joined to them, so a large table is not copied.
+    A `.json` path gets the object `{"version", "config_digest", **body}`.
+    Any other path gets two `#` stamp lines, then `body`'s (header, rows) as
+    CSV lines, streamed one row at a time. A cell is `str` of a Python value,
+    so a float is its shortest round-trip repr and parses back exactly.
     """
-    if path.suffix == ".json":
-        parts = [json.dumps({"version": __version__, "config_digest": manifest.digest, **body}, indent=2), "\n"]
-    else:
-        parts = [f"# aoi-guard {__version__}\n# config_digest={manifest.digest}\n", body]
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        fh.writelines(parts)
+        if path.suffix == ".json":
+            text = json.dumps({"version": __version__, "config_digest": manifest.digest, **body}, indent=2)
+            fh.writelines([text, "\n"])
+        else:
+            header, rows = body
+            fh.write(f"# aoi-guard {__version__}\n# config_digest={manifest.digest}\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in chain([header], rows))
+
+
+def _table(ages: Iterable[int], tables: Sequence[np.ndarray]) -> Iterator[tuple]:
+    """Rows (delta, x, *cells) of per-class (age, x) tables, built one age at a time."""
+    for delta in ages:
+        columns = [table[delta].tolist() for table in tables]
+        states = len(columns[0])
+        yield from zip([delta] * states, range(states), *columns, strict=True)
 
 
 def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str) -> int:
@@ -54,7 +83,10 @@ def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, 
     if out.is_dir():
         out = out / f"{manifest.name}_{default_name}"
     out = out.with_suffix(f".{fmt}")
-    _write(out, manifest, {"records": records_to_json(records)} if fmt == "json" else records_to_csv(records))
+    header = [column for column, _ in RECORD_COLUMNS]
+    rows = [[getattr(r, field) for _, field in RECORD_COLUMNS] for r in records]
+    body = {"records": [dict(zip(header, row)) for row in rows]} if fmt == "json" else (header, rows)
+    _write(out, manifest, body)
     penalties: dict[str, list[float]] = {}
     for r in records:
         penalties.setdefault(r.policy, []).append(r.normalized_penalty)
@@ -67,17 +99,13 @@ def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, 
 def cmd_solve(manifest: RunManifest, output: Path | None) -> int:
     system = solve_system(manifest.sim, with_gains=True)
     out_dir = output or Path(f"{manifest.name}_solve")
+    ages = range(1, manifest.sim.delta_bound + 1)
     for i, cls in enumerate(manifest.sim.classes):
-        pen, est, sol = system.penalties[i], system.estimators[i], system.solutions[i]
-        rows = ["delta,x,q,f,alpha"]
-        for delta in range(1, manifest.sim.delta_bound + 1):
-            for x in range(cls.source.state_count):
-                rows.append(
-                    f"{delta},{x},{float(pen.values[delta, x])!r},"
-                    f"{int(est.choices[delta, x])},{float(sol.gain[delta, x])!r}"
-                )
-        _write(out_dir / f"tables_{i}_{cls.name}.csv", manifest, "\n".join(rows) + "\n")
-    _write(out_dir / "dual_trace.csv", manifest, "\n".join(system.trace.csv_rows()) + "\n")
+        tables = (system.penalties[i].values, system.estimators[i].choices, system.solutions[i].gain)
+        rows = _table(ages, tables)
+        _write(out_dir / f"tables_{i}_{cls.name}.csv", manifest, (("delta", "x", "q", "f", "alpha"), rows))
+    trace = (("iteration", "lambda", "activation_rate"), system.trace.iterations)
+    _write(out_dir / "dual_trace.csv", manifest, trace)
     summary = {
         "lambda_star": system.lambda_star,
         "avg_costs": {cls.name: sol.avg_cost for cls, sol in zip(manifest.sim.classes, system.solutions)},
@@ -115,21 +143,17 @@ def cmd_profile(manifest: RunManifest, deltas: list[int], output: Path | None) -
     out_dir = output or Path(f"{manifest.name}_profile")
     classes = {}
     for i, cls in enumerate(manifest.sim.classes):
-        pen, sol = system.penalties[i], system.solutions[i]
-        rows = ["delta,x,q,alpha"]
-        per_delta = {}
-        for delta in deltas:
-            q = pen.values[delta]
-            for x in range(cls.source.state_count):
-                rows.append(f"{delta},{x},{float(q[x])!r},{float(sol.gain[delta, x])!r}")
-            half = 0.5 * float(q.max())
-            per_delta[str(delta)] = {
-                "argmax_x": int(np.argmax(q)),
-                "above_half_max": [int(x) for x in np.flatnonzero(q > half)],
-                "argmax_alpha_x": int(np.argmax(sol.gain[delta])),
+        q, gain = system.penalties[i].values, system.solutions[i].gain
+        rows = _table(deltas, (q, gain))
+        _write(out_dir / f"profile_{i}_{cls.name}.csv", manifest, (("delta", "x", "q", "alpha"), rows))
+        classes[cls.name] = {
+            str(delta): {
+                "argmax_x": int(np.argmax(q[delta])),
+                "above_half_max": np.flatnonzero(q[delta] > 0.5 * q[delta].max()).tolist(),
+                "argmax_alpha_x": int(np.argmax(gain[delta])),
             }
-        _write(out_dir / f"profile_{i}_{cls.name}.csv", manifest, "\n".join(rows) + "\n")
-        classes[cls.name] = per_delta
+            for delta in deltas
+        }
     _write(out_dir / "profile_summary.json", manifest, {"classes": classes})
     print(f"profiles for deltas {deltas} -> {out_dir}")
     return EXIT_OK

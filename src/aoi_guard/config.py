@@ -186,10 +186,13 @@ def _build_class(spec, where: str) -> AgentClassSpec:
     source = _build_source(_need(spec, "source", where), f"{where}.source", name)
     safety = _build_safety(_need(spec, "safety", where), f"{where}.safety", spec.get("source"), source.state_count)
     loss = _build_loss(_need(spec, "loss", where), f"{where}.loss")
-    success = _number(spec, "success_prob", where, default=1.0)
-    members = _number(spec, "members", where, default=1, integer=True)
+    optional = {}  # AgentClassSpec's defaults hold for the keys the config leaves out
+    if "success_prob" in spec:
+        optional["success_prob"] = _number(spec, "success_prob", where)
+    if "members" in spec:
+        optional["member_count"] = _number(spec, "members", where, integer=True)
     try:
-        return AgentClassSpec(source, safety, loss, success, members, name=name)
+        return AgentClassSpec(source, safety, loss, name=name, **optional)
     except Exception as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -222,9 +225,9 @@ def load_config(path) -> RunManifest:
             classes=classes,
             channels=_number(doc, "channels", where, integer=True),
             slots=_number(doc, "slots", where, integer=True),
-            warmup=_number(doc, "warmup", where, integer=True) if "warmup" in doc else None,
-            seed=_number(doc, "seed", where, default=0, integer=True),
-            delta_bound=_number(doc, "delta_bound", where, default=250, integer=True),
+            # SimConfig's defaults hold for the keys the config leaves out
+            **{key: _number(doc, key, where, integer=True)
+               for key in ("warmup", "seed", "delta_bound") if key in doc},
         )
     except ConfigError:
         raise

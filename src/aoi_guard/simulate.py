@@ -98,22 +98,6 @@ class SimRecord:
     deliveries: int
 
 
-# The record schema: each artifact column, in order, and the SimRecord field it holds.
-RECORD_COLUMNS = (
-    ("policy", "policy"),
-    ("N", "agents"),
-    ("M", "channels"),
-    ("r", "scale"),
-    ("seed", "seed"),
-    ("slots", "slots"),
-    ("total_loss", "total_loss"),
-    ("normalized_penalty", "normalized_penalty"),
-    ("activation_rate", "activation_rate"),
-    ("mean_aoi", "mean_aoi"),
-)
-CSV_HEADER = ",".join(column for column, _ in RECORD_COLUMNS)
-
-
 @dataclass(frozen=True)
 class SolvedSystem:
     """Per-class tables (and, when needed, gain solutions) for one config."""
@@ -355,11 +339,13 @@ def _run_policy(
         state.aoi_sum += ages.sum(axis=0)
 
 
-def _check_policies(policies: Sequence[str]) -> None:
-    """Reject any name that is not a policy; repeated names are allowed."""
+def _check_run(policies: Sequence[str], replications: int) -> None:
+    """Reject any name that is not a policy (repeated names are allowed) and fewer than one replication."""
     for p in policies:
         if p not in POLICY_KEYS:
             raise ValidationError(f"unknown policy {p!r}; expected one of {', '.join(POLICY_KEYS)}")
+    if replications < 1:
+        raise ValidationError(f"replications must be >= 1, got {replications}")
 
 
 def run_paired(
@@ -377,9 +363,7 @@ def run_paired(
     slot loop for all of them. Records come per policy in the order given,
     lanes in seed order.
     """
-    _check_policies(policies)
-    if replications < 1:
-        raise ValidationError(f"replications must be >= 1, got {replications}")
+    _check_run(policies, replications)
     if "mgf" in policies and system.solutions is None:
         raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
     seeds = list(range(seed, seed + replications))
@@ -466,10 +450,6 @@ def resolve_workers(tasks: int) -> int:
     return max(1, min(workers, tasks))
 
 
-def _sweep_task(args):
-    return run_paired(*args)
-
-
 def run_sweep(
     config: SimConfig,
     axis: str,
@@ -483,12 +463,12 @@ def run_sweep(
     population and budget); estimation tables only depend on the classes.
     Each point is one `run_paired` call with the replications as its lanes;
     points run in parallel when more than one worker is available, and
-    per-lane seeding keeps results identical either way. Every point is
-    built and checked before the first solve.
+    per-lane seeding keeps results identical either way. The policies, the
+    replication count and every point are checked before the first solve.
     """
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
-    _check_policies(policies)
+    _check_run(policies, replications)
     points = [config_at(config, axis, value) for value in values]
     for value, point in zip(values, points):
         if point.agent_count < point.channels:
@@ -503,26 +483,13 @@ def run_sweep(
 
     workers = resolve_workers(len(tasks))
     if workers <= 1:
-        batches = [_sweep_task(t) for t in tasks]
+        batches = list(map(run_paired, *zip(*tasks)))
     else:
         # Imported here so that commands without a pool never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_task, tasks))
+            batches = list(pool.map(run_paired, *zip(*tasks)))
     records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r.policy, r.scale, r.agents, r.channels, r.seed))
     return records
-
-
-def records_to_json(records: list[SimRecord]) -> list[dict]:
-    return [{column: getattr(r, field) for column, field in RECORD_COLUMNS} for r in records]
-
-
-def records_to_csv(records: list[SimRecord]) -> str:
-    """CSV text, header first; floats are written with repr so they parse back exactly."""
-    rows = [
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
-        for row in records_to_json(records)
-    ]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"

@@ -3,20 +3,21 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoi_guard import __version__, bandit, cli, simulate
-from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from aoi_guard import AgentClassSpec, SimConfig, __version__, bandit, cli, simulate
+from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RECORD_COLUMNS, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
 from aoi_guard.policies import POLICY_KEYS
-from aoi_guard.simulate import CSV_HEADER, RECORD_COLUMNS, records_to_csv, run_paired
+from aoi_guard.simulate import run_paired
 
 REPO = Path(__file__).resolve().parent.parent
+RECORD_HEADER = "policy,N,M,r,seed,slots,total_loss,normalized_penalty,activation_rate,mean_aoi"
 GRID20 = REPO / "configs" / "grid20.yaml"
 CHAIN_PAIR = REPO / "configs" / "chain_pair.yaml"
 GRID400 = REPO / "configs" / "grid400.yaml"
@@ -26,6 +27,21 @@ def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def records_csv(records):
+    """The records' CSV body, written independently of the CLI: floats by repr, the rest by str."""
+    rows = [[getattr(r, field) for _, field in RECORD_COLUMNS] for r in records]
+    return "".join(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows
+    )
+
+
+def csv_rows(path, header):
+    """The cells of a stamped CSV artifact's rows, after checking its header."""
+    lines = path.read_text().splitlines()
+    assert lines[2] == header, path
+    return [line.split(",") for line in lines[3:]]
 
 
 def count_solves(monkeypatch, owner):
@@ -93,6 +109,26 @@ class TestLoadConfig:
         assert system.lambda_star == ref.lambda_star
         assert system.trace.iterations == ref.trace.iterations
         assert np.array_equal(system.solutions[0].gain, ref.solutions[0].gain, equal_nan=True)
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        optional = ("seed:", "delta_bound:", "success_prob:", "members:")
+        text = "\n".join(line for line in MINIMAL.splitlines() if not line.strip().startswith(optional))
+        sim = load_config(write_config(tmp_path, text)).sim
+        sim_defaults = {f.name: f.default for f in fields(SimConfig)}
+        assert (sim.seed, sim.delta_bound) == (sim_defaults["seed"], sim_defaults["delta_bound"])
+        assert sim.warmup == sim.slots // 10
+        class_defaults = {f.name: f.default for f in fields(AgentClassSpec)}
+        (cls,) = sim.classes
+        assert (cls.success_prob, cls.member_count) == (class_defaults["success_prob"], class_defaults["member_count"])
+        # A key that is set is still checked, with the same messages.
+        for old, new, message in (
+            ("seed: 3", "seed: x", r"\.seed: expected a number, got 'x'"),
+            ("delta_bound: 250", "delta_bound: 2.5", r"\.delta_bound: expected an integer, got 2\.5"),
+            ("members: 2", "members: 1.5", r"classes\[0\]\.members: expected an integer, got 1\.5"),
+            ("success_prob: 0.9", "success_prob: yes", r"classes\[0\]\.success_prob: expected a number, got True"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                load_config(write_config(tmp_path, MINIMAL.replace(old, new)))
 
     def test_digest_matches_file_bytes(self):
         manifest = load_config(CHAIN_PAIR)
@@ -315,7 +351,7 @@ classes:
         records = run_paired(manifest.sim, expected, system, manifest.sim.seed, replications=2)
         records.sort(key=lambda r: (r.policy, r.seed))
         body = "".join(out.read_text().splitlines(keepends=True)[2:])
-        assert body == records_to_csv(records)
+        assert body == RECORD_HEADER + "\n" + records_csv(records)
         assert len(records) == 2 * len(expected)
 
     def test_flag_overrides(self, tmp_path, monkeypatch):
@@ -362,20 +398,52 @@ classes:
                 assert lines[:2] == [f"# aoi-guard {__version__}", f"# config_digest={manifest.digest}"], path
 
         system = cli.solve_system(manifest.sim, with_gains=True)
+        pen, choices, gain = system.penalties[0].values, system.estimators[0].choices, system.solutions[0].gain
+        states = manifest.sim.classes[0].source.state_count
+
+        def cells(rows, column, parse):
+            return np.array([parse(row[column]) for row in rows])
+
+        # Tables: one row per (age 1..D, state), every float back exactly (NaN too).
+        rows = csv_rows(out / "solve" / "tables_0_pair.csv", "delta,x,q,f,alpha")
+        assert len(rows) == manifest.sim.delta_bound * states
+        ages, xs = np.divmod(np.arange(len(rows)), states)
+        ages += 1
+        np.testing.assert_array_equal(cells(rows, 0, int), ages)
+        np.testing.assert_array_equal(cells(rows, 1, int), xs)
+        np.testing.assert_array_equal(cells(rows, 2, float), pen[ages, xs])
+        np.testing.assert_array_equal(cells(rows, 3, int), choices[ages, xs])
+        np.testing.assert_array_equal(cells(rows, 4, float), gain[ages, xs])
+        # Profile: one row per (age in --deltas, state).
+        rows = csv_rows(out / "profile" / "profile_0_pair.csv", "delta,x,q,alpha")
+        ages, xs = np.repeat([1, 5], states), np.tile(np.arange(states), 2)
+        assert len(rows) == 2 * states
+        np.testing.assert_array_equal(cells(rows, 0, int), ages)
+        np.testing.assert_array_equal(cells(rows, 1, int), xs)
+        np.testing.assert_array_equal(cells(rows, 2, float), pen[ages, xs])
+        np.testing.assert_array_equal(cells(rows, 3, float), gain[ages, xs])
+        # Dual trace: one row per probed price.
+        rows = csv_rows(out / "solve" / "dual_trace.csv", "iteration,lambda,activation_rate")
+        assert [(int(j), float(lam), float(rate)) for j, lam, rate in rows] == system.trace.iterations
+
+        # Records, sorted by (policy, seed): N = 2, M = 1, r = 1, seeds 3 and 4, 600 slots.
         records = run_paired(manifest.sim, POLICY_KEYS, system, manifest.sim.seed, replications=2)
         records.sort(key=lambda r: (r.policy, r.seed))
-        lines = (out / "simulate.csv").read_text().splitlines()
-        assert lines[2] == CSV_HEADER and len(lines) == 3 + len(records)
-        for line, rec in zip(lines[3:], records):
-            for cell, (_, field) in zip(line.split(","), RECORD_COLUMNS, strict=True):
+        rows = csv_rows(out / "simulate.csv", RECORD_HEADER)
+        assert [row[:6] for row in rows] == [[p, "2", "1", "1", s, "600"] for p in sorted(POLICY_KEYS) for s in "34"]
+        for row, rec in zip(rows, records, strict=True):
+            for cell, (_, field) in zip(row, RECORD_COLUMNS, strict=True):
                 value = getattr(rec, field)
                 assert type(value)(cell) == value, (field, cell)  # floats parse back exactly
         for name in ("simulate.json", "sweep.json"):
             rows = json.loads((out / name).read_text())["records"]
-            assert rows and all(list(row) == CSV_HEADER.split(",") for row in rows)
-        assert json.loads((out / "simulate.json").read_text())["records"] == [
-            {column: getattr(r, field) for column, field in RECORD_COLUMNS} for r in records
+            assert rows and all(list(row) == RECORD_HEADER.split(",") for row in rows)
+        rows = json.loads((out / "simulate.json").read_text())["records"]
+        assert [(o["policy"], o["N"], o["M"], o["r"], o["seed"]) for o in rows] == [
+            (p, 2, 1, 1, s) for p in sorted(POLICY_KEYS) for s in (3, 4)
         ]
+        assert [o["normalized_penalty"] for o in rows] == [r.normalized_penalty for r in records]
+        assert rows == [{column: getattr(r, field) for column, field in RECORD_COLUMNS} for r in records]
 
     def test_tied_summaries_print_in_one_order_under_any_hash_seed(self, tmp_path):
         # chain_pair's one agent on one channel: several policies tie on the

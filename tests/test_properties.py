@@ -13,6 +13,7 @@ from aoi_guard import (
     MarkovSource,
     SimConfig,
     ValidationError,
+    dual_lower_bound,
     identity_safety_map,
     loss_01,
     run_paired,
@@ -180,6 +181,41 @@ class TestLanesMatchReference:
             mixed = run_paired(cfg, policies, system, seed, replications=replications)
             alone = [rec for p in policies for rec in run_paired(cfg, [p], system, seed, replications=replications)]
         assert mixed == alone
+
+
+@st.composite
+def bounded_systems(draw):
+    """1-2 classes of 2-4 states with every transition entry >= 0.05; N <= 6, M <= min(2, N), D = 30."""
+    classes = []
+    class_count = draw(st.integers(1, 2))
+    room = 6 - class_count  # agents beyond one per class
+    for i in range(class_count):
+        states = draw(st.integers(2, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = 0.05 + (1.0 - 0.05 * states) * rng.dirichlet(np.ones(states), size=states)
+        members = 1 + draw(st.integers(0, room))
+        room -= members - 1
+        classes.append(AgentClassSpec(MarkovSource(p), identity_safety_map(states), loss_01(states),
+                                      draw(st.floats(0.5, 1.0)), members, name=f"c{i}"))
+    n = sum(c.member_count for c in classes)
+    return SimConfig(tuple(classes), channels=draw(st.integers(1, min(2, n))), slots=4_000,
+                     seed=draw(st.integers(0, 10_000)), delta_bound=30)
+
+
+class TestDualBound:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(bounded_systems())
+    def test_every_policy_pays_at_least_the_dual_bound(self, cfg):
+        # Weak duality: no policy's long-run penalty per agent is below the
+        # relaxed problem's dual bound / N. Each policy's mean over 4 lanes
+        # must clear it less 4 standard errors.
+        system = solve_system(cfg, with_gains=True)
+        bound = dual_lower_bound(list(system.solutions), list(cfg.classes), cfg.channels) / cfg.agent_count
+        records = run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=4)
+        for policy in POLICY_KEYS:
+            v = np.array([r.normalized_penalty for r in records if r.policy == policy])
+            se = v.std(ddof=1) / np.sqrt(v.size)
+            assert v.mean() >= bound - 4 * se, (policy, v.mean(), se, bound)
 
 
 class TestSparseStep:

@@ -14,7 +14,7 @@ from aoi_guard import (
     dual_lower_bound,
     solve_system,
 )
-from aoi_guard.simulate import CSV_HEADER, config_at, records_to_csv, records_to_json
+from aoi_guard.simulate import config_at
 
 from conftest import CHAIN_A_MATRIX, make_grid_classes
 from oracles import ReferenceWorld
@@ -237,6 +237,13 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             run_sweep(cfg, "speed", [1], policies=["maf"])
 
+    def test_rejects_zero_replications_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(simulate, "solve_system", lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ValidationError, match="replications must be >= 1, got 0"):
+            run_sweep(chain_a_config(), "channels", [1, 1], policies=["maf"], replications=0)
+        assert solves == []
+
 
 class TestScaleInvariance:
     def test_relaxed_price_and_bound_per_agent_do_not_depend_on_scale(self):
@@ -256,21 +263,3 @@ class TestScaleInvariance:
         assert len(found) == 1
         converged, lams, _ = found.pop()
         assert converged and len(lams) > 3 and lams[-1] == pytest.approx(0.36842149, abs=1e-8)
-
-
-class TestRecordSerialization:
-    def test_csv_header_and_row_layout(self):
-        rec = run_one(chain_a_config(slots=2000))
-        text = records_to_csv([rec])
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        fields = lines[1].split(",")
-        assert fields[0] == "mgf"
-        assert fields[1:6] == ["1", "1", "1", "5", "2000"]
-
-    def test_json_mirrors_csv_fields(self):
-        rec = run_one(chain_a_config(slots=2000))
-        (obj,) = records_to_json([rec])
-        assert obj["policy"] == "mgf"
-        assert obj["N"] == 1 and obj["M"] == 1 and obj["r"] == 1
-        assert obj["normalized_penalty"] == rec.normalized_penalty
