@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from aoi_guard import (
     dual_lower_bound,
     solve_system,
 )
+from aoi_guard.cli import _report
+from aoi_guard.config import RunManifest
 from aoi_guard.simulate import config_at
 
 from conftest import CHAIN_A_MATRIX, make_grid_classes
@@ -243,6 +248,35 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="replications must be >= 1, got 0"):
             run_sweep(chain_a_config(), "channels", [1, 1], policies=["maf"], replications=0)
         assert solves == []
+
+
+def write_records(tmp_path, cfg, records, fmt):
+    """The records as the CLI writes them, in `fmt`; a CSV starts with two stamp lines."""
+    manifest = RunManifest(sim=cfg, policies=("mgf",), replications=1,
+                           sweep_axis=None, sweep_values=None, digest="0" * 64,
+                           path=Path("chain_a.yaml"), name="chain_a")
+    out = tmp_path / f"records.{fmt}"
+    _report(manifest, records, "records", out, fmt)
+    return out.read_text()
+
+
+class TestRecordSerialization:
+    def test_csv_header_and_row_layout(self, tmp_path):
+        cfg = chain_a_config(slots=2000)
+        rec = run_one(cfg)
+        lines = write_records(tmp_path, cfg, [rec], "csv").strip().split("\n")[2:]
+        assert lines[0] == "policy,N,M,r,seed,slots,total_loss,normalized_penalty,activation_rate,mean_aoi"
+        fields = lines[1].split(",")
+        assert fields[0] == "mgf"
+        assert fields[1:6] == ["1", "1", "1", "5", "2000"]
+
+    def test_json_mirrors_csv_fields(self, tmp_path):
+        cfg = chain_a_config(slots=2000)
+        rec = run_one(cfg)
+        (obj,) = json.loads(write_records(tmp_path, cfg, [rec], "json"))["records"]
+        assert obj["policy"] == "mgf"
+        assert obj["N"] == 1 and obj["M"] == 1 and obj["r"] == 1
+        assert obj["normalized_penalty"] == rec.normalized_penalty
 
 
 class TestScaleInvariance:
