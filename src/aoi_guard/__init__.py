@@ -26,8 +26,7 @@ from .markov import (
     MarkovSource,
     SafetyMap,
     banded_safety_map,
-    build_row_chain,
-    identity_safety_map,
+    build_grid_walk,
     is_primitive,
     stationary_distribution,
 )
@@ -60,11 +59,10 @@ __all__ = [
     "SolvedSystem",
     "ValidationError",
     "banded_safety_map",
-    "build_row_chain",
+    "build_grid_walk",
     "build_tables",
     "dual_ascent",
     "dual_lower_bound",
-    "identity_safety_map",
     "is_primitive",
     "loss_01",
     "loss_quadratic",

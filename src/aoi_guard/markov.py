@@ -2,9 +2,13 @@
 
 Provides validated row-stochastic transition matrices, an exact primitivity
 test, stationary laws by one linear solve, the coarsest lumpable partition
-that refines a labelling, builders for the bounded random-walk ("row chain")
-sources used in the grid-world experiments, and the per-class stacking and
-sparse inverse-CDF stepping of the simulator.
+that refines a labelling, and the per-class stacking and sparse inverse-CDF
+stepping of the simulator.
+
+The grid-world sources are built here, by one builder: `build_grid_walk` is
+the bounded four-direction walk on a rows x cols grid, and a "row chain" is
+its one-column case. `banded_safety_map` labels the same grid's cells by
+bands of rows, so a source and its labels share one cell numbering.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class MarkovSource:
         p = np.array(transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise ValidationError(f"transition matrix must be square and nonempty, got shape {p.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # written so that NaN fails too
             raise ValidationError("transition entries must lie in [0, 1]")
         row_err = np.abs(p.sum(axis=1) - 1.0)
         if np.any(row_err > ROW_SUM_TOL):
@@ -79,24 +83,20 @@ class SafetyMap:
         return e
 
 
-def identity_safety_map(state_count: int) -> SafetyMap:
-    """Every state is its own label (|Y| = |X|)."""
-    return SafetyMap(state_count, np.arange(state_count))
-
-
-def banded_safety_map(state_count: int, band_edges) -> SafetyMap:
-    """Partition states 0..|X|-1 into consecutive bands.
+def banded_safety_map(rows: int, band_edges, cols: int = 1) -> SafetyMap:
+    """Label the cells of a rows x cols grid by consecutive bands of rows.
 
     band_edges lists the last 1-indexed row of each band except the final
-    one, e.g. edges (6, 13) over 20 rows marks rows 1-6 / 7-13 / 14-20.
+    one, e.g. edges (6, 13) over 20 rows marks rows 1-6 / 7-13 / 14-20. The
+    edges must rise strictly, so no band is empty. Cells are numbered row by
+    row, as in `build_grid_walk`; a chain of states is the one-column grid.
     """
     edges = list(band_edges)
-    if edges != sorted(edges) or (edges and not 0 < edges[0]) or (edges and edges[-1] >= state_count):
-        raise ValidationError(f"band edges {edges} must be increasing and inside 1..{state_count - 1}")
-    labels = np.zeros(state_count, dtype=int)
-    for i, edge in enumerate(edges):
-        labels[edge:] = i + 1
-    return SafetyMap(len(edges) + 1, labels)
+    bounds = [0, *edges, rows]
+    if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValidationError(f"band edges {edges} must be increasing and inside 1..{rows - 1}")
+    row_labels = np.searchsorted(edges, np.arange(rows), side="right")
+    return SafetyMap(len(edges) + 1, np.repeat(row_labels, cols))
 
 
 def _bfs_levels(adjacency: np.ndarray) -> np.ndarray:
@@ -215,30 +215,41 @@ def lumpable_partition(transition, labels) -> np.ndarray:
         block, count = _first_member_order(refined), parts
 
 
-def build_row_chain(rows: int, up: float, down: float, name: str = "") -> MarkovSource:
-    """Bounded random walk on row indices with reflecting-stay boundaries.
+def build_grid_walk(
+    rows: int, cols: int, up: float, down: float, left: float = 0.0, right: float = 0.0, name: str = ""
+) -> MarkovSource:
+    """Bounded four-direction random walk on a rows x cols grid.
 
-    Interior row r moves to r-1 with probability `up`, to r+1 with `down`,
-    and stays otherwise. A move off either end folds into staying put, which
-    is how the grid world treats agents at a boundary. Moving sideways in the
-    original 2D grid never changes the row, so a 2D walk with probabilities
-    (up, down, left, right) flattens to exactly this chain.
+    Cell (r, c) is state r * cols + c. Each slot the walker moves up (row
+    r - 1), down, left (column c - 1) or right with the given probabilities
+    and stays otherwise; a move off the grid folds into staying put, which is
+    how the grid world treats agents at a boundary. A row chain is the
+    one-column grid, build_grid_walk(rows, 1, up, down): sideways moves never
+    change the row, so a 2D walk observed by rows flattens to exactly it.
+    The grid needs at least 2 cells, and the moves must be nonnegative and
+    sum to at most 1 (within ROW_SUM_TOL).
     """
-    if rows < 2:
-        raise ValidationError(f"row chain needs at least 2 rows, got {rows}")
-    if not (0.0 <= up <= 1.0 and 0.0 <= down <= 1.0):
-        raise ValidationError(f"up={up} and down={down} must lie in [0, 1]")
-    if up + down > 1.0 + 1e-15:
-        raise ValidationError(f"up + down = {up + down} exceeds 1")
-    stay = 1.0 - up - down
-    p = np.zeros((rows, rows))
+    if rows < 1 or cols < 1 or rows * cols < 2:
+        raise ValidationError(f"a grid walk needs at least 2 cells, got {rows}x{cols}")
+    probs = (up, down, left, right)
+    if not (all(prob >= 0.0 for prob in probs) and sum(probs) <= 1.0 + ROW_SUM_TOL):
+        raise ValidationError(
+            f"moves up={up}, down={down}, left={left}, right={right} must be nonnegative and sum to at most 1"
+        )
+    n = rows * cols
+    stay = 1.0 - up - down - left - right
+    p = np.zeros((n, n))
     for r in range(rows):
-        if r > 0:
-            p[r, r - 1] = up
-        if r < rows - 1:
-            p[r, r + 1] = down
-        p[r, r] = stay + (up if r == 0 else 0.0) + (down if r == rows - 1 else 0.0)
-    return MarkovSource(p, name=name or f"row_chain({rows},{up},{down})")
+        for c in range(cols):
+            s = r * cols + c
+            p[s, s] += stay
+            for prob, (dr, dc) in zip(probs, ((-1, 0), (1, 0), (0, -1), (0, 1))):
+                r2, c2 = r + dr, c + dc
+                if 0 <= r2 < rows and 0 <= c2 < cols:
+                    p[s, r2 * cols + c2] += prob
+                else:
+                    p[s, s] += prob
+    return MarkovSource(p, name=name)
 
 
 def cumulative_rows(transition: np.ndarray) -> np.ndarray:

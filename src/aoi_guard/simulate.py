@@ -46,8 +46,6 @@ from .markov import (
 from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset
 from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
 
-THREADS_ENV = "AOI_GUARD_THREADS"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -439,15 +437,12 @@ def config_at(config: SimConfig, axis: str, value: int) -> SimConfig:
 
 
 def resolve_workers(tasks: int) -> int:
-    """Worker count for sweep execution; AOI_GUARD_THREADS caps it (0 = auto)."""
-    cap = os.environ.get(THREADS_ENV, "0")
-    try:
-        cap_n = int(cap)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {cap!r}")
-    auto = os.cpu_count() or 1
-    workers = auto if cap_n == 0 else min(cap_n, auto)
-    return max(1, min(workers, tasks))
+    """Sweep workers: one per task, at most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
 
 
 def run_sweep(

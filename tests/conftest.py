@@ -4,10 +4,10 @@ import pytest
 from aoi_guard import (
     AgentClassSpec,
     MarkovSource,
+    SafetyMap,
     SimConfig,
     banded_safety_map,
-    build_row_chain,
-    identity_safety_map,
+    build_grid_walk,
     loss_01,
     loss_safety_example,
     solve_system,
@@ -16,6 +16,11 @@ from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import gain_keys, top_positive_ids
 
 CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
+
+
+def identity_safety_map(state_count: int) -> SafetyMap:
+    """Every state is its own label (|Y| = |X|)."""
+    return SafetyMap(state_count, np.arange(state_count))
 
 
 def mgf_select(gains, budget: int) -> np.ndarray:
@@ -38,11 +43,11 @@ def make_grid_classes(member_counts=(10, 10)):
     safety = banded_safety_map(20, (6, 13))
     loss = loss_safety_example()
     fast = AgentClassSpec(
-        build_row_chain(20, 0.3, 0.3, name="fast"),
+        build_grid_walk(20, 1, 0.3, 0.3, name="fast"),
         safety, loss, 0.95, member_counts[0], name="fast",
     )
     drift = AgentClassSpec(
-        build_row_chain(20, 0.05, 0.05, name="drift"),
+        build_grid_walk(20, 1, 0.05, 0.05, name="drift"),
         safety, loss, 0.95, member_counts[1], name="drift",
     )
     return (fast, drift)

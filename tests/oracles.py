@@ -246,6 +246,24 @@ def relaxed_rate_oracle(mask, transition, success_prob):
     return rate
 
 
+def row_chain_matrix(rows, up, down):
+    """Bounded walk on rows 0..rows-1: up to r-1, down to r+1, an off-end move stays put.
+
+    Written row by row, apart from the grid loop of `build_grid_walk`, whose
+    one-column case must give this matrix byte for byte: each row's stay
+    mass is 1 - up - down, plus the move that would leave an end.
+    """
+    stay = 1.0 - up - down
+    p = np.zeros((rows, rows))
+    for r in range(rows):
+        if r > 0:
+            p[r, r - 1] = up
+        if r < rows - 1:
+            p[r, r + 1] = down
+        p[r, r] = stay + (up if r == 0 else 0.0) + (down if r == rows - 1 else 0.0)
+    return p
+
+
 CHAIN_A = [[0.9, 0.1], [0.2, 0.8]]
 
 

@@ -17,7 +17,6 @@ from aoi_guard import (
     SimConfig,
     build_tables,
     dual_lower_bound,
-    identity_safety_map,
     loss_01,
     loss_safety_example,
     policy_iteration,
@@ -30,7 +29,7 @@ from aoi_guard.cli import main
 from aoi_guard.markov import SafetyMap
 from aoi_guard.simulate import config_at
 
-from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
+from conftest import CHAIN_A_MATRIX, identity_safety_map, make_grid_classes, random_primitive_source
 from oracles import conditional_entropy_given, enumerate_tables
 
 BOUNDARY_ROWS = {6, 7, 13, 14}  # 1-indexed rows flanking both label changes

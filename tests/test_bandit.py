@@ -9,10 +9,10 @@ from aoi_guard import (
     MarkovSource,
     ValidationError,
     banded_safety_map,
+    build_grid_walk,
     build_tables,
     dual_ascent,
     dual_lower_bound,
-    identity_safety_map,
     loss_01,
     loss_safety_example,
     policy_iteration,
@@ -20,9 +20,8 @@ from aoi_guard import (
 )
 from aoi_guard import bandit
 from aoi_guard.bandit import LumpedClass, relaxed_rate
-from aoi_guard.config import _grid2d_matrix
 from aoi_guard.markov import SafetyMap, lumpable_partition, recurrent_states, stack_padded
-from conftest import CHAIN_A_MATRIX, make_grid_classes, random_primitive_source
+from conftest import CHAIN_A_MATRIX, identity_safety_map, make_grid_classes, random_primitive_source
 from oracles import evaluate_policy_loop, relaxed_lp_value, relaxed_rate_oracle, renewal_sums_loop, rvi_fixed_sweeps
 
 # Frozen from the straight-line 200-sweep oracle in oracles.py (chain A,
@@ -637,8 +636,8 @@ def unlumped(monkeypatch):
 class TestLumpedQuotient:
     def test_grid_walk_lifts_onto_unlumped_solve(self):
         rows, cols = 6, 6
-        src = MarkovSource(_grid2d_matrix(rows, cols, 0.2, 0.2, 0.2, 0.2), name="grid6")
-        safety = SafetyMap(3, np.repeat(banded_safety_map(rows, (2, 4)).assignment, cols))
+        src = build_grid_walk(rows, cols, 0.2, 0.2, 0.2, 0.2, name="grid6")
+        safety = banded_safety_map(rows, (2, 4), cols)
         cls = AgentClassSpec(src, safety, loss_safety_example(), success_prob=0.95)
         pen, _ = build_tables(cls, 40)
         lumped = LumpedClass.of(cls, pen)

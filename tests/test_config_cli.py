@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_guard import AgentClassSpec, SimConfig, __version__, bandit, cli, simulate
+from aoi_guard import AgentClassSpec, SimConfig, __version__, banded_safety_map, bandit, cli, simulate
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RECORD_COLUMNS, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
@@ -76,6 +77,27 @@ classes:
     safety: {type: assignment, labels: [0, 1]}
     loss: {name: zero_one, labels: 2}
 """
+
+
+def one_class(source, safety="{type: bands, edges: [1]}", loss="{name: zero_one, labels: 2}"):
+    """A config with one class of two agents on one channel, from its three YAML mappings."""
+    return f"""
+name: one
+channels: 1
+slots: 1000
+seed: 2
+delta_bound: 20
+policy: maf
+classes:
+  - name: c
+    members: 2
+    source: {source}
+    safety: {safety}
+    loss: {loss}
+"""
+
+
+TRIO = "{type: matrix, rows: [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}"
 PAIR_CLASS = """        - [0.9, 0.1]
         - [0.2, 0.8]
     safety: {type: assignment, labels: [0, 1]}
@@ -141,6 +163,7 @@ class TestLoadConfig:
         # bands apply to grid rows: first 6 rows of 20 cells are safe
         assert list(cls.safety.assignment[: 6 * 20]) == [0] * 120
         assert list(cls.safety.assignment[13 * 20 :]) == [2] * 140
+        assert cls.safety.assignment.tolist() == banded_safety_map(20, (6, 13), 20).assignment.tolist()
         row_sums = cls.source.transition.sum(axis=1)
         assert float(np.abs(row_sums - 1.0).max()) < 1e-12
 
@@ -191,6 +214,32 @@ classes:
         assert cls.source.state_count == 20
         assert list(cls.safety.assignment[:5]) == [0] * 5
         assert list(cls.safety.assignment[10:]) == [1] * 10
+
+    @pytest.mark.parametrize("rows,up,down", [(20, 0.3, 0.3), (20, 0.05, 0.05), (7, 0.1, 0.45), (2, 1.0, 0.0)])
+    def test_row_chain_is_the_one_column_grid2d(self, tmp_path, rows, up, down):
+        chain = one_class(f"{{type: row_chain, rows: {rows}, up: {up}, down: {down}}}")
+        grid = one_class(f"{{type: grid2d, rows: {rows}, cols: 1, up: {up}, down: {down}, left: 0, right: 0}}")
+        a = load_config(write_config(tmp_path, chain, "chain.yaml")).sim.classes[0]
+        b = load_config(write_config(tmp_path, grid, "grid.yaml")).sim.classes[0]
+        assert a.source.transition.tobytes() == b.source.transition.tobytes()
+        assert a.safety.assignment.tolist() == b.safety.assignment.tolist()
+
+    @pytest.mark.parametrize("rows,cols,edges", [(4, 5, [2]), (6, 3, [1, 4]), (3, 1, [1, 2])])
+    def test_bands_over_a_grid2d_label_its_rows(self, tmp_path, rows, cols, edges):
+        source = f"{{type: grid2d, rows: {rows}, cols: {cols}, up: 0.2, down: 0.2, left: 0.2, right: 0.2}}"
+        text = one_class(source, safety=f"{{type: bands, edges: {edges}}}", loss=f"{{name: zero_one, labels: {len(edges) + 1}}}")
+        safety = load_config(write_config(tmp_path, text)).sim.classes[0].safety
+        expected = banded_safety_map(rows, edges, cols)
+        assert safety.label_count == expected.label_count
+        assert safety.assignment.tolist() == expected.assignment.tolist()
+
+    def test_grid_walk_errors_name_the_source_key(self, tmp_path):
+        bad = one_class("{type: grid2d, rows: 3, cols: 3, up: 0.3, down: 0.3, left: 0.3, right: 0.3}")
+        with pytest.raises(ConfigError, match=r"classes\[0\]\.source: moves .* sum to at most 1"):
+            load_config(write_config(tmp_path, bad))
+        single = one_class("{type: grid2d, rows: 1, cols: 1, up: 0.1, down: 0.1, left: 0.1, right: 0.1}")
+        with pytest.raises(ConfigError, match=r"classes\[0\]\.source: .*at least 2 cells, got 1x1"):
+            load_config(write_config(tmp_path, single))
 
 
 class TestCliCommands:
@@ -479,6 +528,41 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--policy", "greedy"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "--policy" in err and "'greedy'" in err and "'all'" in err
+
+    @pytest.mark.parametrize("key,good,bad,message", [
+        ("values", MINIMAL + "sweep: {axis: channels, values: [1]}\n",
+         MINIMAL + "sweep: {axis: channels, values: [true]}\n", r"sweep\.values\[0\]: expected a number, got True"),
+        ("labels", one_class(TRIO, safety="{type: assignment, labels: [0, 0, 1]}"),
+         one_class(TRIO, safety="{type: assignment, labels: [0, 0.5, 1]}"), r"labels\[1\]: expected an integer, got 0\.5"),
+        ("edges", one_class(TRIO, safety="{type: bands, edges: [1]}"),
+         one_class(TRIO, safety="{type: bands, edges: [true]}"), r"edges\[0\]: expected a number, got True"),
+    ], ids=["sweep.values", "assignment.labels", "bands.edges"])
+    def test_integer_lists_reject_non_integers(self, tmp_path, capsys, key, good, bad, message):
+        command = "sweep" if key == "values" else "simulate"
+        ok = write_config(tmp_path, good, "good.yaml")
+        assert main([command, "--config", str(ok), "--output", str(tmp_path / "good.csv")]) == EXIT_OK
+        cfg = write_config(tmp_path, bad, "bad.yaml")
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "bad.csv")]) == EXIT_VALIDATION
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_one_cell_grid2d_exits_3(self, tmp_path, capsys):
+        # A 1 x 1 grid has one state, as a 1-row row_chain does: both are rejected.
+        for source in ("{type: grid2d, rows: 1, cols: 1, up: 0.1, down: 0.1, left: 0.1, right: 0.1}",
+                       "{type: row_chain, rows: 1, up: 0.1, down: 0.1}"):
+            text = one_class(source, safety="{type: assignment, labels: [0]}", loss="{name: zero_one, labels: 1}")
+            cfg = write_config(tmp_path, text)
+            assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
+            assert "classes[0].source: a grid walk needs at least 2 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("[0.9, 0.1]", "[.nan, 1.0]"),
+        ("policy: maf", "policy: maf\nreplications: .inf"),
+        ("members: 2", "members: .nan"),
+    ], ids=["nan-matrix", "inf-replications", "nan-members"])
+    def test_non_finite_values_exit_3(self, tmp_path, old, new):
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
 
     def test_bad_profile_deltas(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -10,9 +10,8 @@ from aoi_guard import (
     MarkovSource,
     ValidationError,
     banded_safety_map,
-    build_row_chain,
+    build_grid_walk,
     build_tables,
-    identity_safety_map,
     is_primitive,
     stationary_distribution,
 )
@@ -28,7 +27,8 @@ from aoi_guard.markov import (
     step_candidates,
 )
 
-from conftest import random_primitive_source
+from conftest import identity_safety_map, random_primitive_source
+from oracles import row_chain_matrix
 
 
 class TestMarkovSource:
@@ -39,6 +39,10 @@ class TestMarkovSource:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
             MarkovSource([[1.2, -0.2], [0.5, 0.5]])
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            MarkovSource([[np.nan, 1.0], [0.5, 0.5]])
 
     def test_transition_is_read_only(self, chain_a):
         with pytest.raises(ValueError):
@@ -97,7 +101,7 @@ class TestSafetyDistribution:
 
     def test_row_chain_boundary_rule(self):
         # Row 7 of the 20-row grid sits just inside the cautious band.
-        src = build_row_chain(20, 0.3, 0.3)
+        src = build_grid_walk(20, 1, 0.3, 0.3)
         safety = banded_safety_map(20, (6, 13))
         row = np.linalg.matrix_power(src.transition, 1)[6]  # row 7 is state 6
         got = np.bincount(safety.assignment, weights=row, minlength=safety.label_count)
@@ -264,15 +268,13 @@ def planted_lumpable_chains(draw):
 
 class TestLumpablePartition:
     def test_grid_walk_lumps_onto_rows(self):
-        from aoi_guard.config import _grid2d_matrix
-
-        p = _grid2d_matrix(6, 5, 0.2, 0.2, 0.2, 0.2)
-        labels = np.repeat(banded_safety_map(6, (2, 4)).assignment, 5)
+        p = build_grid_walk(6, 5, 0.2, 0.2, 0.2, 0.2).transition
+        labels = banded_safety_map(6, (2, 4), 5).assignment
         assert (lumpable_partition(p, labels) == np.arange(30) // 5).all()
 
     def test_row_chain_is_its_own_quotient(self):
         for up, down in ((0.3, 0.3), (0.05, 0.05)):
-            src = build_row_chain(20, up, down)
+            src = build_grid_walk(20, 1, up, down)
             block = lumpable_partition(src.transition, banded_safety_map(20, (6, 13)).assignment)
             assert (block == np.arange(20)).all()
 
@@ -306,31 +308,88 @@ class TestLumpablePartition:
 
 
 class TestBuildRowChain:
+    # A row chain is the one-column grid walk.
     def test_interior_row_probabilities(self):
-        src = build_row_chain(20, 0.3, 0.3)
+        src = build_grid_walk(20, 1, 0.3, 0.3)
         assert src.transition[10, 9:12] == pytest.approx((0.3, 0.4, 0.3))
 
     def test_top_row_folds_up_into_stay(self):
-        src = build_row_chain(20, 0.3, 0.3)
+        src = build_grid_walk(20, 1, 0.3, 0.3)
         assert src.transition[0, 0] == pytest.approx(0.7)
         assert src.transition[0, 1] == pytest.approx(0.3)
 
     def test_bottom_row_folds_down_into_stay(self):
-        src = build_row_chain(20, 0.3, 0.3)
+        src = build_grid_walk(20, 1, 0.3, 0.3)
         assert src.transition[19, 19] == pytest.approx(0.7)
         assert src.transition[19, 18] == pytest.approx(0.3)
 
     def test_slow_class_interior_stay(self):
-        src = build_row_chain(20, 0.05, 0.05)
+        src = build_grid_walk(20, 1, 0.05, 0.05)
         assert src.transition[7, 7] == pytest.approx(0.9)
 
     def test_probability_validation(self):
         with pytest.raises(ValidationError):
-            build_row_chain(20, 0.6, 0.6)
+            build_grid_walk(20, 1, 0.6, 0.6)
         with pytest.raises(ValidationError):
-            build_row_chain(20, -0.1, 0.3)
+            build_grid_walk(20, 1, -0.1, 0.3)
         with pytest.raises(ValidationError):
-            build_row_chain(1, 0.1, 0.1)
+            build_grid_walk(1, 1, 0.1, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    def test_bytes_match_the_row_chain_oracle(self, rows, up, down):
+        # Same matrix, byte for byte, and rejected exactly when the oracle's
+        # matrix is not a valid source (a stay mass rounded below zero).
+        if up + down > 1.0:
+            up, down = up / 2, down / 2
+        expected = row_chain_matrix(rows, up, down)
+        try:
+            MarkovSource(expected)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                build_grid_walk(rows, 1, up, down)
+            return
+        assert build_grid_walk(rows, 1, up, down).transition.tobytes() == expected.tobytes()
+
+
+class TestBuildGridWalk:
+    def test_interior_cell_moves_four_ways(self):
+        p = build_grid_walk(3, 4, 0.1, 0.2, 0.3, 0.15).transition
+        s = 1 * 4 + 1  # cell (1, 1)
+        assert p[s, [s - 4, s + 4, s - 1, s + 1, s]] == pytest.approx((0.1, 0.2, 0.3, 0.15, 0.25))
+        assert np.count_nonzero(p[s]) == 5
+
+    def test_corner_folds_off_grid_moves_into_stay(self):
+        p = build_grid_walk(3, 4, 0.1, 0.2, 0.3, 0.15).transition
+        assert p[0, 0] == pytest.approx(0.25 + 0.1 + 0.3)
+        assert p[0, [1, 4]] == pytest.approx((0.15, 0.2))
+        assert p[11, 11] == pytest.approx(0.25 + 0.2 + 0.15)
+
+    def test_observed_by_rows_it_is_the_row_chain(self):
+        # Sideways moves never change the row: summing each row's cells
+        # gives the one-column walk's row law from every cell.
+        rows, cols = 5, 3
+        p = build_grid_walk(rows, cols, 0.2, 0.1, 0.3, 0.3).transition
+        by_row = p.reshape(rows * cols, rows, cols).sum(axis=2)
+        chain = build_grid_walk(rows, 1, 0.2, 0.1).transition
+        assert np.allclose(by_row, np.repeat(chain, cols, axis=0), atol=1e-15)
+
+    @pytest.mark.parametrize("rows,cols,moves", [
+        (1, 1, (0.1, 0.1, 0.1, 0.1)),  # a single cell
+        (0, 5, (0.1, 0.1, 0.1, 0.1)),
+        (-1, -2, (0.1, 0.1, 0.1, 0.1)),  # the product is 2, the grid still empty
+        (3, 3, (0.3, 0.3, 0.3, 0.3)),  # moves sum past 1
+        (3, 3, (0.5, -0.1, 0.1, 0.1)),
+        (3, 3, (np.nan, 0.1, 0.1, 0.1)),
+        (2, 1, (1.0 + 1e-9, 0.0, 0.0, 0.0)),
+    ])
+    def test_rejections(self, rows, cols, moves):
+        with pytest.raises(ValidationError):
+            build_grid_walk(rows, cols, *moves)
 
 
 def step_one(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
@@ -405,3 +464,13 @@ class TestSafetyMap:
     def test_bad_edges_rejected(self):
         with pytest.raises(ValidationError):
             banded_safety_map(10, (7, 3))
+
+    @pytest.mark.parametrize("edges", [(3, 3), (0, 4), (4, 10)])
+    def test_every_band_must_be_nonempty(self, edges):
+        with pytest.raises(ValidationError, match="increasing"):
+            banded_safety_map(10, edges)
+
+    def test_grid_cells_take_their_row_band(self):
+        safety = banded_safety_map(4, (1, 3), cols=3)
+        assert safety.label_count == 3
+        assert safety.assignment.tolist() == [0] * 3 + [1] * 6 + [2] * 3

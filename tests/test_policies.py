@@ -3,11 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoi_guard.simulate as simulate
-from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, identity_safety_map, loss_01
+from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, loss_01
 from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import gain_keys, top_ids, uniform_subset
 
-from conftest import CHAIN_A_MATRIX, mgf_select
+from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select
 from oracles import _top_ids, _top_positive_ids
 
 

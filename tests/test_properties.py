@@ -12,9 +12,7 @@ from aoi_guard import (
     LossMatrix,
     MarkovSource,
     SimConfig,
-    ValidationError,
     dual_lower_bound,
-    identity_safety_map,
     loss_01,
     run_paired,
     run_sweep,
@@ -25,7 +23,7 @@ from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_positive_ids
 from aoi_guard.simulate import resolve_workers
 
-from conftest import make_grid_classes, mgf_select
+from conftest import identity_safety_map, make_grid_classes, mgf_select
 from oracles import ReferenceWorld, random_queue_oracle, reference_records
 
 
@@ -40,24 +38,20 @@ class TestSweepParallelism:
             return workers[-1]
 
         monkeypatch.setattr(simulate, "resolve_workers", recorded)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("AOI_GUARD_THREADS", "1")
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
-        monkeypatch.setenv("AOI_GUARD_THREADS", "0")
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         parallel = run_sweep(cfg, "channels", [1, 2], policies=["maf", "randomized"], replications=2)
         assert workers == [1, 2]
         assert serial == parallel
 
-    def test_env_var_caps_workers(self, monkeypatch):
+    def test_workers_follow_the_affinity_mask(self, monkeypatch):
+        # cpu_count counts the machine; a process pinned to fewer CPUs gets fewer workers.
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv("AOI_GUARD_THREADS", "3")
-        assert resolve_workers(100) == 3
-        monkeypatch.setenv("AOI_GUARD_THREADS", "0")
-        assert resolve_workers(100) == 8
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("AOI_GUARD_THREADS", "many")
-        with pytest.raises(ValidationError):
-            resolve_workers(4)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert [resolve_workers(tasks) for tasks in (1, 2, 100)] == [1, 2, 2]
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        assert [resolve_workers(tasks) for tasks in (1, 5, 100)] == [1, 5, 8]
 
 
 class TestPolicyKernelEquivalence:

@@ -10,7 +10,6 @@ from aoi_guard import (
     MarkovSource,
     SimConfig,
     ValidationError,
-    identity_safety_map,
     loss_01,
     run_paired,
     run_sweep,
@@ -21,7 +20,7 @@ from aoi_guard.cli import _report
 from aoi_guard.config import RunManifest
 from aoi_guard.simulate import config_at
 
-from conftest import CHAIN_A_MATRIX, make_grid_classes
+from conftest import CHAIN_A_MATRIX, identity_safety_map, make_grid_classes
 from oracles import ReferenceWorld
 
 

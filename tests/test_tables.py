@@ -7,13 +7,12 @@ from aoi_guard import (
     MarkovSource,
     ValidationError,
     build_tables,
-    identity_safety_map,
     loss_01,
     stationary_distribution,
 )
 from aoi_guard.markov import SafetyMap
 
-from conftest import random_primitive_source
+from conftest import identity_safety_map, random_primitive_source
 from oracles import enumerate_tables, optimal_estimate
 
 
