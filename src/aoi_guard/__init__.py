@@ -39,7 +39,7 @@ from .simulate import (
     run_sweep,
     solve_system,
 )
-from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
+from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 __all__ = [
     "__version__",
@@ -48,7 +48,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DualTrace",
-    "EstimatorTable",
     "LossMatrix",
     "MarkovSource",
     "POLICY_KEYS",

@@ -20,6 +20,7 @@ that refines the labels and lifts the tables back to every state. The
 400-position grid walk lumps onto its 20 rows; the row chains of the 20-row
 grid do not lump further, and their quotient is the chain itself.
 
+Every array here has one row per age 0..D, and D is read from that row count.
 Each quotient carries one read-only stack of its transition powers P^delta,
 delta = 0..D, built once per dual search ((D + 1) |X|^2 doubles, capped at
 POWER_STACK_BYTES with a ValidationError). Every evaluation reads it and
@@ -75,7 +76,6 @@ class BanditSolution:
     q_passive: np.ndarray
     avg_cost: float
     gain: np.ndarray
-    delta_bound: int
     iterations: int
     residual: float
 
@@ -233,7 +233,7 @@ def policy_iteration(
     if not 0.0 < success_prob <= 1.0:
         raise ValidationError(f"success_prob must lie in (0, 1], got {success_prob}")
     q = penalty.values
-    db = penalty.delta_bound
+    db = q.shape[0] - 1
     nx = source.state_count
     if q.shape[1] != nx:
         raise ValidationError(f"penalty table covers {q.shape[1]} states, source has {nx}")
@@ -283,7 +283,7 @@ def policy_iteration(
     gain = q_passive - q_active
     for arr in (h, q_passive, q_active, gain):
         arr.setflags(write=False)
-    return BanditSolution(float(lam), h, q_active, q_passive, g, gain, db, evaluations, residual)
+    return BanditSolution(float(lam), h, q_active, q_passive, g, gain, evaluations, residual)
 
 
 # perfbench's tracer times the class solve under its former name (the
@@ -321,13 +321,13 @@ class LumpedClass:
         block.setflags(write=False)
         return cls(
             MarkovSource(quotient, name=spec.source.name),
-            PenaltyTable(values, penalty.delta_bound),
+            PenaltyTable(values),
             block,
         )
 
     @cached_property
     def powers(self) -> np.ndarray:
-        return power_stack(self.source.transition, self.penalty.delta_bound)
+        return power_stack(self.source.transition, self.penalty.values.shape[0] - 1)
 
     def lift(self, sol: BanditSolution) -> BanditSolution:
         """A quotient solution read back on every source state."""
@@ -386,8 +386,8 @@ def dual_ascent(
 ) -> tuple[float, DualTrace, list[BanditSolution]]:
     """Search the transmission price at which relaxed usage meets the budget.
 
-    `penalties` are the classes' penalty tables from `build_tables`, all at
-    one age bound. At each probed price every class MDP is solved on its
+    `penalties` are the classes' penalty tables from `build_tables`, with one
+    row count (age bound). At each probed price every class MDP is solved on its
     `LumpedClass` quotient by `policy_iteration`, starting from the previous
     probe's greedy mask; the quotient's P^delta stack is built once and
     every probe's solve and rate read it. The relaxed activation rate is the
@@ -412,8 +412,8 @@ def dual_ascent(
         raise ValidationError("dual_ascent needs at least one agent class")
     if len(penalties) != len(classes):
         raise ValidationError(f"{len(penalties)} penalty tables for {len(classes)} classes")
-    if len({pen.delta_bound for pen in penalties}) != 1:
-        raise ValidationError("penalty tables must share one delta_bound")
+    if len({pen.values.shape[0] for pen in penalties}) != 1:
+        raise ValidationError("penalty tables must share one age bound (row count)")
 
     lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
     warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized masks

@@ -78,7 +78,8 @@ def _table(ages: Iterable[int], tables: Sequence[np.ndarray]) -> Iterator[tuple]
 
 
 def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str) -> int:
-    """Write the records, print each policy's mean penalty (ties by name) and the path."""
+    """Write the records sorted by (policy, r, N, M, seed), print each policy's mean (ties by name) and the path."""
+    records = sorted(records, key=lambda r: (r.policy, r.scale, r.agents, r.channels, r.seed))
     out = output or Path(f"{manifest.name}_{default_name}")
     if out.is_dir():
         out = out / f"{manifest.name}_{default_name}"
@@ -101,7 +102,7 @@ def cmd_solve(manifest: RunManifest, output: Path | None) -> int:
     out_dir = output or Path(f"{manifest.name}_solve")
     ages = range(1, manifest.sim.delta_bound + 1)
     for i, cls in enumerate(manifest.sim.classes):
-        tables = (system.penalties[i].values, system.estimators[i].choices, system.solutions[i].gain)
+        tables = (system.penalties[i].values, system.estimators[i], system.solutions[i].gain)
         rows = _table(ages, tables)
         _write(out_dir / f"tables_{i}_{cls.name}.csv", manifest, (("delta", "x", "q", "f", "alpha"), rows))
     trace = (("iteration", "lambda", "activation_rate"), system.trace.iterations)
@@ -121,7 +122,6 @@ def cmd_simulate(manifest: RunManifest, output: Path | None, fmt: str) -> int:
     records = run_paired(
         manifest.sim, manifest.policies, system, manifest.sim.seed, replications=manifest.replications
     )
-    records.sort(key=lambda r: (r.policy, r.seed))
     return _report(manifest, records, "records", output, fmt)
 
 

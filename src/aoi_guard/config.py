@@ -8,9 +8,10 @@ SHA-256 digest rides along into every output for provenance.
 This module only parses: it checks the types and shapes of the YAML values
 and hands them to the model's own constructors (`markov.build_grid_walk`,
 `markov.banded_safety_map`, `MarkovSource`, `SafetyMap`, the loss builders,
-`AgentClassSpec`, `SimConfig`), which hold every model rule. What those
-reject, `_blame` reports under the key path it was read from. A `row_chain`
-source is the one-column `grid2d`.
+`AgentClassSpec`, `SimConfig`), which hold every model rule, and to
+`simulate.check_run` and `simulate.sweep_points`, which hold every run rule.
+What those reject, `_blame` reports under the key path it was read from. A
+`row_chain` source is the one-column `grid2d`.
 
 The manifest is the parsed config and nothing else: where a command writes
 and in which format are arguments of the command. Its `policies` is the one
@@ -31,7 +32,7 @@ from .errors import ConfigError
 from .loss import LossMatrix, loss_01, loss_quadratic, loss_safety_example
 from .markov import MarkovSource, SafetyMap, banded_safety_map, build_grid_walk
 from .policies import POLICY_KEYS
-from .simulate import SWEEP_AXES, SimConfig
+from .simulate import SimConfig, check_run, sweep_points
 from .tables import AgentClassSpec
 
 
@@ -219,15 +220,13 @@ def load_config(path) -> RunManifest:
     if "sweep" in doc:
         sweep_doc = _expect_map(doc["sweep"], f"{where}.sweep")
         sweep_axis = _need(sweep_doc, "axis", f"{where}.sweep")
-        if sweep_axis not in SWEEP_AXES:
-            raise ConfigError(f"{where}.sweep.axis: {sweep_axis!r} is not one of {', '.join(SWEEP_AXES)}")
         sweep_values = _integers(sweep_doc, "values", f"{where}.sweep")
-        if not all(v > 0 for v in sweep_values):
-            raise ConfigError(f"{where}.sweep.values: expected a list of positive integers")
+        with _blame(f"{where}.sweep"):
+            sweep_points(sim, sweep_axis, sweep_values)
 
     replications = _number(doc, "replications", where, default=1, integer=True)
-    if replications < 1:
-        raise ConfigError(f"{where}.replications: must be >= 1, got {replications}")
+    with _blame(where):
+        check_run(policies, replications)
 
     return RunManifest(
         sim=sim,

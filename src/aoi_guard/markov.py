@@ -227,7 +227,8 @@ def build_grid_walk(
     one-column grid, build_grid_walk(rows, 1, up, down): sideways moves never
     change the row, so a 2D walk observed by rows flattens to exactly it.
     The grid needs at least 2 cells, and the moves must be nonnegative and
-    sum to at most 1 (within ROW_SUM_TOL).
+    sum to at most 1 (within ROW_SUM_TOL): the stay mass is clamped at 0,
+    and `MarkovSource`'s row-sum tolerance decides.
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValidationError(f"a grid walk needs at least 2 cells, got {rows}x{cols}")
@@ -237,7 +238,7 @@ def build_grid_walk(
             f"moves up={up}, down={down}, left={left}, right={right} must be nonnegative and sum to at most 1"
         )
     n = rows * cols
-    stay = 1.0 - up - down - left - right
+    stay = max(0.0, 1.0 - up - down - left - right)
     p = np.zeros((n, n))
     for r in range(rows):
         for c in range(cols):

@@ -44,7 +44,7 @@ from .markov import (
     step_candidates,
 )
 from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset
-from .tables import AgentClassSpec, EstimatorTable, PenaltyTable, build_tables
+from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,10 @@ class SimRecord:
 
 @dataclass(frozen=True)
 class SolvedSystem:
-    """Per-class tables (and, when needed, gain solutions) for one config."""
+    """Per-class penalty tables and estimate arrays (and, when needed, gain solutions) for one config."""
 
     penalties: tuple[PenaltyTable, ...]
-    estimators: tuple[EstimatorTable, ...]
+    estimators: tuple[np.ndarray, ...]
     solutions: tuple[BanditSolution, ...] | None = None
     lambda_star: float | None = None
     trace: DualTrace | None = None
@@ -337,7 +337,7 @@ def _run_policy(
         state.aoi_sum += ages.sum(axis=0)
 
 
-def _check_run(policies: Sequence[str], replications: int) -> None:
+def check_run(policies: Sequence[str], replications: int) -> None:
     """Reject any name that is not a policy (repeated names are allowed) and fewer than one replication."""
     for p in policies:
         if p not in POLICY_KEYS:
@@ -361,7 +361,7 @@ def run_paired(
     slot loop for all of them. Records come per policy in the order given,
     lanes in seed order.
     """
-    _check_run(policies, replications)
+    check_run(policies, replications)
     if "mgf" in policies and system.solutions is None:
         raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
     seeds = list(range(seed, seed + replications))
@@ -371,7 +371,7 @@ def run_paired(
         stack = stack_padded(arrays, fill)
         return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
-    est = flat([e.choices for e in system.estimators], 0)
+    est = flat(system.estimators, 0)
     gain_key = None
     if "mgf" in policies:
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
@@ -436,6 +436,17 @@ def config_at(config: SimConfig, axis: str, value: int) -> SimConfig:
     raise ValidationError(f"axis must be one of {', '.join(SWEEP_AXES)}; got {axis!r}")
 
 
+def sweep_points(config: SimConfig, axis: str, values: Sequence[int]) -> list[SimConfig]:
+    """The base config moved to every sweep point, each with at least as many agents as channels."""
+    if not values or any(v < 1 for v in values):
+        raise ValidationError("axis values must be positive")
+    points = [config_at(config, axis, value) for value in values]
+    for value, point in zip(values, points):
+        if point.agent_count < point.channels:
+            raise ValidationError(f"sweep point {axis}={value} has N={point.agent_count} < M={point.channels}")
+    return points
+
+
 def resolve_workers(tasks: int) -> int:
     """Sweep workers: one per task, at most one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -458,18 +469,12 @@ def run_sweep(
     population and budget); estimation tables only depend on the classes.
     Each point is one `run_paired` call with the replications as its lanes;
     points run in parallel when more than one worker is available, and
-    per-lane seeding keeps results identical either way. The policies, the
-    replication count and every point are checked before the first solve.
+    per-lane seeding keeps results identical either way. Records come point
+    by point, each as `run_paired` orders them. The policies, the replication
+    count and every point are checked before the first solve.
     """
-    if not values or any(v < 1 for v in values):
-        raise ValidationError("axis values must be positive")
-    _check_run(policies, replications)
-    points = [config_at(config, axis, value) for value in values]
-    for value, point in zip(values, points):
-        if point.agent_count < point.channels:
-            raise ValidationError(
-                f"sweep point {axis}={value} has N={point.agent_count} < M={point.channels}"
-            )
+    check_run(policies, replications)
+    points = sweep_points(config, axis, values)
     tasks = [
         (point, policies, solve_system(point, with_gains="mgf" in policies), config.seed,
          value if axis == "scale" else 1, replications)
@@ -485,6 +490,4 @@ def run_sweep(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_paired, *zip(*tasks)))
-    records = [r for batch in batches for r in batch]
-    records.sort(key=lambda r: (r.policy, r.scale, r.agents, r.channels, r.seed))
-    return records
+    return [r for batch in batches for r in batch]

@@ -55,25 +55,17 @@ class AgentClassSpec:
 class PenaltyTable:
     """values[delta, x] = minimum expected loss when estimating from (delta, x).
 
-    Row indices are ages directly: rows 1..delta_bound are the operative
-    table, row 0 holds the zero-age entries for convenience.
+    Row indices are ages 0..D, and the row count alone states D: rows 1..D
+    are the operative table, row 0 holds the zero-age entries for convenience.
     """
 
     values: np.ndarray
-    delta_bound: int
 
 
-@dataclass(frozen=True)
-class EstimatorTable:
-    """choices[delta, x] = Bayes-optimal label for (delta, x); same layout."""
+def build_tables(cls: AgentClassSpec, delta_bound: int) -> tuple[PenaltyTable, np.ndarray]:
+    """Tabulate penalty q(delta, x) and estimate f(delta, x) for ages 0..delta_bound.
 
-    choices: np.ndarray
-    delta_bound: int
-
-
-def build_tables(cls: AgentClassSpec, delta_bound: int) -> tuple[PenaltyTable, EstimatorTable]:
-    """Tabulate penalty q(delta, x) and estimate f(delta, x) for all ages.
-
+    Returns the penalty table and choices[delta, x], the Bayes-optimal label.
     For each age the label law given (delta, x) is the delta-step state law
     pushed through the safety map; entries are its Bayes-optimal label and
     that label's expected loss, computed in one vectorized pass per age.
@@ -94,4 +86,4 @@ def build_tables(cls: AgentClassSpec, delta_bound: int) -> tuple[PenaltyTable, E
         values[delta] = expected[np.arange(nx), choices[delta]]
     values.setflags(write=False)
     choices.setflags(write=False)
-    return PenaltyTable(values, delta_bound), EstimatorTable(choices, delta_bound)
+    return PenaltyTable(values), choices

@@ -251,9 +251,10 @@ def row_chain_matrix(rows, up, down):
 
     Written row by row, apart from the grid loop of `build_grid_walk`, whose
     one-column case must give this matrix byte for byte: each row's stay
-    mass is 1 - up - down, plus the move that would leave an end.
+    mass is 1 - up - down, clamped at 0 against rounding, plus the move that
+    would leave an end.
     """
-    stay = 1.0 - up - down
+    stay = max(0.0, 1.0 - up - down)
     p = np.zeros((rows, rows))
     for r in range(rows):
         if r > 0:
@@ -348,7 +349,7 @@ def _reference_run(config, world, policy, system, seed, capacity):
     db = config.delta_bound
     cls_idx = world.cls_of_agent
 
-    est_stack = stack_padded([e.choices for e in system.estimators], 0)
+    est_stack = stack_padded(system.estimators, 0)
     loss_stack = stack_padded([c.loss.entries for c in config.classes], 0.0)
     if policy == "mgf":
         gain_stack = stack_padded([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0)
@@ -495,7 +496,7 @@ def relaxed_lp_value(classes, penalties, channels):
     for cls, pen in zip(classes, penalties):
         p = np.asarray(cls.source.transition, dtype=float)
         nx = p.shape[0]
-        db = pen.delta_bound
+        db = pen.values.shape[0] - 1
         powers = [np.linalg.matrix_power(p, d) for d in range(db + 1)]
 
         def state(delta, x):

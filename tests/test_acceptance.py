@@ -85,7 +85,7 @@ def test_criterion_01_estimator_matches_exhaustive_enumeration():
         pen, est = build_tables(AgentClassSpec(src, safety, loss), bound)
         q_ref, f_ref = enumerate_tables(src.transition, safety.assignment, loss.entries, bound)
         worst_q = max(worst_q, float(np.abs(pen.values - q_ref).max()))
-        assert (est.choices == f_ref).all()
+        assert (est == f_ref).all()
     elapsed = time.time() - start
     report(1, "estimator oracle equivalence", worst_q < 1e-12 and elapsed < 10,
            f"max |q - oracle| = {worst_q:.2e} over 100 triples in {elapsed:.1f}s")

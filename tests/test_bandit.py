@@ -40,7 +40,8 @@ def solve_chain_a(p=0.95, lam=0.05, delta_bound=40):
 
 def bellman_residual(sol, pen, src, success_prob, observations=slice(None)):
     """Max |h - min(passive, active)| over ages 1..D and the given observations, from matrix powers."""
-    q, h, g, lam, db = pen.values, sol.h, sol.avg_cost, sol.lam, sol.delta_bound
+    q, h, g, lam = pen.values, sol.h, sol.avg_cost, sol.lam
+    db = q.shape[0] - 1
     worst = 0.0
     for delta in range(1, db + 1):
         up = h[min(delta + 1, db)]

@@ -447,7 +447,7 @@ classes:
                 assert lines[:2] == [f"# aoi-guard {__version__}", f"# config_digest={manifest.digest}"], path
 
         system = cli.solve_system(manifest.sim, with_gains=True)
-        pen, choices, gain = system.penalties[0].values, system.estimators[0].choices, system.solutions[0].gain
+        pen, choices, gain = system.penalties[0].values, system.estimators[0], system.solutions[0].gain
         states = manifest.sim.classes[0].source.state_count
 
         def cells(rows, column, parse):
@@ -586,6 +586,22 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
         assert "channels=3 has N=2 < M=3" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("sweep,message", [
+        ("{axis: channels, values: [1, 5]}", "sweep point channels=5 has N=4 < M=5"),
+        ("{axis: agents, values: [1]}", "cannot spread 1 agents across 2 classes"),
+        ("{axis: speed, values: [1]}", "axis must be one of agents, channels, scale; got 'speed'"),
+        ("{axis: channels, values: [2, 0]}", "axis values must be positive"),
+    ], ids=["n-below-m", "agents-unspread", "unknown-axis", "nonpositive-value"])
+    def test_sweep_points_fail_at_load(self, tmp_path, capsys, sweep, message):
+        # Two classes of two agents: every point the sweep would run is checked
+        # when the config loads, so even `simulate` rejects a bad sweep section.
+        twin = MINIMAL[MINIMAL.index("  - name: pair"):].replace("name: pair", "name: twin")
+        cfg = write_config(tmp_path, MINIMAL + twin + f"sweep: {sweep}\n")
+        with pytest.raises(ConfigError, match=r"\.sweep: " + re.escape(message)):
+            load_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_profile_delta_outside_bound_fails_before_solving(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, MINIMAL)

@@ -343,7 +343,8 @@ class TestBuildRowChain:
     )
     def test_bytes_match_the_row_chain_oracle(self, rows, up, down):
         # Same matrix, byte for byte, and rejected exactly when the oracle's
-        # matrix is not a valid source (a stay mass rounded below zero).
+        # matrix is not a valid source. Both clamp the stay mass at 0, so a
+        # sum of moves that rounds past 1 leaves no negative entry.
         if up + down > 1.0:
             up, down = up / 2, down / 2
         expected = row_chain_matrix(rows, up, down)
@@ -354,6 +355,13 @@ class TestBuildRowChain:
                 build_grid_walk(rows, 1, up, down)
             return
         assert build_grid_walk(rows, 1, up, down).transition.tobytes() == expected.tobytes()
+
+    def test_stay_rounding_below_zero_is_clamped(self):
+        # 1.0 - 1.0 - 8.9e-268 is -8.9e-268: the interior stay is 0, not negative.
+        p = build_grid_walk(3, 1, 1.0, 8.9e-268).transition
+        assert p[1, 1] == 0.0
+        assert (p >= 0.0).all()
+        assert (p.sum(axis=1) == 1.0).all()
 
 
 class TestBuildGridWalk:

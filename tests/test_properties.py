@@ -201,11 +201,11 @@ class TestDualBound:
     @given(bounded_systems())
     def test_every_policy_pays_at_least_the_dual_bound(self, cfg):
         # Weak duality: no policy's long-run penalty per agent is below the
-        # relaxed problem's dual bound / N. Each policy's mean over 4 lanes
-        # must clear it less 4 standard errors.
+        # relaxed problem's dual bound / N. Each policy's mean over 32 lanes
+        # must clear it less 4 standard errors; a few lanes give too rough an SE.
         system = solve_system(cfg, with_gains=True)
         bound = dual_lower_bound(list(system.solutions), list(cfg.classes), cfg.channels) / cfg.agent_count
-        records = run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=4)
+        records = run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=32)
         for policy in POLICY_KEYS:
             v = np.array([r.normalized_penalty for r in records if r.policy == policy])
             se = v.std(ddof=1) / np.sqrt(v.size)

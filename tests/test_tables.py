@@ -20,7 +20,7 @@ class TestBuildTables:
     def test_chain_a_entries(self, chain_a_class):
         pen, est = build_tables(chain_a_class, 10)
         assert pen.values[1, 0] == pytest.approx(0.1)
-        assert est.choices[1, 0] == 0
+        assert est[1, 0] == 0
         assert pen.values[2, 0] == pytest.approx(0.17)
         assert pen.values[1, 1] == pytest.approx(0.2)
 
@@ -42,7 +42,7 @@ class TestBuildTables:
                 row = np.linalg.matrix_power(chain_a_class.source.transition, delta)[x]
                 dist = np.bincount(chain_a_class.safety.assignment, weights=row, minlength=2)
                 label, risk = optimal_estimate(dist, chain_a_class.loss)
-                assert est.choices[delta, x] == label
+                assert est[delta, x] == label
                 assert pen.values[delta, x] == pytest.approx(risk, abs=1e-12)
 
     def test_brute_force_equivalence(self):
@@ -57,7 +57,7 @@ class TestBuildTables:
             pen, est = build_tables(cls, 10)
             q_ref, f_ref = enumerate_tables(src.transition, safety.assignment, loss.entries, 10)
             assert np.abs(pen.values - q_ref).max() < 1e-12
-            assert (est.choices == f_ref).all()
+            assert (est == f_ref).all()
 
     def test_loss_scaling_scales_q_not_f(self, chain_a):
         base = AgentClassSpec(chain_a, identity_safety_map(2), loss_01(2))
@@ -65,7 +65,7 @@ class TestBuildTables:
         pen_b, est_b = build_tables(base, 40)
         pen_s, est_s = build_tables(scaled, 40)
         assert np.abs(pen_s.values - 7.5 * pen_b.values).max() < 1e-12
-        assert (est_s.choices == est_b.choices).all()
+        assert (est_s == est_b).all()
 
     def test_average_penalty_never_decreases_with_age(self):
         rng = np.random.default_rng(31)
@@ -85,7 +85,7 @@ class TestBuildTables:
     def test_table_lookup_range(self, chain_a_class):
         # Rows are ages 0..delta_bound; the last one is the bound itself.
         pen, est = build_tables(chain_a_class, 5)
-        assert pen.values.shape == est.choices.shape == (6, 2)
+        assert pen.values.shape == est.shape == (6, 2)
         assert pen.values[5] == pytest.approx(build_tables(chain_a_class, 9)[0].values[5])
 
 
