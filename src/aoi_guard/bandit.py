@@ -387,10 +387,11 @@ def dual_ascent(
     """Search the transmission price at which relaxed usage meets the budget.
 
     `penalties` are the classes' penalty tables from `build_tables`, with one
-    row count (age bound). At each probed price every class MDP is solved on its
-    `LumpedClass` quotient by `policy_iteration`, starting from the previous
-    probe's greedy mask; the quotient's P^delta stack is built once and
-    every probe's solve and rate read it. The relaxed activation rate is the
+    row count (age bound) and one column per state of their class. At each
+    probed price every class MDP is solved on its `LumpedClass` quotient by
+    `policy_iteration`, starting from the previous probe's greedy mask; the
+    quotient's P^delta stack is built once and every probe's solve and rate
+    read it. The relaxed activation rate is the
     sum over classes of member count times `relaxed_rate` of the greedy
     mask, and it is a supergradient, plus M, of the concave piecewise linear
     dual function L(lambda) = sum of member count times `avg_cost`, minus
@@ -414,6 +415,9 @@ def dual_ascent(
         raise ValidationError(f"{len(penalties)} penalty tables for {len(classes)} classes")
     if len({pen.values.shape[0] for pen in penalties}) != 1:
         raise ValidationError("penalty tables must share one age bound (row count)")
+    for c, pen in zip(classes, penalties):
+        if (columns := pen.values.shape[1]) != (states := c.source.state_count):
+            raise ValidationError(f"class {c.name or '?'}: penalty table has {columns} columns for {states} states")
 
     lumped = [LumpedClass.of(c, pen) for c, pen in zip(classes, penalties)]
     warm: list[np.ndarray | None] = [None] * len(classes)  # quotient-sized masks

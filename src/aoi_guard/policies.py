@@ -7,8 +7,8 @@ positive). `gain_keys` ranks every table cell once per run, equal gains
 sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
 both select through one integer kernel, `top_ids`. The other baselines pick
 uniformly at random, or uniformly at random with a FIFO queue of stale
-updates (the simulator keeps that queue as a per-agent backlog count of at
-most QUEUE_CAPACITY packets).
+updates (the simulator keeps each agent's queue of at most QUEUE_CAPACITY
+packets as the stamp of its oldest packet).
 
 Every kernel works on a batch: one row per lane (or per lane and slot), one
 column per agent, and returns a boolean mask of the same shape with True on
@@ -24,7 +24,10 @@ import numpy as np
 
 QUEUE_CAPACITY = 1000
 
-POLICY_KEYS = ("mgf", "randomized", "random_queue", "maf")
+# Every policy, in the simulator's row order: the rows that select through
+# `top_ids` come first, so MGF and MAF can select in one call on adjacent
+# rows, and random_queue, the only row with the stamp rule, comes last.
+POLICY_KEYS = ("mgf", "maf", "randomized", "random_queue")
 
 
 def gain_keys(gains: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ chunk, so memory is O((CHUNK_SLOTS * P + QUEUE_CAPACITY) * N * lanes)
 whatever the horizon.
 
 Runs are reproducible bit for bit: all randomness of a lane derives from its
-seed through fixed substreams (one per agent for motion, one per agent for
-the channel, one for the random policies, one for initial states), so
-policies can be compared on common random numbers, and a lane's record does
-not depend on the other lanes, the other policies of the call or the chunk
-length.
+seed through fixed substreams (one for initial states, one for the random
+policies, then a motion and a channel stream per agent), all held by the
+world, so policies can be compared on common random numbers, and a lane's
+record does not depend on the other lanes, the other policies of the call or
+the chunk length.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: population, budget, horizon, seed, age bound."""
+    """One simulation run: population, budget, horizon, seed, and the age bound `solve_system` builds tables for."""
 
     classes: tuple[AgentClassSpec, ...]
     channels: int
@@ -128,8 +128,11 @@ class _WorldStream:
     cls * S + x, with S the largest state count, which indexes the stacked
     per-class tables flattened to 2-D. `keys` holds the `history` slots
     before the current chunk and then the chunk: row r is slot t0 - history + r.
-    Every agent's motion and channel generator draws `random(chunk)` per
-    chunk, the same numbers one `random(slots)` call would give.
+    `streams` holds every agent generator, lane by lane in spawn order
+    (agent i's motion, then its channel), each drawing `random(chunk)` per
+    chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
+    `random(slots)` call would give. `policy_rngs` are the lanes' policy
+    generators.
     """
 
     def __init__(self, config: SimConfig, seeds: list[int], history: int):
@@ -146,18 +149,16 @@ class _WorldStream:
             for c in classes
         ]
         x0 = np.empty((lanes, n), dtype=np.intp)
-        self.policy_seqs, self.motion, self.channel = [], [], []
+        self.streams, self.policy_rngs = [], []
         for lane, seed in enumerate(seeds):
             seq = np.random.SeedSequence(seed)
             init_seq, policy_seq = seq.spawn(2)
-            agent_seqs = seq.spawn(2 * n)
-            self.policy_seqs.append(policy_seq)
+            self.streams += map(np.random.default_rng, seq.spawn(2 * n))
+            self.policy_rngs.append(np.random.default_rng(policy_seq))
             rng_init = np.random.default_rng(init_seq)
             for i, c in enumerate(classes):
                 members = np.flatnonzero(self.cls_idx == i)
                 x0[lane, members] = rng_init.choice(c.source.state_count, size=members.size, p=laws[i])
-            self.motion.append([np.random.default_rng(s) for s in agent_seqs[0::2]])
-            self.channel.append([np.random.default_rng(s) for s in agent_seqs[1::2]])
         self.key = x0 + self.cls_idx * width
 
         cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
@@ -167,8 +168,7 @@ class _WorldStream:
         self.success = np.array([classes[i].success_prob for i in self.cls_idx])[:, None]
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
-        self.motion_u = np.empty((lanes, n, CHUNK_SLOTS))
-        self.channel_u = np.empty((lanes, n, CHUNK_SLOTS))
+        self.uniforms = np.empty((lanes, n, 2, CHUNK_SLOTS))
         self.ok = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
 
     def advance(self) -> bool:
@@ -180,13 +180,10 @@ class _WorldStream:
         length, h = t1 - t0, self.history
         if t0 > 0:
             self.keys[:h] = self.keys[self.t1 - self.t0 : self.t1 - self.t0 + h]
-        for lane in range(len(self.motion)):
-            for rng, out in zip(self.motion[lane], self.motion_u[lane]):
-                rng.random(out=out[:length])
-            for rng, out in zip(self.channel[lane], self.channel_u[lane]):
-                rng.random(out=out[:length])
-        self.ok[:length] = (self.channel_u[:, :, :length] < self.success).transpose(2, 0, 1)
-        motion = np.ascontiguousarray(self.motion_u[:, :, :length].transpose(2, 0, 1))
+        for rng, out in zip(self.streams, self.uniforms.reshape(-1, CHUNK_SLOTS)):
+            rng.random(out=out[:length])
+        self.ok[:length] = (self.uniforms[:, :, 1, :length] < self.success).transpose(2, 0, 1)
+        motion = np.ascontiguousarray(self.uniforms[:, :, 0, :length].transpose(2, 0, 1))
         key = self.key
         for i in range(length):
             if t0 + i > 0:
@@ -196,30 +193,26 @@ class _WorldStream:
         return True
 
 
-# Row order of the policy axis: the rows that select through `top_ids` come
-# first, so MGF and MAF can select in one call on adjacent rows, and
-# random_queue, the only row with the stamp rule, comes last.
-ROW_ORDER = ("mgf", "maf", "randomized", "random_queue")
-
-
 class _Lanes:
     """Every policy's receiver and scheduler state on every lane, plus their tallies.
 
     State arrays have shape (P, lanes, N): row r belongs to `policies[r]`,
-    the policies run in ROW_ORDER. The first `top` rows (MGF, MAF) select
-    through `top_ids`; when both run, `top_keys` stacks their keys for one
-    selection call. The other rows read one uniform subset per slot drawn
-    from the policy stream, which randomized and random_queue share.
-    `arriving` marks the packets that will land at the start of the next
-    slot (pulled and not erased); `gen` is the slot random_queue's pulled
-    packets were generated in. random_queue keeps every agent's queue as a
-    backlog count: each agent queues one packet per slot and drops its
-    oldest beyond the queue capacity, so its queue is always the run of
-    stamps t - backlog + 1 .. t.
+    the policies run in POLICY_KEYS order. The first `top` rows (MGF, MAF)
+    select through `top_ids`; when both run, `top_keys` stacks their keys for
+    one selection call. The other rows read one uniform subset per slot
+    drawn from the lane's policy stream (`world.policy_rngs`), which
+    randomized and random_queue share. `arriving` marks the packets that
+    will land at the start of the next slot (pulled and not erased).
+    Each random_queue agent queues one packet per slot and drops its oldest
+    beyond the capacity (the world's history window), so after slot t its
+    queue is the run of stamps oldest .. t: slot t raises `oldest` to at
+    least t - history + 1, then adds one where the agent sends, so the sent
+    packet carries the stamp oldest - 1. By induction oldest == t + 1 - q
+    after every slot, with q the queue's length.
     """
 
     def __init__(self, policies: list[str], world: _WorldStream):
-        self.policies = [p for p in ROW_ORDER if p in policies]
+        self.policies = [p for p in POLICY_KEYS if p in policies]
         self.mgf = "mgf" in self.policies
         self.top = self.mgf + ("maf" in self.policies)
         self.queue = "random_queue" in self.policies
@@ -228,10 +221,7 @@ class _Lanes:
         self.delta = np.ones(shape, dtype=np.int64)
         self.seen = np.broadcast_to(world.key, shape).copy()  # key of the receiver's last observation
         self.arriving = np.zeros(shape, dtype=bool)
-        self.gen = np.zeros((lanes, n), dtype=np.int64)
-        self.backlog = np.zeros((lanes, n), dtype=np.int64)
-        randomized = self.top < len(self.policies)
-        self.rngs = [np.random.default_rng(s) for s in world.policy_seqs] if randomized else []
+        self.oldest = np.zeros((lanes, n), dtype=np.int64)
         self.top_keys = np.empty((2, lanes, n), dtype=np.int64) if self.top == 2 else None
         self.total_loss = np.zeros(shape[:2])
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
@@ -257,13 +247,13 @@ def _run_policy(
     (class, label, estimate) loss stack and, for MGF, the `gain_keys`
     flattened like the estimator: each cell's gain rank, or -1 where the
     relaxed policy's `active_mask` leaves it passive, so the eligible agents
-    are exactly the relaxed policy's active set. random_queue's queue
-    capacity is the world's history window, which its stamps never reach
-    past.
+    are exactly the relaxed policy's active set. The age bound D is the
+    estimator's row count less one. random_queue's queue capacity is the
+    world's history window, which its stamps never reach past.
     """
     est, loss, gain_key = tables
     t0, t1, base = world.t0, world.t1, world.t0 - world.history
-    length, budget, db = t1 - t0, config.channels, config.delta_bound
+    length, budget, db = t1 - t0, config.channels, est.shape[0] - 1
     delta, seen, arriving, picked = state.delta, state.seen, state.arriving, state.picked
     rows, lanes, n = delta.shape
     top, queue = state.top, state.queue
@@ -279,13 +269,11 @@ def _run_policy(
         # leaves MAF's rows as `top_ids` picks them.
         stacked, maf_delta = top_keys.reshape(2 * lanes, n), delta[1]
     if top < rows:
-        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in state.rngs])
+        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in world.policy_rngs])
         picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
         picked[:length, top:] = picks[:, None]
     if queue:
-        gen, backlog = state.gen, state.backlog
-        queue_delta, queue_seen, queue_arriving = delta[-1], seen[-1], arriving[-1]
-        queue_picked = picked[:, -1]
+        queue_delta, queue_seen, queue_arriving, oldest = delta[-1], seen[-1], arriving[-1], state.oldest
 
     for i in range(length):
         t = t0 + i
@@ -296,7 +284,7 @@ def _run_policy(
                 np.copyto(fresh_seen, world.keys[t - 1 - base], where=fresh_arriving)
             if queue:  # a delivered packet generated at slot g sets the age to t - g
                 lane, agent = np.nonzero(queue_arriving)
-                stamp = gen[lane, agent]
+                stamp = oldest[lane, agent] - 1
                 queue_delta[lane, agent] = t - stamp
                 queue_seen[lane, agent] = world.keys[stamp - base, lane, agent]
         state.ages[i] = delta
@@ -311,10 +299,8 @@ def _run_policy(
         elif top:
             top_picked[i] = top_ids(head_delta, budget)
         if queue:
-            sel = queue_picked[i]
-            np.minimum(backlog + 1, world.history, out=backlog)
-            np.copyto(gen, t - backlog + 1, where=sel)
-            backlog -= sel
+            np.maximum(oldest, t - world.history + 1, out=oldest)
+            oldest += picked[i, -1]
         np.logical_and(picked[i], ok[i], out=arriving)
 
     picked = picked[:length]
@@ -359,9 +345,14 @@ def run_paired(
     Each seed is a lane, and every policy sees the same world on it (common
     random numbers). All policies step together as rows of one state, one
     slot loop for all of them. Records come per policy in the order given,
-    lanes in seed order.
+    lanes in seed order. `system`'s tables must cover the classes' states;
+    the age bound D is theirs.
     """
     check_run(policies, replications)
+    covered = [table.shape[1] for table in system.estimators]
+    states = [c.source.state_count for c in config.classes]
+    if covered != states:
+        raise ValidationError(f"solved tables cover {covered} states per class; the config's classes have {states}")
     if "mgf" in policies and system.solutions is None:
         raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
     seeds = list(range(seed, seed + replications))

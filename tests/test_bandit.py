@@ -7,6 +7,7 @@ from aoi_guard import (
     AgentClassSpec,
     ConvergenceError,
     MarkovSource,
+    PenaltyTable,
     ValidationError,
     banded_safety_map,
     build_grid_walk,
@@ -328,6 +329,11 @@ class TestDualAscent:
             dual_ascent([cls], [], channels=1)
         with pytest.raises(ValidationError):
             dual_ascent([cls, cls], [pen, build_tables(cls, 41)[0]], channels=1)
+
+    def test_penalty_table_must_cover_its_class(self, chain_a_class):
+        # One column for a 2-state class: the class is named, not an index error.
+        with pytest.raises(ValidationError, match="class chain_a: penalty table has 1 columns for 2 states"):
+            dual_ascent([chain_a_class], [PenaltyTable(np.zeros((5, 1)))], 1)
 
 
 def stop_reason(trace, channels):

@@ -174,7 +174,7 @@ class TestLoadConfig:
 
     def test_missing_policy_lists_valid_values(self, tmp_path):
         bad = MINIMAL.replace("policy: maf\n", "")
-        with pytest.raises(ConfigError, match="mgf, randomized, random_queue, maf"):
+        with pytest.raises(ConfigError, match="mgf, maf, randomized, random_queue"):
             load_config(write_config(tmp_path, bad))
 
     def test_unknown_policy_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,13 +342,17 @@ class TestBuildRowChain:
         st.integers(2, 30),
         st.floats(0.0, 1.0, allow_nan=False),
         st.floats(0.0, 1.0, allow_nan=False),
+        st.booleans(),
     )
-    def test_bytes_match_the_row_chain_oracle(self, rows, up, down):
+    def test_bytes_match_the_row_chain_oracle(self, rows, up, down, rounded):
         # Same matrix, byte for byte, and rejected exactly when the oracle's
         # matrix is not a valid source. Both clamp the stay mass at 0, so a
-        # sum of moves that rounds past 1 leaves no negative entry.
+        # sum of moves that rounds past 1 leaves no negative entry; the
+        # `rounded` branch makes 1 - up - down exactly -1 ulp to reach it.
         if up + down > 1.0:
             up, down = up / 2, down / 2
+        if rounded:
+            down = math.nextafter(1.0 - up, 2.0)
         expected = row_chain_matrix(rows, up, down)
         try:
             MarkovSource(expected)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,21 @@ class TestRunSimulation:
             "mgf": 2, "maf": 2, "top_positive_ids": 300, "top_ids": 300,
             "is_primitive": 2, "stationary_distribution": 2,
         }
+
+    def test_age_bound_comes_from_the_tables(self, grid_config, grid_system):
+        # The system is solved at D = 250; the config's delta_bound only tells
+        # solve_system how to build tables, so the run reads D from them.
+        cfg = replace(grid_config, slots=2000, warmup=None)
+        matched = run_paired(cfg, ["mgf", "maf"], grid_system, 1)
+        assert run_paired(replace(cfg, delta_bound=5), ["mgf", "maf"], grid_system, 1) == matched
+
+    def test_system_solved_for_other_classes_is_an_error(self, grid_system):
+        with pytest.raises(ValidationError, match=r"cover \[20, 20\] states per class; the config's classes have \[2\]"):
+            run_paired(chain_a_config(slots=100), ["mgf", "maf"], grid_system, 1)
+        three = SimConfig((AgentClassSpec(MarkovSource(np.full((3, 3), 1 / 3)), identity_safety_map(3), loss_01(3)),),
+                          channels=1, slots=100)
+        with pytest.raises(ValidationError, match=r"cover \[2\] states per class; the config's classes have \[3\]"):
+            run_paired(three, ["maf"], solve_system(chain_a_config(slots=100), with_gains=False), 1)
 
     def test_mgf_without_solutions_is_an_error(self):
         cfg = chain_a_config()
