@@ -302,10 +302,12 @@ def step_candidates(cols: np.ndarray, bounds: np.ndarray, rows: np.ndarray, u: n
     """Inverse-CDF step of every entry of `rows` with one uniform each.
 
     `cols` and `bounds` come from `candidate_columns`; the result is the
-    column of the first candidate whose CDF is >= u, counted one candidate
-    bound at a time. `rows` and `u` share any shape, and so does the result.
+    column of the first candidate whose CDF is >= u, found by counting the
+    bounds below u in one gather of every row's candidate bounds, so the
+    step makes the same numpy calls whatever the candidate count. `rows` and
+    `u` share any shape, and so does the result. The gather calls the `take`
+    method, not `np.take`, whose Python wrapper costs a fifth of the step at
+    small N.
     """
-    count = np.zeros(rows.shape, dtype=np.intp)
-    for bound in bounds:
-        count += u > bound[rows]
+    count = (bounds.take(rows, axis=1) < u).sum(axis=0)
     return cols[count, rows]

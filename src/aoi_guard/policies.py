@@ -5,7 +5,9 @@ up to M agents with the highest-ranked gains among the states that the
 relaxed policy activates (`BanditSolution.active_mask`, gain strictly
 positive). `gain_keys` ranks every table cell once per run, equal gains
 sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
-both select through one integer kernel, `top_ids`. The other baselines pick
+both select through one integer kernel: a unique key per agent and one
+partition threshold per row (`top_ids`), which MGF's `top_positive_ids`
+clamps at key 0 to leave passive agents out. The other baselines pick
 uniformly at random, or uniformly at random with a FIFO queue of stale
 updates (the simulator keeps each agent's queue of at most QUEUE_CAPACITY
 packets as the stamp of its oldest packet).
@@ -41,24 +43,38 @@ def gain_keys(gains: np.ndarray, active: np.ndarray) -> np.ndarray:
 
 
 def top_positive_ids(keys: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest nonnegative keys, id tie-break."""
-    return top_ids(keys, budget) & (keys >= 0)
+    """Per row, a mask of up to `budget` largest nonnegative keys, id tie-break.
+
+    The `top_ids` threshold clamped at unique key 0: a key of -1 maps to a
+    unique key below 0, so passive cells fall below the threshold and
+    eligibility costs no mask of its own.
+    """
+    if budget >= keys.shape[1]:
+        return keys >= 0
+    key, kth_largest = _unique_keys(keys, budget)
+    return key >= np.maximum(kth_largest, 0)
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest integer entries regardless of sign, id tie-break.
+    """Per row, a mask of up to `budget` largest integer entries regardless of sign, id tie-break."""
+    if budget >= values.shape[1]:
+        return np.ones(values.shape, dtype=bool)
+    key, kth_largest = _unique_keys(values, budget)
+    return key >= kth_largest
+
+
+def _unique_keys(values: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's unique key and each row's `budget`-th largest key, for budget < N.
 
     With N columns, value * N + (N - 1 - id) is a unique key that orders by
     value and then by lower id, so one partition threshold per row picks the
     set without sorting it.
     """
     count = values.shape[1]
-    if budget >= count:
-        return np.ones(values.shape, dtype=bool)
     key = values * count
     key += _reversed_ids(count)
     kth = count - budget
-    return key >= np.partition(key, kth, axis=1)[:, kth, None]
+    return key, np.partition(key, kth, axis=1)[:, kth, None]
 
 
 @cache

@@ -72,6 +72,8 @@ class SimConfig:
         object.__setattr__(self, "warmup", warmup)
         if not 0 <= warmup < self.slots:
             raise ValidationError(f"need slots > warmup >= 0, got slots={self.slots}, warmup={warmup}")
+        if self.slots >= 2**31:  # the simulator keeps ages in int32
+            raise ValidationError(f"slots must be below 2**31, got {self.slots}")
 
     @property
     def agent_count(self) -> int:
@@ -164,7 +166,6 @@ class _WorldStream:
         cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
         cols, self.bounds = candidate_columns(cum.reshape(-1, width))
         self.next_key = cols + np.arange(cols.shape[1]) // width * width
-        self.label = stack_padded([c.safety.assignment for c in classes], 0).reshape(-1)
         self.success = np.array([classes[i].success_prob for i in self.cls_idx])[:, None]
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
@@ -227,8 +228,11 @@ class _Lanes:
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
         self.deliveries = np.zeros(shape[:2], dtype=np.int64)
         self.activations = np.zeros(shape[:2], dtype=np.int64)
-        self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int64)
-        self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.intp)
+        # int32 holds every age (SimConfig caps slots below 2**31) and the
+        # flat (age, key) index that the tally folds into `ages` for any
+        # estimator table of fewer than 2**31 cells (16 GiB of int64).
+        self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
+        self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
 
 
@@ -243,8 +247,8 @@ def _run_policy(
 
     `name` joins the names of the policies the state steps with "+"; the
     benchmark's tracer names the loop's span by it.
-    `tables` holds the estimator choices flattened to (age, key), the
-    (class, label, estimate) loss stack and, for MGF, the `gain_keys`
+    `tables` holds the estimator choices flattened to (age, key), the loss
+    of every (true key, estimate) pair and, for MGF, the `gain_keys`
     flattened like the estimator: each cell's gain rank, or -1 where the
     relaxed policy's `active_mask` leaves it passive, so the eligible agents
     are exactly the relaxed policy's active set. The age bound D is the
@@ -265,8 +269,8 @@ def _run_policy(
     mgf, top_keys = state.mgf, state.top_keys
     if top_keys is not None:
         # MGF and MAF select in one call on their stacked keys. MAF's key is
-        # its age, always >= 1, so the `keys >= 0` eligibility mask of MGF
-        # leaves MAF's rows as `top_ids` picks them.
+        # its age, always >= 1, so MGF's threshold at key 0 leaves MAF's rows
+        # as `top_ids` picks them.
         stacked, maf_delta = top_keys.reshape(2 * lanes, n), delta[1]
     if top < rows:
         draws = np.concatenate([rng.random((length, min(budget, n))) for rng in world.policy_rngs])
@@ -314,13 +318,18 @@ def _run_policy(
     state.deliveries += (picked[:landed] & ok[:landed]).sum(axis=(0, 3))
     first = max(config.warmup - t0, 0)
     if first < length:
-        ages = state.ages[first:length]
-        labels = world.label[world.keys[world.history + first : world.history + length]]
-        estimates = est[np.minimum(ages, db), state.observed[first:length]]
-        per_slot = loss[world.cls_idx, labels[:, None], estimates].sum(axis=3)
+        ages, estimates = state.ages[first:length], state.observed[first:length]
+        state.aoi_sum += ages.sum(axis=0)
+        # in place on the chunk's buffers: ages become flat (age, key) indices
+        # of `est`, and observations become their estimates
+        np.minimum(ages, db, out=ages)
+        ages *= est.shape[1]
+        ages += estimates
+        np.take(est, ages, out=estimates)
+        truth = world.keys[world.history + first : world.history + length, None]
+        per_slot = loss[truth, estimates].sum(axis=3)
         # slot by slot, in the order a running total adds them
         state.total_loss = np.cumsum(np.concatenate((state.total_loss[None], per_slot)), axis=0)[-1]
-        state.aoi_sum += ages.sum(axis=0)
 
 
 def check_run(policies: Sequence[str], replications: int) -> None:
@@ -345,14 +354,17 @@ def run_paired(
     Each seed is a lane, and every policy sees the same world on it (common
     random numbers). All policies step together as rows of one state, one
     slot loop for all of them. Records come per policy in the order given,
-    lanes in seed order. `system`'s tables must cover the classes' states;
-    the age bound D is theirs.
+    lanes in seed order. `system`'s tables must cover the classes' states
+    and share one row count; the age bound D is that count less one.
     """
     check_run(policies, replications)
     covered = [table.shape[1] for table in system.estimators]
     states = [c.source.state_count for c in config.classes]
     if covered != states:
         raise ValidationError(f"solved tables cover {covered} states per class; the config's classes have {states}")
+    age_rows = [table.shape[0] for table in system.estimators]
+    if len(set(age_rows)) > 1:
+        raise ValidationError(f"solved tables have {age_rows} age rows per class; all classes need one age bound")
     if "mgf" in policies and system.solutions is None:
         raise ValidationError("MGF requires solved gain tables; run solve_system with gains first")
     seeds = list(range(seed, seed + replications))
@@ -363,11 +375,14 @@ def run_paired(
         return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
     est = flat(system.estimators, 0)
+    label = stack_padded([c.safety.assignment for c in config.classes], 0).reshape(-1)
+    losses = stack_padded([c.loss.entries for c in config.classes], 0.0)
+    loss = losses[np.arange(label.size) // max(states), label]  # (true key, estimate)
     gain_key = None
     if "mgf" in policies:
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
                              flat([s.active_mask() for s in system.solutions], False))
-    tables = (est, stack_padded([c.loss.entries for c in config.classes], 0.0), gain_key)
+    tables = (est, loss, gain_key)
     state = _Lanes(policies, world)
     name = "+".join(state.policies)
     while world.advance():

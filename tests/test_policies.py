@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import aoi_guard.simulate as simulate
 from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, loss_01
 from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.policies import gain_keys, top_ids, uniform_subset
+from aoi_guard.policies import gain_keys, top_ids, top_positive_ids, uniform_subset
 
 from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select
 from oracles import _top_ids, _top_positive_ids
@@ -66,6 +66,60 @@ class TestMgfSelect:
             expect = np.zeros(count, dtype=bool)
             expect[_top_positive_ids(row, budget)] = True
             assert (got == expect).all()
+
+
+class TestTopPositiveIds:
+    """MGF's partition threshold clamped at key 0, against the sort oracles where eligibility binds."""
+
+    @staticmethod
+    def oracle_mask(rows, budget, oracle) -> np.ndarray:
+        mask = np.zeros(rows.shape, dtype=bool)
+        for got, row in zip(mask, rows):
+            got[oracle(row, budget)] = True
+        return mask
+
+    @staticmethod
+    def draw_gains(data, rows: int, count: int, budget: int) -> np.ndarray:
+        """Gain rows with at most `budget` cells above the tie rule each, often none."""
+        gains = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, -0.25, GAIN_TIE_EPS]), min_size=count, max_size=count),
+            min_size=rows, max_size=rows)))
+        for row in gains:
+            eligible = data.draw(st.integers(0, min(budget, count)))
+            cells = data.draw(st.permutations(range(count)))[:eligible]
+            row[cells] = data.draw(st.lists(st.sampled_from([0.25, 0.5, 2 * GAIN_TIE_EPS]),
+                                            min_size=eligible, max_size=eligible))
+        return gains
+
+    def test_all_passive_rows_select_nobody(self):
+        keys = np.full((3, 6), -1)
+        for budget in range(1, 8):
+            assert not top_positive_ids(keys, budget).any()
+        gains = np.array([[0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0]])
+        assert (mgf_select(gains, 2) == self.oracle_mask(gains, 2, _top_positive_ids)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fewer_eligible_cells_than_the_budget(self, data):
+        count = data.draw(st.integers(1, 12))
+        budget = data.draw(st.integers(1, count + 1))
+        gains = self.draw_gains(data, data.draw(st.integers(1, 3)), count, budget)
+        assert (mgf_select(gains, budget) == self.oracle_mask(gains, budget, _top_positive_ids)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mgf_keys_stacked_over_maf_ages(self, data):
+        # The simulator's layout when MGF and MAF both run: MGF's keys on the
+        # first lanes' rows, MAF's ages (always >= 1) on the rest, one call.
+        lanes, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+        budget = data.draw(st.integers(1, count + 1))
+        gains = self.draw_gains(data, lanes, count, count)
+        ages = np.array(data.draw(st.lists(st.lists(st.integers(1, 4), min_size=count, max_size=count),
+                                           min_size=lanes, max_size=lanes)))
+        stacked = np.concatenate([gain_keys(gains, gains > GAIN_TIE_EPS), ages])
+        mask = top_positive_ids(stacked, budget)
+        assert (mask[:lanes] == self.oracle_mask(gains, budget, _top_positive_ids)).all()
+        assert (mask[lanes:] == self.oracle_mask(ages, budget, _top_ids)).all()
 
 
 class TestMafSelect:

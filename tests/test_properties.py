@@ -18,7 +18,7 @@ from aoi_guard import (
     run_sweep,
     solve_system,
 )
-from aoi_guard.markov import candidate_columns, cumulative_rows, stack_padded, step_candidates
+from aoi_guard.markov import build_grid_walk, candidate_columns, cumulative_rows, stack_padded, step_candidates
 from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_positive_ids
 from aoi_guard.simulate import resolve_workers
@@ -218,7 +218,9 @@ class TestSparseStep:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sparse_step_equals_dense_count(self, data):
+        # `rows` and `u` come flat and as (lanes, N), the shape the world passes.
         widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+        shape = data.draw(st.sampled_from([(400,), (1, 400), (4, 100)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cums = []
         for w in widths:
@@ -232,4 +234,26 @@ class TestSparseStep:
         u[:100] = 0.0
         u[100:200] = cum[rows[100:200], rng.integers(0, cum.shape[1], size=100)]  # CDF values
         u = np.minimum(u, np.nextafter(1.0, 0.0))
-        assert (step_candidates(cols, bounds, rows, u) == (u[:, None] > cum[rows]).sum(axis=1)).all()
+        dense = (u[:, None] > cum[rows]).sum(axis=1)
+        assert (step_candidates(cols, bounds, rows.reshape(shape), u.reshape(shape)) == dense.reshape(shape)).all()
+
+    @pytest.mark.parametrize("transitions, bound_rows", [
+        # every row's CDF is 1 from column 0 on: one candidate, no bounds
+        ([np.eye(5)[[0] * 5], np.ones((1, 1))], 0),
+        # column 0 is always a candidate, so the deterministic 5-cycle has two
+        ([np.roll(np.eye(5), 1, axis=1)], 1),
+        # an interior grid cell stays or makes one of four moves, none to column 0
+        ([build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2).transition, np.eye(3)], 5),
+    ])
+    def test_lane_shaped_step_at_the_candidate_extremes(self, transitions, bound_rows):
+        width = max(len(p) for p in transitions)
+        cum = stack_padded([cumulative_rows(p) for p in transitions], 1.0).reshape(-1, width)
+        cols, bounds = candidate_columns(cum)
+        assert bounds.shape == (bound_rows, len(cum))
+        rng = np.random.default_rng(bound_rows)
+        rows = rng.integers(0, len(cum), size=(3, 200))
+        u = rng.random((3, 200))
+        u[0] = cum[rows[0], rng.integers(0, width, size=200)]  # CDF values
+        u[1, :50] = 0.0
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        assert (step_candidates(cols, bounds, rows, u) == (u[..., None] > cum[rows]).sum(axis=2)).all()

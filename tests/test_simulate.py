@@ -1,5 +1,6 @@
+import hashlib
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.cli import _report
-from aoi_guard.config import RunManifest
-from aoi_guard.simulate import config_at
+from aoi_guard.config import RunManifest, load_config
+from aoi_guard.policies import POLICY_KEYS
+from aoi_guard.simulate import SolvedSystem, config_at
+from aoi_guard.tables import build_tables
 
 from conftest import CHAIN_A_MATRIX, identity_safety_map, make_grid_classes
 from oracles import ReferenceWorld
@@ -156,6 +159,16 @@ class TestRunSimulation:
         with pytest.raises(ValidationError, match=r"cover \[2\] states per class; the config's classes have \[3\]"):
             run_paired(three, ["maf"], solve_system(chain_a_config(slots=100), with_gains=False), 1)
 
+    def test_tables_of_different_age_bounds_are_an_error(self):
+        # solve_system builds every class's tables at one D; a system built by
+        # hand at D = 40 for the fast class and D = 200 for the drift class
+        # must not run with the shorter table padded.
+        cfg = SimConfig(make_grid_classes(), channels=1, slots=3000, seed=1)
+        built = [build_tables(c, d) for c, d in zip(cfg.classes, (40, 200))]
+        system = SolvedSystem(tuple(b[0] for b in built), tuple(b[1] for b in built))
+        with pytest.raises(ValidationError, match=r"\[41, 201\] age rows per class"):
+            run_paired(cfg, ["randomized"], system, 1)
+
     def test_mgf_without_solutions_is_an_error(self):
         cfg = chain_a_config()
         tables_only = solve_system(cfg, with_gains=False)
@@ -181,6 +194,8 @@ class TestRunSimulation:
             chain_a_config(channels=0)
         with pytest.raises(ValidationError):
             chain_a_config(slots=100, warmup=100)
+        with pytest.raises(ValidationError, match="below 2\\*\\*31"):
+            chain_a_config(slots=2**31)
         # Policy names are checked on entry, before any of the world is drawn.
         cfg = chain_a_config(slots=100)
         system = solve_system(cfg, with_gains=False)
@@ -312,3 +327,27 @@ class TestScaleInvariance:
         assert len(found) == 1
         converged, lams, _ = found.pop()
         assert converged and len(lams) > 3 and lams[-1] == pytest.approx(0.36842149, abs=1e-8)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestRecordsPinned:
+    """The records of two short runs, pinned by the sha256 of their field values.
+
+    A refactor or speed-up of the simulator leaves these digests as they are;
+    a change that means to move the numbers (a new policy rule, a new world
+    draw) updates them and says why.
+    """
+
+    @pytest.mark.parametrize("config, policies, size, replications, digest", [
+        ("grid20.yaml", POLICY_KEYS, {"slots": 1000}, 2,
+         "d1d44b50ab444d9d3725eb69ac7193612b82d24524f9e8f459fdba3e7e347556"),
+        ("grid400.yaml", ("mgf",), {"slots": 2000, "delta_bound": 40}, 1,
+         "d8bab835d5bdad2e16b017d04ba68a27824069c376525a6e5090d90a6e15bcf5"),
+    ])
+    def test_records_digest(self, config, policies, size, replications, digest):
+        cfg = replace(load_config(CONFIGS / config).sim, warmup=None, **size)
+        system = solve_system(cfg, with_gains="mgf" in policies)
+        records = run_paired(cfg, policies, system, cfg.seed, replications=replications)
+        assert hashlib.sha256(repr([astuple(r) for r in records]).encode()).hexdigest() == digest
