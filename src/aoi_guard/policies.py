@@ -28,7 +28,8 @@ QUEUE_CAPACITY = 1000
 
 # Every policy, in the simulator's row order: the rows that select through
 # `top_ids` come first, so MGF and MAF can select in one call on adjacent
-# rows, and random_queue, the only row with the stamp rule, comes last.
+# rows; the rows whose picks never read the receiver state, stepped in
+# closed form per chunk, come last, random_queue (the stamp rule) last of all.
 POLICY_KEYS = ("mgf", "maf", "randomized", "random_queue")
 
 

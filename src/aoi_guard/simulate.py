@@ -7,15 +7,20 @@ slot later and reset that agent's age, and the receiver's tabulated estimate
 is charged against the true safety label.
 
 One `run_paired` call runs every seed of a run as a lane and every policy as
-a row: the receiver and scheduler state is one set of (P, lanes, N) arrays,
-and one slot loop steps all policies on all lanes with one set of array
-operations per slot (one age update, one selection call for MGF and MAF
-together, one delivery). The world streams in chunks of CHUNK_SLOTS slots
-that the loop reads before the next chunk is drawn; only the chunk and the
-last QUEUE_CAPACITY slots of true states (random_queue's stamps reach that
-far back) are kept, with each policy's ages, observations and picks of the
-chunk, so memory is O((CHUNK_SLOTS * P + QUEUE_CAPACITY) * N * lanes)
-whatever the horizon.
+a row: the receiver and scheduler state is one set of (P, lanes, N) arrays
+in one form for every row, the stamp g of the true state the receiver holds
+and that state's key, so the age at slot t is t - g. Only MGF and MAF, whose
+picks read that state, step slot by slot: one loop steps both on all lanes
+with one set of array operations per slot (one age update, one selection
+call for both, one delivery). randomized and random_queue pick before the
+loop, so each chunk steps them in closed form with chunk-wide scans: g is a
+running maximum of the stamps that landed, and random_queue's oldest queued
+stamp is a running maximum too (see `_Lanes`). The world streams in chunks
+of CHUNK_SLOTS slots that are stepped before the next chunk is drawn; only
+the chunk and the last QUEUE_CAPACITY slots of true states (random_queue's
+stamps reach that far back) are kept, with each policy's ages, observations
+and picks of the chunk, so memory is O((CHUNK_SLOTS * P + QUEUE_CAPACITY) *
+N * lanes) whatever the horizon.
 
 Runs are reproducible bit for bit: all randomness of a lane derives from its
 seed through fixed substreams (one for initial states, one for the random
@@ -133,8 +138,9 @@ class _WorldStream:
     `streams` holds every agent generator, lane by lane in spawn order
     (agent i's motion, then its channel), each drawing `random(chunk)` per
     chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
-    `random(slots)` call would give. `policy_rngs` are the lanes' policy
-    generators.
+    `random(slots)` call would give. `draws` binds each generator's `random`
+    method to its full-chunk row once; only a shorter last chunk slices them.
+    `policy_rngs` are the lanes' policy generators.
     """
 
     def __init__(self, config: SimConfig, seeds: list[int], history: int):
@@ -170,6 +176,7 @@ class _WorldStream:
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
         self.uniforms = np.empty((lanes, n, 2, CHUNK_SLOTS))
+        self.draws = [(rng.random, out) for rng, out in zip(self.streams, self.uniforms.reshape(-1, CHUNK_SLOTS))]
         self.ok = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
 
     def advance(self) -> bool:
@@ -181,8 +188,12 @@ class _WorldStream:
         length, h = t1 - t0, self.history
         if t0 > 0:
             self.keys[:h] = self.keys[self.t1 - self.t0 : self.t1 - self.t0 + h]
-        for rng, out in zip(self.streams, self.uniforms.reshape(-1, CHUNK_SLOTS)):
-            rng.random(out=out[:length])
+        if length == CHUNK_SLOTS:
+            for draw, out in self.draws:
+                draw(out=out)
+        else:
+            for draw, out in self.draws:
+                draw(out=out[:length])
         self.ok[:length] = (self.uniforms[:, :, 1, :length] < self.success).transpose(2, 0, 1)
         motion = np.ascontiguousarray(self.uniforms[:, :, 0, :length].transpose(2, 0, 1))
         key = self.key
@@ -198,42 +209,138 @@ class _Lanes:
     """Every policy's receiver and scheduler state on every lane, plus their tallies.
 
     State arrays have shape (P, lanes, N): row r belongs to `policies[r]`,
-    the policies run in POLICY_KEYS order. The first `top` rows (MGF, MAF)
-    select through `top_ids`; when both run, `top_keys` stacks their keys for
-    one selection call. The other rows read one uniform subset per slot
-    drawn from the lane's policy stream (`world.policy_rngs`), which
-    randomized and random_queue share. `arriving` marks the packets that
-    will land at the start of the next slot (pulled and not erased).
-    Each random_queue agent queues one packet per slot and drops its oldest
-    beyond the capacity (the world's history window), so after slot t its
-    queue is the run of stamps oldest .. t: slot t raises `oldest` to at
-    least t - history + 1, then adds one where the agent sends, so the sent
-    packet carries the stamp oldest - 1. By induction oldest == t + 1 - q
-    after every slot, with q the queue's length.
+    the policies run in POLICY_KEYS order. Every row's receiver state has
+    one form: `stamp`, the slot g whose true state the receiver holds, and
+    `seen`, that state's key. The age at slot t is t - g. Before the first
+    delivery g is -1 and `seen` is the key of slot 0, so ages start at 1 on
+    the slot-0 state. A packet stamped g that lands after slot t sets the
+    state from slot t + 1 on; stamps only grow, since every row sends its
+    packets in stamp order.
+
+    The first `top` rows (MGF, MAF) select on the receiver state and step
+    slot by slot (`_step_top`): `top_keys` holds their ages, and MGF's row
+    of it is then overwritten with its gain keys, so both select in one
+    `top_positive_ids` call. A landed packet was sent fresh: g = t.
+
+    The other rows (randomized, random_queue) are oblivious: their picks,
+    one uniform subset per slot from the lane's policy stream
+    (`world.policy_rngs`) that both share, never read the receiver state,
+    so `_step_oblivious` steps a whole chunk with chunk-wide scans and no
+    per-slot work. `scan` holds g + 1 for those rows: row 0 the value
+    carried into the chunk, row 1 + i the stamp + 1 of a packet that lands
+    after the chunk's slot i (0 where none does), and a running maximum
+    over the slot axis turns it into g + 1 at every slot. randomized sends
+    fresh packets, stamped with their send slot. Each random_queue agent
+    queues one packet per slot and drops its oldest beyond the capacity
+    (the world's history window H), so after slot s its queue is the run of
+    stamps `oldest` .. s, with oldest_s = max(oldest_{s-1}, s - H + 1) +
+    sent_s, and the packet it sends carries the stamp oldest_s - 1. With
+    S_s the running sum of sends, oldest_s - S_s is then the running
+    maximum over r <= s of r - H + 1 - S_{r-1}, started from the carried
+    `oldest`.
     """
 
     def __init__(self, policies: list[str], world: _WorldStream):
         self.policies = [p for p in POLICY_KEYS if p in policies]
         self.mgf = "mgf" in self.policies
         self.top = self.mgf + ("maf" in self.policies)
+        self.randomized = "randomized" in self.policies
         self.queue = "random_queue" in self.policies
         lanes, n = world.key.shape
         shape = (len(self.policies), lanes, n)
-        self.delta = np.ones(shape, dtype=np.int64)
-        self.seen = np.broadcast_to(world.key, shape).copy()  # key of the receiver's last observation
-        self.arriving = np.zeros(shape, dtype=bool)
+        self.stamp = np.full(shape, -1, dtype=np.int64)
+        self.seen = np.broadcast_to(world.key, shape).copy()
+        self.top_keys = np.empty((self.top, lanes, n), dtype=np.int64)
+        self.top_landed = np.empty((self.top, lanes, n), dtype=bool)
+        self.landed = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
+        self.scan = np.empty((CHUNK_SLOTS + 1, self.randomized + self.queue, lanes, n), dtype=np.int32)
         self.oldest = np.zeros((lanes, n), dtype=np.int64)
-        self.top_keys = np.empty((2, lanes, n), dtype=np.int64) if self.top == 2 else None
         self.total_loss = np.zeros(shape[:2])
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
         self.deliveries = np.zeros(shape[:2], dtype=np.int64)
         self.activations = np.zeros(shape[:2], dtype=np.int64)
-        # int32 holds every age (SimConfig caps slots below 2**31) and the
-        # flat (age, key) index that the tally folds into `ages` for any
-        # estimator table of fewer than 2**31 cells (16 GiB of int64).
+        # int32 holds every age and stamp (SimConfig caps slots below 2**31),
+        # the flat (age, key) index that the tally folds into `ages` for any
+        # estimator table of fewer than 2**31 cells (16 GiB of int64), and
+        # the flat index into `world.keys` that `_step_oblivious` folds into
+        # `scan` for any window of fewer than 2**31 cells (8 GiB of int32).
         self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
+
+
+def _step_top(config: SimConfig, world: _WorldStream, state: _Lanes, gain_key: np.ndarray | None, db: int) -> None:
+    """MGF's and MAF's slots of the current chunk, one slot at a time (see `_Lanes`)."""
+    t0, base, budget, top = world.t0, world.t0 - world.history, config.channels, state.top
+    stamp, seen, top_keys, landed = state.stamp[:top], state.seen[:top], state.top_keys, state.top_landed
+    ages, observed, picked = state.ages[:, :top], state.observed[:, :top], state.picked[:, :top]
+    lanes, n = world.key.shape
+    top_picked = state.picked.reshape(CHUNK_SLOTS, -1, n)[:, : top * lanes]
+    stacked, head_age, head_seen = top_keys.reshape(top * lanes, n), top_keys[0], seen[0]
+    ok, keys = world.ok[:, None], world.keys[:, None]  # same-rank operands broadcast faster
+    mgf, maf = state.mgf, top > state.mgf
+    for i in range(world.t1 - t0):
+        t = t0 + i
+        np.subtract(t, stamp, out=top_keys)
+        ages[i] = top_keys
+        observed[i] = seen
+        if mgf:
+            gains = gain_key[np.minimum(head_age, db), head_seen]
+            if maf:
+                # MAF's key is its age, always >= 1, so MGF's threshold at
+                # key 0 leaves MAF's rows as `top_ids` picks them.
+                top_keys[0] = gains
+                gains = stacked
+            top_picked[i] = top_positive_ids(gains, budget)
+        else:
+            top_picked[i] = top_ids(stacked, budget)
+        np.logical_and(picked[i], ok[i], out=landed)
+        np.copyto(stamp, t, where=landed)
+        np.copyto(seen, keys[t - base], where=landed)
+
+
+def _step_oblivious(config: SimConfig, world: _WorldStream, state: _Lanes) -> None:
+    """randomized's and random_queue's slots of the current chunk, in closed form (see `_Lanes`)."""
+    t0, base, top = world.t0, world.t0 - world.history, state.top
+    length, (lanes, n) = world.t1 - t0, world.key.shape
+    draws = np.concatenate([rng.random((length, min(config.channels, n))) for rng in world.policy_rngs])
+    picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
+    state.picked[:length, top:] = picks[:, None]
+    landed = np.logical_and(picks, world.ok[:length], out=state.landed[:length])
+    scan, stamp, seen = state.scan[: length + 1], state.stamp[top:], state.seen[top:]
+    observed = state.observed[:length, top:]
+    slot1 = np.arange(t0 + 1, t0 + length + 1)[:, None, None]  # slot + 1 of each chunk slot
+    if state.queue:
+        # The queue row's ages hold S_s until the scan writes them.
+        sends, queue = state.ages[:length, -1], scan[:, -1]
+        sends[...] = picks
+        np.add.accumulate(sends, axis=0, out=sends)
+        np.subtract(slot1 - world.history, sends, out=queue[1:])
+        queue[1:] += picks  # s - H + 1 - S_{s-1}
+        queue[0] = state.oldest
+        np.maximum.accumulate(queue, axis=0, out=queue)
+        queue[1:] += sends
+        state.oldest[...] = queue[-1]
+        queue[1:] *= landed  # oldest_s is the stamp + 1 of the packet sent at slot s
+    if state.randomized:  # a fresh packet's stamp + 1 is its send slot + 1
+        np.multiply(landed, slot1, out=scan[1:, 0])
+    np.add(stamp, 1, out=scan[0])
+    np.maximum.accumulate(scan, axis=0, out=scan)
+    np.subtract(slot1[:, None], scan[:-1], out=state.ages[:length, top:])
+    np.subtract(scan[-1], 1, out=stamp)
+    # The receiver observes the key at g. Where g is the carried stamp (older
+    # than the window, or the initial -1, whose key is slot 0's), the carried
+    # `seen` holds it; every other g lies in the window. The scan becomes the
+    # flat index of keys[max(g, base) - base, lane, agent] in place, and the
+    # copies then restore the carried keys.
+    stale = scan == scan[0]
+    np.maximum(scan, base + 1, out=scan)
+    scan -= base + 1
+    scan *= lanes * n
+    scan += np.arange(lanes * n, dtype=scan.dtype).reshape(lanes, n)
+    np.take(world.keys, scan[:-1], out=observed)
+    np.copyto(observed, seen, where=stale[:-1])
+    np.copyto(seen, world.keys.take(scan[-1]), where=~stale[-1])
 
 
 def _run_policy(
@@ -245,8 +352,11 @@ def _run_policy(
 ) -> None:
     """Every policy row's slots of the current chunk on every lane, then their tallies.
 
-    `name` joins the names of the policies the state steps with "+"; the
-    benchmark's tracer names the loop's span by it.
+    MGF and MAF step slot by slot (`_step_top`), randomized and
+    random_queue in closed form per chunk (`_step_oblivious`); both write
+    each row's ages, observations and picks of the chunk, which the tallies
+    then read. `name` joins the names of the policies the state steps with
+    "+"; the benchmark's tracer names the loop's span by it.
     `tables` holds the estimator choices flattened to (age, key), the loss
     of every (true key, estimate) pair and, for MGF, the `gain_keys`
     flattened like the estimator: each cell's gain rank, or -1 where the
@@ -256,58 +366,13 @@ def _run_policy(
     world's history window, which its stamps never reach past.
     """
     est, loss, gain_key = tables
-    t0, t1, base = world.t0, world.t1, world.t0 - world.history
-    length, budget, db = t1 - t0, config.channels, est.shape[0] - 1
-    delta, seen, arriving, picked = state.delta, state.seen, state.arriving, state.picked
-    rows, lanes, n = delta.shape
-    top, queue = state.top, state.queue
-    fresh = rows - queue  # rows that deliver fresh packets: all but random_queue
-    fresh_delta, fresh_seen, fresh_arriving = delta[:fresh], seen[:fresh], arriving[:fresh]
-    ok = world.ok[:, None]  # (slot, 1, lane, agent): same-rank operands broadcast faster
-    top_picked = picked.reshape(CHUNK_SLOTS, rows * lanes, n)[:, : top * lanes]
-    head_delta, head_seen = delta[0], seen[0]
-    mgf, top_keys = state.mgf, state.top_keys
-    if top_keys is not None:
-        # MGF and MAF select in one call on their stacked keys. MAF's key is
-        # its age, always >= 1, so MGF's threshold at key 0 leaves MAF's rows
-        # as `top_ids` picks them.
-        stacked, maf_delta = top_keys.reshape(2 * lanes, n), delta[1]
-    if top < rows:
-        draws = np.concatenate([rng.random((length, min(budget, n))) for rng in world.policy_rngs])
-        picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
-        picked[:length, top:] = picks[:, None]
-    if queue:
-        queue_delta, queue_seen, queue_arriving, oldest = delta[-1], seen[-1], arriving[-1], state.oldest
+    t0, length, budget, db = world.t0, world.t1 - world.t0, config.channels, est.shape[0] - 1
+    if state.top:
+        _step_top(config, world, state, gain_key, db)
+    if state.top < len(state.policies):
+        _step_oblivious(config, world, state)
 
-    for i in range(length):
-        t = t0 + i
-        if t > 0:
-            delta += 1
-            if fresh:
-                np.copyto(fresh_delta, 1, where=fresh_arriving)
-                np.copyto(fresh_seen, world.keys[t - 1 - base], where=fresh_arriving)
-            if queue:  # a delivered packet generated at slot g sets the age to t - g
-                lane, agent = np.nonzero(queue_arriving)
-                stamp = oldest[lane, agent] - 1
-                queue_delta[lane, agent] = t - stamp
-                queue_seen[lane, agent] = world.keys[stamp - base, lane, agent]
-        state.ages[i] = delta
-        state.observed[i] = seen
-
-        if top_keys is not None:
-            top_keys[0] = gain_key[np.minimum(head_delta, db), head_seen]
-            top_keys[1] = maf_delta
-            top_picked[i] = top_positive_ids(stacked, budget)
-        elif mgf:
-            top_picked[i] = top_positive_ids(gain_key[np.minimum(head_delta, db), head_seen], budget)
-        elif top:
-            top_picked[i] = top_ids(head_delta, budget)
-        if queue:
-            np.maximum(oldest, t - world.history + 1, out=oldest)
-            oldest += picked[i, -1]
-        np.logical_and(picked[i], ok[i], out=arriving)
-
-    picked = picked[:length]
+    picked = state.picked[:length]
     counts = picked.sum(axis=3)
     most = counts.max(axis=(0, 2))
     if most.max() > budget:
@@ -315,7 +380,7 @@ def _run_policy(
         raise RuntimeError(f"{state.policies[row]} selected {most[row]} agents with {budget} channels")
     state.activations += counts.sum(axis=0)
     landed = min(length, config.slots - 1 - t0)  # a pull in the last slot never lands
-    state.deliveries += (picked[:landed] & ok[:landed]).sum(axis=(0, 3))
+    state.deliveries += (picked[:landed] & world.ok[:landed, None]).sum(axis=(0, 3))
     first = max(config.warmup - t0, 0)
     if first < length:
         ages, estimates = state.ages[first:length], state.observed[first:length]
@@ -352,8 +417,8 @@ def run_paired(
     """Run several policies on the worlds of seeds seed .. seed + replications - 1.
 
     Each seed is a lane, and every policy sees the same world on it (common
-    random numbers). All policies step together as rows of one state, one
-    slot loop for all of them. Records come per policy in the order given,
+    random numbers). All policies step together as rows of one state, chunk
+    by chunk (see `_run_policy`). Records come per policy in the order given,
     lanes in seed order. `system`'s tables must cover the classes' states
     and share one row count; the age bound D is that count less one.
     """

@@ -25,7 +25,7 @@ from aoi_guard.simulate import SolvedSystem, config_at
 from aoi_guard.tables import build_tables
 
 from conftest import CHAIN_A_MATRIX, identity_safety_map, make_grid_classes
-from oracles import ReferenceWorld
+from oracles import ReferenceWorld, _uniform_subset, reference_records
 
 
 def chain_a_config(**kw):
@@ -107,6 +107,16 @@ class TestRunSimulation:
         monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.ones(values.shape, dtype=bool))
         with pytest.raises(RuntimeError, match="1 channels"):
             run_one(chain_a_config(members=3, slots=100), "maf")
+
+    def test_over_budget_random_picks_are_an_internal_error(self, monkeypatch):
+        # The oblivious rows' picks are drawn per chunk before any slot is
+        # stepped; the same channel check covers them and names the row.
+        monkeypatch.setattr(simulate, "uniform_subset", lambda u, count: np.ones((len(u), count), dtype=bool))
+        cfg = chain_a_config(members=3, slots=100)
+        system = solve_system(cfg, with_gains=False)
+        for policies in (["randomized"], ["random_queue", "randomized"]):
+            with pytest.raises(RuntimeError, match="^randomized selected 3 agents with 1 channels$"):
+                run_paired(cfg, policies, system, 1)
 
     def test_slot_loops_go_through_the_traced_names(self, monkeypatch):
         # perfbench times the slot loop and kernels, and the world initial
@@ -231,6 +241,43 @@ class TestRunSimulation:
         rec = run_one(cfg)
         assert rec.normalized_penalty == pytest.approx(2 / 15, abs=0.01)
         assert rec.activation_rate == pytest.approx(3.0)
+
+
+class TestChunking:
+    """A lane's records do not depend on how the horizon is cut into chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
+    def test_records_do_not_depend_on_the_chunk_length(self, monkeypatch, chunk):
+        # One-slot chunks carry every row's state across a chunk boundary
+        # at every slot and make each scan a single step; a queue capacity
+        # of 40 makes random_queue drop packets across chunk boundaries.
+        cfg = SimConfig(make_grid_classes((3, 3)), channels=2, slots=600, seed=4, delta_bound=40)
+        system = solve_system(cfg, with_gains=True)
+        monkeypatch.setattr(simulate, "QUEUE_CAPACITY", 40)
+        want = run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=2)
+        monkeypatch.setattr(simulate, "CHUNK_SLOTS", chunk)
+        assert run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=2) == want
+
+    def test_observations_older_than_the_window_are_carried(self):
+        # 30 agents share one channel that delivers 2% of packets, so an
+        # agent often goes a whole chunk without a delivery: its stamp is
+        # then older than randomized's one-slot window when the next chunk
+        # starts, and its observation must come from the carried key.
+        cfg = chain_a_config(members=30, success_prob=0.02, slots=600)
+        world = ReferenceWorld(cfg, cfg.seed)
+        rng = np.random.default_rng(world.policy_seq)
+        landings = [[] for _ in range(30)]
+        for t in range(cfg.slots):
+            for agent in _uniform_subset(30, cfg.channels, rng):
+                if world.channel_ok[t, agent]:
+                    landings[agent].append(t)
+        chunk = simulate.CHUNK_SLOTS
+        assert any(slots and slots[0] < chunk and not any(chunk <= t < 2 * chunk for t in slots)
+                   for slots in landings)
+        system = solve_system(cfg, with_gains=False)
+        for policies in (["randomized"], ["randomized", "random_queue"]):
+            got = run_paired(cfg, policies, system, cfg.seed)
+            assert [astuple(r) for r in got] == reference_records(cfg, policies, system, cfg.seed)
 
 
 class TestRunSweep:
