@@ -5,12 +5,13 @@ up to M agents with the highest-ranked gains among the states that the
 relaxed policy activates (`BanditSolution.active_mask`, gain strictly
 positive). `gain_keys` ranks every table cell once per run, equal gains
 sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
-both select through one integer kernel: a unique key per agent and one
-partition threshold per row (`top_ids`), which MGF's `top_positive_ids`
-clamps at key 0 to leave passive agents out. The other baselines pick
-uniformly at random, or uniformly at random with a FIFO queue of stale
-updates (the simulator keeps each agent's queue of at most QUEUE_CAPACITY
-packets as the stamp of its oldest packet).
+both select through the simulator's one kernel, `top_positive_ids`: a
+unique key per agent and one partition threshold per row, clamped at key 0
+to leave passive agents out (MAF's keys, ages >= 1, never meet the clamp).
+`top_ids` is that threshold unclamped, kept for the tests and the tracer.
+The other baselines pick uniformly at random, or uniformly at random with
+a FIFO queue of stale updates (the simulator keeps each agent's queue of
+at most QUEUE_CAPACITY packets as the stamp of its oldest packet).
 
 Every kernel works on a batch: one row per lane (or per lane and slot), one
 column per agent, and returns a boolean mask of the same shape with True on
@@ -26,10 +27,9 @@ import numpy as np
 
 QUEUE_CAPACITY = 1000
 
-# Every policy, in the simulator's row order: the rows that select through
-# `top_ids` come first, so MGF and MAF can select in one call on adjacent
-# rows; the rows whose picks never read the receiver state, stepped in
-# closed form per chunk, come last, random_queue (the stamp rule) last of all.
+# Every policy, in the simulator's row order: MGF and MAF first, selecting in
+# one call on adjacent rows, then the rows whose picks never read the receiver
+# state, stepped in closed form per chunk, random_queue (the stamp rule) last.
 POLICY_KEYS = ("mgf", "maf", "randomized", "random_queue")
 
 

@@ -48,7 +48,8 @@ from .markov import (
     stationary_distribution,
     step_candidates,
 )
-from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset
+# top_ids is unused here, but perfbench's tracer wraps it at this name too.
+from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset  # noqa: F401
 from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 
@@ -217,10 +218,10 @@ class _Lanes:
     state from slot t + 1 on; stamps only grow, since every row sends its
     packets in stamp order.
 
-    The first `top` rows (MGF, MAF) select on the receiver state and step
-    slot by slot (`_step_top`): `top_keys` holds their ages, and MGF's row
-    of it is then overwritten with its gain keys, so both select in one
-    `top_positive_ids` call. A landed packet was sent fresh: g = t.
+    The first `top` rows (MGF, MAF, whichever run) select on the receiver
+    state and step slot by slot (`_step_top`): `top_keys` holds their ages,
+    MGF's row of it then its priority keys, and one `top_positive_ids` call
+    selects on all of them. A landed packet was sent fresh: g = t.
 
     The other rows (randomized, random_queue) are oblivious: their picks,
     one uniform subset per slot from the lane's policy stream
@@ -242,8 +243,7 @@ class _Lanes:
 
     def __init__(self, policies: list[str], world: _WorldStream):
         self.policies = [p for p in POLICY_KEYS if p in policies]
-        self.mgf = "mgf" in self.policies
-        self.top = self.mgf + ("maf" in self.policies)
+        self.top = ("mgf" in self.policies) + ("maf" in self.policies)
         self.randomized = "randomized" in self.policies
         self.queue = "random_queue" in self.policies
         lanes, n = world.key.shape
@@ -270,30 +270,26 @@ class _Lanes:
 
 
 def _step_top(config: SimConfig, world: _WorldStream, state: _Lanes, gain_key: np.ndarray | None, db: int) -> None:
-    """MGF's and MAF's slots of the current chunk, one slot at a time (see `_Lanes`)."""
+    """MGF's and MAF's slots of the current chunk, one slot at a time (see `_Lanes`).
+
+    MGF's row of the ages becomes its priority keys at (min(age, D), seen); MAF's
+    keys, ages >= 1, pass the kernel's clamp at key 0 as they are.
+    """
     t0, base, budget, top = world.t0, world.t0 - world.history, config.channels, state.top
     stamp, seen, top_keys, landed = state.stamp[:top], state.seen[:top], state.top_keys, state.top_landed
     ages, observed, picked = state.ages[:, :top], state.observed[:, :top], state.picked[:, :top]
     lanes, n = world.key.shape
     top_picked = state.picked.reshape(CHUNK_SLOTS, -1, n)[:, : top * lanes]
-    stacked, head_age, head_seen = top_keys.reshape(top * lanes, n), top_keys[0], seen[0]
+    stacked, head, head_seen = top_keys.reshape(top * lanes, n), top_keys[0], seen[0]
     ok, keys = world.ok[:, None], world.keys[:, None]  # same-rank operands broadcast faster
-    mgf, maf = state.mgf, top > state.mgf
     for i in range(world.t1 - t0):
         t = t0 + i
         np.subtract(t, stamp, out=top_keys)
         ages[i] = top_keys
         observed[i] = seen
-        if mgf:
-            gains = gain_key[np.minimum(head_age, db), head_seen]
-            if maf:
-                # MAF's key is its age, always >= 1, so MGF's threshold at
-                # key 0 leaves MAF's rows as `top_ids` picks them.
-                top_keys[0] = gains
-                gains = stacked
-            top_picked[i] = top_positive_ids(gains, budget)
-        else:
-            top_picked[i] = top_ids(stacked, budget)
+        if gain_key is not None:
+            head[...] = gain_key[np.minimum(head, db), head_seen]
+        top_picked[i] = top_positive_ids(stacked, budget)
         np.logical_and(picked[i], ok[i], out=landed)
         np.copyto(stamp, t, where=landed)
         np.copyto(seen, keys[t - base], where=landed)
@@ -352,18 +348,19 @@ def _run_policy(
 ) -> None:
     """Every policy row's slots of the current chunk on every lane, then their tallies.
 
-    MGF and MAF step slot by slot (`_step_top`), randomized and
-    random_queue in closed form per chunk (`_step_oblivious`); both write
-    each row's ages, observations and picks of the chunk, which the tallies
-    then read. `name` joins the names of the policies the state steps with
-    "+"; the benchmark's tracer names the loop's span by it.
+    MGF and MAF step slot by slot, one selection call a slot (`_step_top`),
+    randomized and random_queue in closed form per chunk (`_step_oblivious`);
+    both write each row's ages, observations and picks of the chunk, which
+    the tallies then read. `name` joins the names of the policies the state
+    steps with "+"; the benchmark's tracer names the loop's span by it.
     `tables` holds the estimator choices flattened to (age, key), the loss
-    of every (true key, estimate) pair and, for MGF, the `gain_keys`
-    flattened like the estimator: each cell's gain rank, or -1 where the
-    relaxed policy's `active_mask` leaves it passive, so the eligible agents
-    are exactly the relaxed policy's active set. The age bound D is the
-    estimator's row count less one. random_queue's queue capacity is the
-    world's history window, which its stamps never reach past.
+    of every (true key, estimate) pair and, when MGF runs (else None), its
+    priority table of the estimator's shape: the `gain_keys`, each cell's
+    gain rank, or -1 where the relaxed policy's `active_mask` leaves it
+    passive, so the eligible agents are exactly the relaxed policy's active
+    set. The age bound D is the estimator's row count less one.
+    random_queue's queue capacity is the world's history window, which its
+    stamps never reach past.
     """
     est, loss, gain_key = tables
     t0, length, budget, db = world.t0, world.t1 - world.t0, config.channels, est.shape[0] - 1
@@ -447,6 +444,8 @@ def run_paired(
     if "mgf" in policies:
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
                              flat([s.active_mask() for s in system.solutions], False))
+        if gain_key.shape != est.shape:
+            raise ValidationError(f"gain tables have (age, key) shape {gain_key.shape}, the estimators {est.shape}")
     tables = (est, loss, gain_key)
     state = _Lanes(policies, world)
     name = "+".join(state.policies)

@@ -346,7 +346,7 @@ def _reference_run(config, world, policy, system, seed, capacity):
     """One policy's slot loop on one world, one slot and one seed at a time."""
     n = world.cls_of_agent.size
     t_slots, warmup, budget = config.slots, config.warmup, config.channels
-    db = config.delta_bound
+    db = system.estimators[0].shape[0] - 1  # the simulator reads D from the tables too
     cls_idx = world.cls_of_agent
 
     est_stack = stack_padded(system.estimators, 0)

@@ -109,17 +109,18 @@ class TestTopPositiveIds:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mgf_keys_stacked_over_maf_ages(self, data):
-        # The simulator's layout when MGF and MAF both run: MGF's keys on the
-        # first lanes' rows, MAF's ages (always >= 1) on the rest, one call.
-        lanes, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+        # The simulator's one selection call: MGF's keys on its lanes' rows
+        # (none when MAF runs alone), MAF's ages (always >= 1) on the rest.
+        mgf_lanes, lanes = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+        count = data.draw(st.integers(1, 12))
         budget = data.draw(st.integers(1, count + 1))
-        gains = self.draw_gains(data, lanes, count, count)
+        gains = self.draw_gains(data, mgf_lanes, count, count).reshape(mgf_lanes, count)
         ages = np.array(data.draw(st.lists(st.lists(st.integers(1, 4), min_size=count, max_size=count),
                                            min_size=lanes, max_size=lanes)))
         stacked = np.concatenate([gain_keys(gains, gains > GAIN_TIE_EPS), ages])
         mask = top_positive_ids(stacked, budget)
-        assert (mask[:lanes] == self.oracle_mask(gains, budget, _top_positive_ids)).all()
-        assert (mask[lanes:] == self.oracle_mask(ages, budget, _top_ids)).all()
+        assert (mask[:mgf_lanes] == self.oracle_mask(gains, budget, _top_positive_ids)).all()
+        assert (mask[mgf_lanes:] == self.oracle_mask(ages, budget, _top_ids)).all()
 
 
 class TestMafSelect:

@@ -104,9 +104,22 @@ class TestRunSimulation:
 
     def test_over_budget_selection_is_an_internal_error(self, monkeypatch):
         # The channel check is a raise, not an assert, so python -O keeps it.
-        monkeypatch.setattr(simulate, "top_ids", lambda values, budget: np.ones(values.shape, dtype=bool))
-        with pytest.raises(RuntimeError, match="1 channels"):
-            run_one(chain_a_config(members=3, slots=100), "maf")
+        # MGF and MAF select through one call whichever of them run; the
+        # kernel here picks every agent on the last row only (the last
+        # policy's, with one lane), so the check must name that row.
+        select = simulate.top_positive_ids
+
+        def over_last_row(keys, budget):
+            mask = select(keys, budget)
+            mask[-1] = True
+            return mask
+
+        monkeypatch.setattr(simulate, "top_positive_ids", over_last_row)
+        cfg = chain_a_config(members=3, slots=100)
+        system = solve_system(cfg, with_gains=True)
+        for policies in (["maf"], ["mgf"], ["mgf", "maf"]):
+            with pytest.raises(RuntimeError, match=f"^{policies[-1]} selected 3 agents with 1 channels$"):
+                run_paired(cfg, policies, system, 1)
 
     def test_over_budget_random_picks_are_an_internal_error(self, monkeypatch):
         # The oblivious rows' picks are drawn per chunk before any slot is
@@ -150,16 +163,20 @@ class TestRunSimulation:
         for policy in ("mgf", "maf"):
             run_paired(cfg, [policy], system, 5, replications=3)
         assert tally() == {
-            "mgf": 2, "maf": 2, "top_positive_ids": 300, "top_ids": 300,
+            "mgf": 2, "maf": 2, "top_positive_ids": 600,  # one call per slot whichever of them runs
             "is_primitive": 2, "stationary_distribution": 2,
         }
 
     def test_age_bound_comes_from_the_tables(self, grid_config, grid_system):
         # The system is solved at D = 250; the config's delta_bound only tells
-        # solve_system how to build tables, so the run reads D from them.
+        # solve_system how to build tables, so the run and the oracle read D
+        # from them.
         cfg = replace(grid_config, slots=2000, warmup=None)
         matched = run_paired(cfg, ["mgf", "maf"], grid_system, 1)
-        assert run_paired(replace(cfg, delta_bound=5), ["mgf", "maf"], grid_system, 1) == matched
+        mismatched = replace(cfg, delta_bound=5)
+        assert run_paired(mismatched, ["mgf", "maf"], grid_system, 1) == matched
+        want = reference_records(mismatched, ["mgf", "maf"], grid_system, 1)
+        assert [astuple(r) for r in matched] == want
 
     def test_system_solved_for_other_classes_is_an_error(self, grid_system):
         with pytest.raises(ValidationError, match=r"cover \[20, 20\] states per class; the config's classes have \[2\]"):
@@ -178,6 +195,18 @@ class TestRunSimulation:
         system = SolvedSystem(tuple(b[0] for b in built), tuple(b[1] for b in built))
         with pytest.raises(ValidationError, match=r"\[41, 201\] age rows per class"):
             run_paired(cfg, ["randomized"], system, 1)
+
+    def test_gain_tables_of_another_age_bound_are_an_error(self):
+        # MGF reads its gains at the estimator's (age, key) cells: solutions
+        # solved at a larger D would run on ages the estimator never reaches,
+        # and at a smaller D would be indexed past their last row.
+        cfg = SimConfig(make_grid_classes(), channels=1, slots=2000, seed=1, delta_bound=40)
+        short, long = (solve_system(replace(cfg, delta_bound=d), with_gains=True) for d in (40, 250))
+        for tables, gains, shapes in ((short, long, r"\(251, 40\), the estimators \(41, 40\)$"),
+                                      (long, short, r"\(41, 40\), the estimators \(251, 40\)$")):
+            system = SolvedSystem(tables.penalties, tables.estimators, gains.solutions)
+            with pytest.raises(ValidationError, match=r"^gain tables have \(age, key\) shape " + shapes):
+                run_paired(cfg, ["mgf"], system, 1)
 
     def test_mgf_without_solutions_is_an_error(self):
         cfg = chain_a_config()
