@@ -5,18 +5,22 @@ up to M agents with the highest-ranked gains among the states that the
 relaxed policy activates (`BanditSolution.active_mask`, gain strictly
 positive). `gain_keys` ranks every table cell once per run, equal gains
 sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
-both select through the simulator's one kernel, `top_positive_ids`: a
-unique key per agent and one partition threshold per row, clamped at key 0
-to leave passive agents out (MAF's keys, ages >= 1, never meet the clamp).
-`top_ids` is that threshold unclamped, kept for the tests and the tracer.
+both select through the simulator's one kernel, `top_positive_ids`, on
+`unique_keys` (value * N + N - 1 - id, so no two agents of a row tie):
+one partition threshold per row, clamped at key 0 to leave passive agents
+out (MAF's values, ages >= 1, never meet the clamp). The simulator builds
+the keys itself, MGF's from its gain keys stored times N and MAF's as its
+pick state, which steps by N a slot, and calls the kernel once per slot
+with buffers it allocated once. `top_ids` is the threshold unclamped on
+any integer values, kept for the tests and the tracer.
 The other baselines pick uniformly at random, or uniformly at random with
 a FIFO queue of stale updates (the simulator keeps each agent's queue of
 at most QUEUE_CAPACITY packets as the stamp of its oldest packet).
 
 Every kernel works on a batch: one row per lane (or per lane and slot), one
-column per agent, and returns a boolean mask of the same shape with True on
-the selected agents. All ties break toward the lower agent id so runs are
-reproducible.
+column per agent, and returns (or, for `top_positive_ids`, fills) a boolean
+mask of the same shape with True on the selected agents. All ties break
+toward the lower agent id so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ QUEUE_CAPACITY = 1000
 
 # Every policy, in the simulator's row order: MGF and MAF first, selecting in
 # one call on adjacent rows, then the rows whose picks never read the receiver
-# state, stepped in closed form per chunk, random_queue (the stamp rule) last.
+# state, drawn a chunk at a time, random_queue (the stamp rule) last.
 POLICY_KEYS = ("mgf", "maf", "randomized", "random_queue")
 
 
@@ -43,47 +47,46 @@ def gain_keys(gains: np.ndarray, active: np.ndarray) -> np.ndarray:
     return np.where(active, ranks, -1)
 
 
-def top_positive_ids(keys: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest nonnegative keys, id tie-break.
+def unique_keys(values: np.ndarray) -> np.ndarray:
+    """value * N + (N - 1 - id) for each entry of N columns: unique per row, ordered by value, then lower id."""
+    count = values.shape[-1]
+    return values * count + tie_ids(count)
 
-    The `top_ids` threshold clamped at unique key 0: a key of -1 maps to a
-    unique key below 0, so passive cells fall below the threshold and
-    eligibility costs no mask of its own.
+
+@cache
+def tie_ids(count: int) -> np.ndarray:
+    """The tie term N - 1 - id of `unique_keys`, built once per N."""
+    ids = np.arange(count - 1, -1, -1)
+    ids.flags.writeable = False
+    return ids
+
+
+def top_positive_ids(keys: np.ndarray, budget: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per row of `unique_keys`, mark in `out` up to `budget` largest nonnegative keys.
+
+    One partition threshold per row picks the set without sorting it, and
+    the threshold is clamped at key 0: a value of -1 has a key below 0, so
+    passive cells fall below the threshold and eligibility costs no mask of
+    its own. The partition runs in `scratch`, an array of the keys' shape,
+    so a call allocates nothing.
     """
     if budget >= keys.shape[1]:
-        return keys >= 0
-    key, kth_largest = _unique_keys(keys, budget)
-    return key >= np.maximum(kth_largest, 0)
+        return np.greater_equal(keys, 0, out=out)
+    kth = keys.shape[1] - budget
+    np.copyto(scratch, keys)
+    scratch.partition(kth, axis=1)
+    threshold = scratch[:, kth, None]
+    np.maximum(threshold, 0, out=threshold)
+    return np.greater_equal(keys, threshold, out=out)
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
     """Per row, a mask of up to `budget` largest integer entries regardless of sign, id tie-break."""
     if budget >= values.shape[1]:
         return np.ones(values.shape, dtype=bool)
-    key, kth_largest = _unique_keys(values, budget)
-    return key >= kth_largest
-
-
-def _unique_keys(values: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's unique key and each row's `budget`-th largest key, for budget < N.
-
-    With N columns, value * N + (N - 1 - id) is a unique key that orders by
-    value and then by lower id, so one partition threshold per row picks the
-    set without sorting it.
-    """
-    count = values.shape[1]
-    key = values * count
-    key += _reversed_ids(count)
-    kth = count - budget
-    return key, np.partition(key, kth, axis=1)[:, kth, None]
-
-
-@cache
-def _reversed_ids(count: int) -> np.ndarray:
-    """The tie term N - 1 - id of `top_ids`, built once per N."""
-    ids = np.arange(count - 1, -1, -1)
-    ids.flags.writeable = False
-    return ids
+    keys = unique_keys(values)
+    kth = values.shape[1] - budget
+    return keys >= np.partition(keys, kth, axis=1)[:, kth, None]
 
 
 def uniform_subset(u: np.ndarray, count: int) -> np.ndarray:

@@ -7,20 +7,22 @@ slot later and reset that agent's age, and the receiver's tabulated estimate
 is charged against the true safety label.
 
 One `run_paired` call runs every seed of a run as a lane and every policy as
-a row: the receiver and scheduler state is one set of (P, lanes, N) arrays
-in one form for every row, the stamp g of the true state the receiver holds
-and that state's key, so the age at slot t is t - g. Only MGF and MAF, whose
-picks read that state, step slot by slot: one loop steps both on all lanes
-with one set of array operations per slot (one age update, one selection
-call for both, one delivery). randomized and random_queue pick before the
-loop, so each chunk steps them in closed form with chunk-wide scans: g is a
-running maximum of the stamps that landed, and random_queue's oldest queued
-stamp is a running maximum too (see `_Lanes`). The world streams in chunks
-of CHUNK_SLOTS slots that are stepped before the next chunk is drawn; only
-the chunk and the last QUEUE_CAPACITY slots of true states (random_queue's
-stamps reach that far back) are kept, with each policy's ages, observations
-and picks of the chunk, so memory is O((CHUNK_SLOTS * P + QUEUE_CAPACITY) *
-N * lanes) whatever the horizon.
+a row: the receiver state is one set of (P, lanes, N) arrays in one form
+for every row, the stamp g of the true state the receiver holds and that
+state's key, so the age at slot t is t - g. Each chunk first fills every
+row's picks. Only MGF and MAF, whose picks read the receiver state, pick
+slot by slot: one loop steps both on all lanes and carries only what the
+pick reads (MGF's index into its priority table, MAF's age key), with one
+selection call for both per slot. randomized and random_queue pick a whole
+chunk before any slot is stepped. One pass over every row then derives the
+chunk's stamps, ages and observations with chunk-wide scans: g is a
+running maximum of the stamps that landed, and random_queue's oldest
+queued stamp is a running maximum too (see `_Lanes`). The world streams in
+chunks of CHUNK_SLOTS slots that are stepped before the next chunk is
+drawn; only the chunk and the last QUEUE_CAPACITY slots of true states
+(random_queue's stamps reach that far back) are kept, with each policy's
+ages, observations and picks of the chunk, so memory is O((CHUNK_SLOTS *
+P + QUEUE_CAPACITY) * N * lanes) whatever the horizon.
 
 Runs are reproducible bit for bit: all randomness of a lane derives from its
 seed through fixed substreams (one for initial states, one for the random
@@ -49,7 +51,9 @@ from .markov import (
     step_candidates,
 )
 # top_ids is unused here, but perfbench's tracer wraps it at this name too.
-from .policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_ids, top_positive_ids, uniform_subset  # noqa: F401
+from .policies import (  # noqa: F401
+    POLICY_KEYS, QUEUE_CAPACITY, gain_keys, tie_ids, top_ids, top_positive_ids, uniform_subset, unique_keys,
+)
 from .tables import AgentClassSpec, PenaltyTable, build_tables
 
 
@@ -74,6 +78,8 @@ class SimConfig:
             raise ValidationError(f"delta_bound must be >= 1, got {self.delta_bound}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.slots < 1:
+            raise ValidationError(f"slots must be >= 1, got {self.slots}")
         warmup = self.slots // 10 if self.warmup is None else self.warmup
         object.__setattr__(self, "warmup", warmup)
         if not 0 <= warmup < self.slots:
@@ -218,42 +224,49 @@ class _Lanes:
     state from slot t + 1 on; stamps only grow, since every row sends its
     packets in stamp order.
 
-    The first `top` rows (MGF, MAF, whichever run) select on the receiver
-    state and step slot by slot (`_step_top`): `top_keys` holds their ages,
-    MGF's row of it then its priority keys, and one `top_positive_ids` call
-    selects on all of them. A landed packet was sent fresh: g = t.
+    Each chunk first fills every row's picks and `landed` (picked, and the
+    channel delivered) and then rebuilds every row's receiver state in one
+    pass (`_receive`). `scan` holds g + 1: row 0 the value carried into the
+    chunk, row 1 + i the stamp + 1 of a packet that lands after the chunk's
+    slot i (0 where none does), and a running maximum over the slot axis
+    turns it into g + 1 at every slot, from which the pass takes the ages,
+    the observations and the carried `stamp` and `seen`.
+
+    The first `top` rows (MGF, MAF, whichever run) pick on the receiver
+    state, so `_step_top` steps them slot by slot on only what the pick
+    reads. `pick` holds MGF's flat (age, key) index into its priority
+    table, MGF's keys and MAF's key age * N + N - 1 - id, less the rows of
+    a policy that does not run: every other row is a pick state, and the
+    rows after the index are the `unique_keys` that `top_positive_ids`
+    selects on. A landed packet was sent fresh: g = t.
 
     The other rows (randomized, random_queue) are oblivious: their picks,
     one uniform subset per slot from the lane's policy stream
     (`world.policy_rngs`) that both share, never read the receiver state,
-    so `_step_oblivious` steps a whole chunk with chunk-wide scans and no
-    per-slot work. `scan` holds g + 1 for those rows: row 0 the value
-    carried into the chunk, row 1 + i the stamp + 1 of a packet that lands
-    after the chunk's slot i (0 where none does), and a running maximum
-    over the slot axis turns it into g + 1 at every slot. randomized sends
-    fresh packets, stamped with their send slot. Each random_queue agent
-    queues one packet per slot and drops its oldest beyond the capacity
-    (the world's history window H), so after slot s its queue is the run of
-    stamps `oldest` .. s, with oldest_s = max(oldest_{s-1}, s - H + 1) +
-    sent_s, and the packet it sends carries the stamp oldest_s - 1. With
-    S_s the running sum of sends, oldest_s - S_s is then the running
-    maximum over r <= s of r - H + 1 - S_{r-1}, started from the carried
-    `oldest`.
+    so `_step_oblivious` draws a whole chunk of them at once. randomized
+    sends fresh packets, stamped with their send slot. Each random_queue
+    agent queues one packet per slot and drops its oldest beyond the
+    capacity (the world's history window H), so after slot s its queue is
+    the run of stamps `oldest` .. s, with oldest_s = max(oldest_{s-1}, s -
+    H + 1) + sent_s, and the packet it sends carries the stamp oldest_s -
+    1. With S_s the running sum of sends, oldest_s - S_s is then the
+    running maximum over r <= s of r - H + 1 - S_{r-1}, started from the
+    carried `oldest`.
     """
 
     def __init__(self, policies: list[str], world: _WorldStream):
         self.policies = [p for p in POLICY_KEYS if p in policies]
-        self.top = ("mgf" in self.policies) + ("maf" in self.policies)
-        self.randomized = "randomized" in self.policies
+        mgf = "mgf" in self.policies
+        self.top = mgf + ("maf" in self.policies)
         self.queue = "random_queue" in self.policies
         lanes, n = world.key.shape
         shape = (len(self.policies), lanes, n)
         self.stamp = np.full(shape, -1, dtype=np.int64)
         self.seen = np.broadcast_to(world.key, shape).copy()
-        self.top_keys = np.empty((self.top, lanes, n), dtype=np.int64)
-        self.top_landed = np.empty((self.top, lanes, n), dtype=bool)
-        self.landed = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
-        self.scan = np.empty((CHUNK_SLOTS + 1, self.randomized + self.queue, lanes, n), dtype=np.int32)
+        self.pick = np.empty((mgf + self.top, lanes, n), dtype=np.int64)
+        self.scratch = np.empty((self.top * lanes, n), dtype=np.int64)
+        self.landed = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
+        self.scan = np.empty((CHUNK_SLOTS + 1, *shape), dtype=np.int32)
         self.oldest = np.zeros((lanes, n), dtype=np.int64)
         self.total_loss = np.zeros(shape[:2])
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
@@ -262,67 +275,86 @@ class _Lanes:
         # int32 holds every age and stamp (SimConfig caps slots below 2**31),
         # the flat (age, key) index that the tally folds into `ages` for any
         # estimator table of fewer than 2**31 cells (16 GiB of int64), and
-        # the flat index into `world.keys` that `_step_oblivious` folds into
-        # `scan` for any window of fewer than 2**31 cells (8 GiB of int32).
+        # the flat index into `world.keys` that `_receive` folds into `scan`
+        # for any window of fewer than 2**31 cells (8 GiB of int32).
         self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
 
 
-def _step_top(config: SimConfig, world: _WorldStream, state: _Lanes, gain_key: np.ndarray | None, db: int) -> None:
-    """MGF's and MAF's slots of the current chunk, one slot at a time (see `_Lanes`).
+def _step_top(config: SimConfig, world: _WorldStream, state: _Lanes, priority: np.ndarray | None, db: int) -> None:
+    """MGF's and MAF's picks of the current chunk, one slot at a time (see `_Lanes`).
 
-    MGF's row of the ages becomes its priority keys at (min(age, D), seen); MAF's
-    keys, ages >= 1, pass the kernel's clamp at key 0 as they are.
+    Each row's pick state starts from its receiver state at the chunk's
+    first slot and, each slot, is reset where a packet landed and then
+    steps one age on: MGF's index by one table row, MAF's key by N. A
+    chunk's ages run at most CHUNK_SLOTS past D, where `priority` repeats
+    its age-D row, so no slot clamps an age.
     """
-    t0, base, budget, top = world.t0, world.t0 - world.history, config.channels, state.top
-    stamp, seen, top_keys, landed = state.stamp[:top], state.seen[:top], state.top_keys, state.top_landed
-    ages, observed, picked = state.ages[:, :top], state.observed[:, :top], state.picked[:, :top]
+    t0, length, h, top, mgf = world.t0, world.t1 - world.t0, world.history, state.top, priority is not None
     lanes, n = world.key.shape
+    rows, keys, ties = state.pick[::2], state.pick[mgf:].reshape(top * lanes, n), tie_ids(n)
+    age = t0 - state.stamp[:top]
+    steps = np.full((top, 1, 1), n)
+    # Until `_receive` writes them, the top rows' observations hold the
+    # value each row resets to where a packet lands, its pick state at age 0:
+    # MGF's the key it sent, MAF's the tie term.
+    resets = state.observed[:length, :top]
+    resets[:, mgf:] = ties
+    rows[mgf:] = unique_keys(age[mgf:])
+    if mgf:
+        width = priority.shape[1]
+        rows[0] = np.minimum(age[0], db) * width + state.seen[0]
+        resets[:, 0] = world.keys[h : h + length]
+        steps[0] = width
+        table, head, gather = priority.reshape(-1), state.pick[1], state.pick[0]
+    budget, ok = config.channels, world.ok[:, None]  # same-rank operands broadcast faster
+    picked, landed = state.picked[:, :top], state.landed[:, :top]
     top_picked = state.picked.reshape(CHUNK_SLOTS, -1, n)[:, : top * lanes]
-    stacked, head, head_seen = top_keys.reshape(top * lanes, n), top_keys[0], seen[0]
-    ok, keys = world.ok[:, None], world.keys[:, None]  # same-rank operands broadcast faster
-    for i in range(world.t1 - t0):
-        t = t0 + i
-        np.subtract(t, stamp, out=top_keys)
-        ages[i] = top_keys
-        observed[i] = seen
-        if gain_key is not None:
-            head[...] = gain_key[np.minimum(head, db), head_seen]
-        top_picked[i] = top_positive_ids(stacked, budget)
-        np.logical_and(picked[i], ok[i], out=landed)
-        np.copyto(stamp, t, where=landed)
-        np.copyto(seen, keys[t - base], where=landed)
+    for i in range(length):
+        if mgf:
+            table.take(gather, out=head)
+            head += ties
+        top_positive_ids(keys, budget, top_picked[i], state.scratch)
+        np.logical_and(picked[i], ok[i], out=landed[i])
+        np.copyto(rows, resets[i], where=landed[i])
+        rows += steps
 
 
 def _step_oblivious(config: SimConfig, world: _WorldStream, state: _Lanes) -> None:
-    """randomized's and random_queue's slots of the current chunk, in closed form (see `_Lanes`)."""
-    t0, base, top = world.t0, world.t0 - world.history, state.top
+    """randomized's and random_queue's picks of the current chunk, and random_queue's stamps (see `_Lanes`)."""
+    t0, top = world.t0, state.top
     length, (lanes, n) = world.t1 - t0, world.key.shape
     draws = np.concatenate([rng.random((length, min(config.channels, n))) for rng in world.policy_rngs])
     picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
     state.picked[:length, top:] = picks[:, None]
-    landed = np.logical_and(picks, world.ok[:length], out=state.landed[:length])
-    scan, stamp, seen = state.scan[: length + 1], state.stamp[top:], state.seen[top:]
-    observed = state.observed[:length, top:]
-    slot1 = np.arange(t0 + 1, t0 + length + 1)[:, None, None]  # slot + 1 of each chunk slot
+    np.logical_and(state.picked[:length, top:], world.ok[:length, None], out=state.landed[:length, top:])
     if state.queue:
-        # The queue row's ages hold S_s until the scan writes them.
-        sends, queue = state.ages[:length, -1], scan[:, -1]
+        # The queue row's ages hold S_s until `_receive` writes them.
+        sends, queue = state.ages[:length, -1], state.scan[: length + 1, -1]
         sends[...] = picks
         np.add.accumulate(sends, axis=0, out=sends)
+        slot1 = np.arange(t0 + 1, t0 + length + 1)[:, None, None]  # slot + 1 of each chunk slot
         np.subtract(slot1 - world.history, sends, out=queue[1:])
         queue[1:] += picks  # s - H + 1 - S_{s-1}
         queue[0] = state.oldest
         np.maximum.accumulate(queue, axis=0, out=queue)
         queue[1:] += sends
         state.oldest[...] = queue[-1]
-        queue[1:] *= landed  # oldest_s is the stamp + 1 of the packet sent at slot s
-    if state.randomized:  # a fresh packet's stamp + 1 is its send slot + 1
-        np.multiply(landed, slot1, out=scan[1:, 0])
+        queue[1:] *= state.landed[:length, -1]  # oldest_s is the stamp + 1 of the packet sent at slot s
+
+
+def _receive(world: _WorldStream, state: _Lanes) -> None:
+    """Every row's ages and observations of the current chunk, and its carried `stamp` and `seen` (see `_Lanes`)."""
+    t0, base = world.t0, world.t0 - world.history
+    length, (lanes, n) = world.t1 - t0, world.key.shape
+    scan, stamp, seen, observed = state.scan[: length + 1], state.stamp, state.seen, state.observed[:length]
+    slot1 = np.arange(t0 + 1, t0 + length + 1)[:, None, None, None]  # slot + 1 of each chunk slot
+    fresh = len(state.policies) - state.queue  # a fresh packet's stamp + 1 is its send slot + 1
+    np.multiply(state.landed[:length, :fresh], slot1, out=scan[1:, :fresh])
     np.add(stamp, 1, out=scan[0])
     np.maximum.accumulate(scan, axis=0, out=scan)
-    np.subtract(slot1[:, None], scan[:-1], out=state.ages[:length, top:])
+    np.subtract(slot1, scan[:-1], out=state.ages[:length])
     np.subtract(scan[-1], 1, out=stamp)
     # The receiver observes the key at g. Where g is the carried stamp (older
     # than the window, or the initial -1, whose key is slot 0's), the carried
@@ -348,26 +380,29 @@ def _run_policy(
 ) -> None:
     """Every policy row's slots of the current chunk on every lane, then their tallies.
 
-    MGF and MAF step slot by slot, one selection call a slot (`_step_top`),
-    randomized and random_queue in closed form per chunk (`_step_oblivious`);
-    both write each row's ages, observations and picks of the chunk, which
-    the tallies then read. `name` joins the names of the policies the state
-    steps with "+"; the benchmark's tracer names the loop's span by it.
-    `tables` holds the estimator choices flattened to (age, key), the loss
-    of every (true key, estimate) pair and, when MGF runs (else None), its
-    priority table of the estimator's shape: the `gain_keys`, each cell's
-    gain rank, or -1 where the relaxed policy's `active_mask` leaves it
-    passive, so the eligible agents are exactly the relaxed policy's active
-    set. The age bound D is the estimator's row count less one.
-    random_queue's queue capacity is the world's history window, which its
-    stamps never reach past.
+    MGF and MAF pick slot by slot, one selection call a slot, on only the
+    state their pick reads (`_step_top`); randomized and random_queue pick
+    a whole chunk at once (`_step_oblivious`). One pass then derives every
+    row's stamps, ages and observations of the chunk (`_receive`), which
+    the tallies read with the picks. `name` joins the names of the
+    policies the state steps with "+"; the benchmark's tracer names the
+    loop's span by it. `tables` holds the estimator choices flattened to
+    (age, key), the loss of every (true key, estimate) pair and, when MGF
+    runs (else None), its priority table: the `gain_keys` of the
+    estimator's (age, key) cells, each cell's gain rank or -1 where the
+    relaxed policy's `active_mask` leaves it passive (so the eligible
+    agents are exactly the relaxed policy's active set), times N and with
+    CHUNK_SLOTS more copies of its age-D row. The age bound D is the
+    estimator's row count less one. random_queue's queue capacity is the
+    world's history window, which its stamps never reach past.
     """
-    est, loss, gain_key = tables
+    est, loss, priority = tables
     t0, length, budget, db = world.t0, world.t1 - world.t0, config.channels, est.shape[0] - 1
     if state.top:
-        _step_top(config, world, state, gain_key, db)
+        _step_top(config, world, state, priority, db)
     if state.top < len(state.policies):
         _step_oblivious(config, world, state)
+    _receive(world, state)
 
     picked = state.picked[:length]
     counts = picked.sum(axis=3)
@@ -376,8 +411,8 @@ def _run_policy(
         row = int(most.argmax())
         raise RuntimeError(f"{state.policies[row]} selected {most[row]} agents with {budget} channels")
     state.activations += counts.sum(axis=0)
-    landed = min(length, config.slots - 1 - t0)  # a pull in the last slot never lands
-    state.deliveries += (picked[:landed] & world.ok[:landed, None]).sum(axis=(0, 3))
+    delivered = min(length, config.slots - 1 - t0)  # a pull in the last slot never lands
+    state.deliveries += state.landed[:delivered].sum(axis=(0, 3))
     first = max(config.warmup - t0, 0)
     if first < length:
         ages, estimates = state.ages[first:length], state.observed[first:length]
@@ -440,13 +475,15 @@ def run_paired(
     label = stack_padded([c.safety.assignment for c in config.classes], 0).reshape(-1)
     losses = stack_padded([c.loss.entries for c in config.classes], 0.0)
     loss = losses[np.arange(label.size) // max(states), label]  # (true key, estimate)
-    gain_key = None
+    priority = None
     if "mgf" in policies:
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
                              flat([s.active_mask() for s in system.solutions], False))
         if gain_key.shape != est.shape:
             raise ValidationError(f"gain tables have (age, key) shape {gain_key.shape}, the estimators {est.shape}")
-    tables = (est, loss, gain_key)
+        priority = np.concatenate([gain_key, np.repeat(gain_key[-1:], CHUNK_SLOTS, axis=0)])
+        priority *= world.cls_idx.size
+    tables = (est, loss, priority)
     state = _Lanes(policies, world)
     name = "+".join(state.policies)
     while world.advance():

@@ -13,7 +13,7 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.policies import gain_keys, top_positive_ids
+from aoi_guard.policies import gain_keys, top_positive_ids, unique_keys
 
 CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -23,10 +23,16 @@ def identity_safety_map(state_count: int) -> SafetyMap:
     return SafetyMap(state_count, np.arange(state_count))
 
 
+def select_keys(values, budget: int) -> np.ndarray:
+    """`top_positive_ids` on the `unique_keys` of integer values, with fresh buffers."""
+    keys = unique_keys(np.asarray(values))
+    return top_positive_ids(keys, budget, np.empty(keys.shape, dtype=bool), np.empty_like(keys))
+
+
 def mgf_select(gains, budget: int) -> np.ndarray:
     """MGF's mask on a float gain table: keys from the whole table, eligibility as `active_mask`."""
     gains = np.asarray(gains, dtype=float)
-    return top_positive_ids(gain_keys(gains, gains > GAIN_TIE_EPS), budget)
+    return select_keys(gain_keys(gains, gains > GAIN_TIE_EPS), budget)
 
 
 @pytest.fixture()

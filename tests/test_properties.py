@@ -20,10 +20,10 @@ from aoi_guard import (
 )
 from aoi_guard.markov import build_grid_walk, candidate_columns, cumulative_rows, stack_padded, step_candidates
 from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys, top_positive_ids
+from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys
 from aoi_guard.simulate import resolve_workers
 
-from conftest import identity_safety_map, make_grid_classes, mgf_select
+from conftest import identity_safety_map, make_grid_classes, mgf_select, select_keys
 from oracles import ReferenceWorld, random_queue_oracle, reference_records
 
 
@@ -68,7 +68,7 @@ class TestPolicyKernelEquivalence:
             ages = rng.integers(1, 10, size=6)
             x = np.array([rng.integers(0, tables[c].shape[1]) for c in cls])
             gains = np.array([[tables[c][d, xi] for c, d, xi in zip(cls, ages, x)]])
-            assert (top_positive_ids(keys[cls, ages, x][None], 3) == mgf_select(gains, 3)).all()
+            assert (select_keys(keys[cls, ages, x][None], 3) == mgf_select(gains, 3)).all()
 
     def test_budget_beyond_population_selects_all_positive(self):
         rng = np.random.default_rng(14)

@@ -109,8 +109,8 @@ class TestRunSimulation:
         # policy's, with one lane), so the check must name that row.
         select = simulate.top_positive_ids
 
-        def over_last_row(keys, budget):
-            mask = select(keys, budget)
+        def over_last_row(keys, budget, out, scratch):
+            mask = select(keys, budget, out, scratch)
             mask[-1] = True
             return mask
 
@@ -235,6 +235,11 @@ class TestRunSimulation:
             chain_a_config(slots=100, warmup=100)
         with pytest.raises(ValidationError, match="below 2\\*\\*31"):
             chain_a_config(slots=2**31)
+        # The horizon is checked before the warmup is derived from it, so the
+        # message names no warmup that was never set.
+        for slots in (0, -5):
+            with pytest.raises(ValidationError, match=f"^slots must be >= 1, got {slots}$"):
+                chain_a_config(slots=slots)
         # Policy names are checked on entry, before any of the world is drawn.
         cfg = chain_a_config(slots=100)
         system = solve_system(cfg, with_gains=False)
@@ -287,24 +292,41 @@ class TestChunking:
         monkeypatch.setattr(simulate, "CHUNK_SLOTS", chunk)
         assert run_paired(cfg, POLICY_KEYS, system, cfg.seed, replications=2) == want
 
-    def test_observations_older_than_the_window_are_carried(self):
-        # 30 agents share one channel that delivers 2% of packets, so an
+    def test_observations_older_than_the_window_are_carried(self, monkeypatch):
+        # 30 agents share one channel that delivers 10% of packets, so an
         # agent often goes a whole chunk without a delivery: its stamp is
-        # then older than randomized's one-slot window when the next chunk
-        # starts, and its observation must come from the carried key.
-        cfg = chain_a_config(members=30, success_prob=0.02, slots=600)
+        # then older than the one-slot window of a run without random_queue
+        # when the next chunk starts, and its observation must come from the
+        # carried key. The replayed picks show such an agent for every policy
+        # that picks fresh packets: the random ones from the policy stream,
+        # MGF's and MAF's from the selection calls of one run. The source
+        # mixes slowly, so an estimate reads the observation for some 15
+        # slots of age: at this seed, randomized's, MGF's and MAF's records
+        # each change if their row's carry is dropped.
+        slow = MarkovSource([[0.97, 0.03], [0.06, 0.94]], name="slow")
+        cls = AgentClassSpec(slow, identity_safety_map(2), loss_01(2), success_prob=0.1, member_count=30)
+        cfg = SimConfig((cls,), channels=1, slots=600, seed=62, delta_bound=100)
+        system = solve_system(cfg, with_gains=True)
         world = ReferenceWorld(cfg, cfg.seed)
         rng = np.random.default_rng(world.policy_seq)
-        landings = [[] for _ in range(30)]
+        picks = {"randomized": np.zeros((cfg.slots, 30), dtype=bool)}
         for t in range(cfg.slots):
-            for agent in _uniform_subset(30, cfg.channels, rng):
-                if world.channel_ok[t, agent]:
-                    landings[agent].append(t)
+            picks["randomized"][t, _uniform_subset(30, cfg.channels, rng)] = True
+        select, masks = simulate.top_positive_ids, []
+
+        def recorded(keys, budget, out, scratch):
+            masks.append(select(keys, budget, out, scratch).copy())
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "top_positive_ids", recorded)
+            run_paired(cfg, ["mgf", "maf"], system, cfg.seed)
+        picks["mgf"], picks["maf"] = np.array(masks).transpose(1, 0, 2)  # one lane: rows are the policies
         chunk = simulate.CHUNK_SLOTS
-        assert any(slots and slots[0] < chunk and not any(chunk <= t < 2 * chunk for t in slots)
-                   for slots in landings)
-        system = solve_system(cfg, with_gains=False)
-        for policies in (["randomized"], ["randomized", "random_queue"]):
+        for policy, picked in picks.items():
+            landed = picked & world.channel_ok
+            assert (landed[: chunk - 1].any(axis=0) & ~landed[chunk - 1 : 2 * chunk].any(axis=0)).any(), policy
+        for policies in (["randomized"], ["randomized", "random_queue"], ["maf"], ["mgf"], ["mgf", "maf"]):
             got = run_paired(cfg, policies, system, cfg.seed)
             assert [astuple(r) for r in got] == reference_records(cfg, policies, system, cfg.seed)
 
