@@ -12,6 +12,8 @@ from aoi_guard import (
     MarkovSource,
     SimConfig,
     ValidationError,
+    banded_safety_map,
+    build_grid_walk,
     loss_01,
     run_paired,
     run_sweep,
@@ -430,8 +432,18 @@ class TestScaleInvariance:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# Classes of 9, 4 and 1 states: stacked tables padded to three widths, and
+# a one-state class whose chain has no CDF bound below 1.
+MIXED_WIDTHS = SimConfig((
+    AgentClassSpec(build_grid_walk(3, 3, 0.2, 0.15, 0.1, 0.25), banded_safety_map(3, (1,), cols=3),
+                   loss_01(2), 0.9, 4, name="grid"),
+    AgentClassSpec(build_grid_walk(4, 1, 0.3, 0.1), identity_safety_map(4), loss_01(4), 0.7, 3, name="row"),
+    AgentClassSpec(MarkovSource([[1.0]]), identity_safety_map(1), loss_01(1), 1.0, 2, name="still"),
+), channels=3, slots=1, seed=17, delta_bound=30)
+
+
 class TestRecordsPinned:
-    """The records of two short runs, pinned by the sha256 of their field values.
+    """The records of three short runs, pinned by the sha256 of their field values.
 
     A refactor or speed-up of the simulator leaves these digests as they are;
     a change that means to move the numbers (a new policy rule, a new world
@@ -443,9 +455,12 @@ class TestRecordsPinned:
          "d1d44b50ab444d9d3725eb69ac7193612b82d24524f9e8f459fdba3e7e347556"),
         ("grid400.yaml", ("mgf",), {"slots": 2000, "delta_bound": 40}, 1,
          "d8bab835d5bdad2e16b017d04ba68a27824069c376525a6e5090d90a6e15bcf5"),
+        (MIXED_WIDTHS, POLICY_KEYS, {"slots": 700}, 2,
+         "f59186b1e0f24102c2773466423f84ebcb32b136930b3ed81d349478a14ed522"),
     ])
     def test_records_digest(self, config, policies, size, replications, digest):
-        cfg = replace(load_config(CONFIGS / config).sim, warmup=None, **size)
+        base = config if isinstance(config, SimConfig) else load_config(CONFIGS / config).sim
+        cfg = replace(base, warmup=None, **size)
         system = solve_system(cfg, with_gains="mgf" in policies)
         records = run_paired(cfg, policies, system, cfg.seed, replications=replications)
         assert hashlib.sha256(repr([astuple(r) for r in records]).encode()).hexdigest() == digest
