@@ -2,8 +2,8 @@
 
 Provides validated row-stochastic transition matrices, an exact primitivity
 test, stationary laws by one linear solve, the coarsest lumpable partition
-that refines a labelling, and the per-class stacking and sparse inverse-CDF
-stepping of the simulator.
+that refines a labelling, and the per-class stacking and inverse-CDF
+successor tables of the simulator.
 
 The grid-world sources are built here, by one builder: `build_grid_walk` is
 the bounded four-direction walk on a rows x cols grid, and a "row chain" is
@@ -277,15 +277,15 @@ def stack_padded(arrays, fill) -> np.ndarray:
 def candidate_columns(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each CDF row's candidate columns and the CDF bounds between them.
 
-    `cum` holds CDF rows that end at 1.0, such as `stack_padded` over
-    `cumulative_rows` with fill 1.0, flattened to 2-D. A row's candidates
-    are column 0 and every column where its CDF strictly rises. The first
-    column whose CDF is >= u is always one of them, so `step_candidates`
-    picks the same column as the dense count (u > cum).sum() for every u in
-    [0, 1). Returns `cols`, (K, rows): candidate k of each row, and
-    `bounds`, (K - 1, rows): the CDF at candidate k. The last candidate's
-    CDF is at least 1.0, which no uniform exceeds, so it is left out. Rows
-    with fewer candidates are padded with column 0 at bound 1.0.
+    `cum` holds CDF rows that end at 1.0, such as `cumulative_rows`. A row's
+    candidates are column 0 and every column where its CDF strictly rises.
+    The first column whose CDF is >= u is always one of them, so the number
+    of a row's bounds below u picks the same column as the dense count
+    (u > cum).sum() for every u in [0, 1). Returns `cols`, (K, rows):
+    candidate k of each row, and `bounds`, (K - 1, rows): the CDF at
+    candidate k. The last candidate's CDF is at least 1.0, which no uniform
+    exceeds, so it is left out. Rows with fewer candidates are padded with
+    column 0 at bound 1.0.
     """
     rises = np.ones(cum.shape, dtype=bool)
     rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
@@ -298,16 +298,48 @@ def candidate_columns(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, bounds[:-1]
 
 
-def step_candidates(cols: np.ndarray, bounds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF step of every entry of `rows` with one uniform each.
+SUCCESSOR_CELLS = 1 << 22  # 32 MiB of table; a dense chain of about 160 states reaches it
 
-    `cols` and `bounds` come from `candidate_columns`; the result is the
-    column of the first candidate whose CDF is >= u, found by counting the
-    bounds below u in one gather of every row's candidate bounds, so the
-    step makes the same numpy calls whatever the candidate count. `rows` and
-    `u` share any shape, and so does the result. The gather calls the `take`
-    method, not `np.take`, whose Python wrapper costs a fifth of the step at
-    small N.
+
+def successor_table(cums, names, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every class's inverse-CDF step as a table indexed by the uniform's rank.
+
+    `cums[c]` holds the CDF rows of class c (`cumulative_rows`), whose
+    state x has the key c * width + x. The class's levels are the distinct
+    bounds below 1.0 of its rows' candidate columns (`candidate_columns`),
+    sorted; m_c counts them. A uniform u in [0, 1) with exactly r levels
+    below it has, in every row, exactly the bounds <= level r - 1 below it
+    (every bound below 1.0 is a level, and no other bound is below u), so
+    the step's successor, the first column whose CDF is >= u, depends only
+    on the row and r. Class c's rows own cells x * (m_c + 1) + r, r = 0 ..
+    m_c, from the class's first cell on, and each cell holds the first cell
+    of its successor's row. So a step adds u's rank to the row's first cell
+    and takes the table there, whatever m_c is.
+
+    Returns the table, `first`: every key's first cell (0 for keys of no
+    state), `cell_key`: every cell's key, and each class's levels. A table
+    of more than SUCCESSOR_CELLS cells raises ValidationError naming the
+    class that overflows it and its m_c.
     """
-    count = (bounds.take(rows, axis=1) < u).sum(axis=0)
-    return cols[count, rows]
+    table, cell_key, levels = [], [], []
+    first = np.zeros(len(cums) * width, dtype=np.intp)
+    start = 0
+    for c, (cum, name) in enumerate(zip(cums, names)):
+        cols, bounds = candidate_columns(cum)
+        level = np.unique(bounds[bounds < 1.0])
+        states, row = cum.shape[0], level.size + 1
+        if start + states * row > SUCCESSOR_CELLS:
+            raise ValidationError(
+                f"class {name or c}: m_c = {level.size} CDF levels on {states} states take the successor "
+                f"table past its {SUCCESSOR_CELLS} cells"
+            )
+        # below[x, r] = #{bounds of row x <= level r - 1}: a histogram of each
+        # bound's level position + 1, summed up; bounds >= 1.0 fall off the end
+        at = np.searchsorted(level, bounds) + 1 + np.arange(states) * (row + 1)
+        below = np.bincount(at.ravel(), minlength=states * (row + 1)).reshape(states, row + 1).cumsum(axis=1)
+        table.append(start + np.take_along_axis(cols.T, below[:, :-1], axis=1).ravel() * row)
+        first[c * width : c * width + states] = start + np.arange(states) * row
+        cell_key.append(np.repeat(np.arange(c * width, c * width + states, dtype=np.int32), row))
+        levels.append(level)
+        start += states * row
+    return np.concatenate(table), first, np.concatenate(cell_key), levels

@@ -42,14 +42,7 @@ import numpy as np
 
 from .bandit import BanditSolution, DualTrace, dual_ascent
 from .errors import ValidationError
-from .markov import (
-    candidate_columns,
-    cumulative_rows,
-    is_primitive,
-    stack_padded,
-    stationary_distribution,
-    step_candidates,
-)
+from .markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution, successor_table
 # top_ids is unused here, but perfbench's tracer wraps it at this name too.
 from .policies import (  # noqa: F401
     POLICY_KEYS, QUEUE_CAPACITY, gain_keys, tie_ids, top_ids, top_positive_ids, uniform_subset, unique_keys,
@@ -140,8 +133,14 @@ class _WorldStream:
 
     Lane l is the world of seed `seeds[l]`. A state is kept as its key
     cls * S + x, with S the largest state count, which indexes the stacked
-    per-class tables flattened to 2-D. `keys` holds the `history` slots
-    before the current chunk and then the chunk: row r is slot t0 - history + r.
+    per-class tables flattened to 2-D; `key` holds slot 0's keys. `keys`
+    holds the `history` slots before the current chunk and then the chunk:
+    row r is slot t0 - history + r. The motion step goes through each
+    class's successor table (`markov.successor_table`): a chunk first counts
+    the class's levels below each motion uniform, in the layout the
+    uniforms are drawn in, and `walk` carries every agent's table cell
+    (row 0 the cell carried into the chunk), so a slot adds its ranks and
+    takes the table there; one `cell_key` take per chunk then writes `keys`.
     `streams` holds every agent generator, lane by lane in spawn order
     (agent i's motion, then its channel), each drawing `random(chunk)` per
     chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
@@ -176,13 +175,17 @@ class _WorldStream:
                 x0[lane, members] = rng_init.choice(c.source.state_count, size=members.size, p=laws[i])
         self.key = x0 + self.cls_idx * width
 
-        cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
-        cols, self.bounds = candidate_columns(cum.reshape(-1, width))
-        self.next_key = cols + np.arange(cols.shape[1]) // width * width
+        cums = [cumulative_rows(c.source.transition) for c in classes]
+        self.table, first, self.cell_key, self.levels = successor_table(cums, [c.name for c in classes], width)
+        ends = np.cumsum([c.member_count for c in classes])
+        self.blocks = [slice(end - c.member_count, end) for c, end in zip(classes, ends)]
         self.success = np.array([classes[i].success_prob for i in self.cls_idx])[:, None]
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
         self.uniforms = np.empty((lanes, n, 2, CHUNK_SLOTS))
+        self.rank = np.empty((lanes, n, CHUNK_SLOTS), dtype=np.min_scalar_type(max(map(len, self.levels))))
+        self.walk = np.empty((CHUNK_SLOTS + 1, lanes, n), dtype=np.intp)
+        self.walk[0] = first[self.key]
         self.draws = [(rng.random, out) for rng, out in zip(self.streams, self.uniforms.reshape(-1, CHUNK_SLOTS))]
         self.ok = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
 
@@ -202,13 +205,25 @@ class _WorldStream:
             for draw, out in self.draws:
                 draw(out=out[:length])
         self.ok[:length] = (self.uniforms[:, :, 1, :length] < self.success).transpose(2, 0, 1)
-        motion = np.ascontiguousarray(self.uniforms[:, :, 0, :length].transpose(2, 0, 1))
-        key = self.key
-        for i in range(length):
-            if t0 + i > 0:
-                key = step_candidates(self.next_key, self.bounds, key, motion[i])
-            self.keys[h + i] = key
-        self.key, self.t0, self.t1 = key, t0, t1
+        motion, rank, walk, table = self.uniforms[:, :, 0, :length], self.rank[:, :, :length], self.walk, self.table
+        rank.fill(0)
+        for block, level in zip(self.blocks, self.levels):
+            u, below = motion[:, block], rank[:, block]
+            for v in level:  # the number of the class's levels below u
+                below += u > v
+        walk[1 : length + 1] = rank.transpose(2, 0, 1)
+        start = 1
+        if t0 == 0:
+            walk[1] = walk[0]  # slot 0 holds the initial states
+            start = 2
+        prev = walk[start - 1]
+        for row in walk[start : length + 1]:
+            np.add(prev, row, out=row)
+            table.take(row, out=row)
+            prev = row
+        np.take(self.cell_key, walk[1 : length + 1], out=self.keys[h : h + length])
+        walk[0] = walk[length]
+        self.t0, self.t1 = t0, t1
         return True
 
 

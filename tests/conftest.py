@@ -13,6 +13,7 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.bandit import GAIN_TIE_EPS
+from aoi_guard.markov import successor_table
 from aoi_guard.policies import gain_keys, top_positive_ids, unique_keys
 
 CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
@@ -33,6 +34,22 @@ def mgf_select(gains, budget: int) -> np.ndarray:
     """MGF's mask on a float gain table: keys from the whole table, eligibility as `active_mask`."""
     gains = np.asarray(gains, dtype=float)
     return select_keys(gain_keys(gains, gains > GAIN_TIE_EPS), budget)
+
+
+def table_step(cums, keys, u) -> np.ndarray:
+    """The successor keys of `keys` (class * width + state) for uniforms `u`, as the world steps them.
+
+    `cums` holds each class's CDF rows. A uniform's rank counts its class's
+    levels below it; the step takes the table at the key's first cell plus
+    the rank, and the cell's key is the successor.
+    """
+    width = max(len(cum) for cum in cums)
+    table, first, cell_key, levels = successor_table(cums, [""] * len(cums), width)
+    keys, u = np.asarray(keys), np.asarray(u)
+    rank = np.zeros(keys.shape, dtype=np.intp)
+    for c, level in enumerate(levels):
+        rank += (keys // width == c) * (u[..., None] > level).sum(axis=-1)
+    return cell_key[table.take(first[keys] + rank)]
 
 
 @pytest.fixture()

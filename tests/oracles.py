@@ -323,6 +323,17 @@ class ReferenceWorld:
         self.y_path = safety[cls_idx, self.x_path]
 
 
+def step_candidates(cols, bounds, rows, u):
+    """The sparse inverse-CDF step that the successor table replaced.
+
+    `cols` and `bounds` come from `markov.candidate_columns`; the result is
+    the column of the first candidate whose CDF is >= u, found by counting
+    every row's candidate bounds below u. `rows` and `u` share any shape.
+    """
+    count = (bounds.take(rows, axis=1) < u).sum(axis=0)
+    return cols[count, rows]
+
+
 def _top_positive_ids(gains, budget):
     order = np.argsort(-gains, kind="stable")[:budget]
     return np.sort(order[gains[order] > GAIN_TIE_EPS])

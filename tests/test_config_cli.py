@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_guard import AgentClassSpec, SimConfig, __version__, banded_safety_map, bandit, cli, simulate
+from aoi_guard import AgentClassSpec, SimConfig, __version__, banded_safety_map, bandit, cli, markov, simulate
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RECORD_COLUMNS, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
@@ -370,6 +370,16 @@ classes:
         _, lam, rate = system.trace.iterations[-1]
         assert system.trace.converged and lam == system.lambda_star
         assert abs(rate - sim.channels) <= 0.05 * sim.channels
+
+    def test_simulate_past_the_successor_table_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # MINIMAL's pair chain has the CDF levels 0.2 and 0.9: 2 x 3 cells.
+        cfg = write_config(tmp_path, MINIMAL)
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]
+        monkeypatch.setattr(markov, "SUCCESSOR_CELLS", 5)
+        assert main(argv) == EXIT_VALIDATION
+        assert "class pair: m_c = 2 CDF levels on 2 states" in capsys.readouterr().err
+        monkeypatch.setattr(markov, "SUCCESSOR_CELLS", 6)
+        assert main(argv) == EXIT_OK
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -20,16 +20,16 @@ from aoi_guard import (
 from aoi_guard.markov import (
     LUMP_TOL,
     SafetyMap,
-    candidate_columns,
     cumulative_rows,
     lumpable_partition,
     recurrent_states,
     stack_padded,
     stationary_law,
-    step_candidates,
+    successor_table,
 )
 
-from conftest import identity_safety_map, random_primitive_source
+import aoi_guard.markov as markov
+from conftest import identity_safety_map, random_primitive_source, table_step
 from oracles import row_chain_matrix
 
 
@@ -407,9 +407,8 @@ class TestBuildGridWalk:
 
 
 def step_one(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
-    """One agent's successor of x through the simulator's sparse inverse-CDF step."""
-    cols, bounds = candidate_columns(cumulative_rows(source.transition))
-    return int(step_candidates(cols, bounds, np.array([x]), rng.random(1))[0])
+    """One agent's successor of x through the simulator's successor-table step."""
+    return int(table_step([cumulative_rows(source.transition)], np.array([x]), rng.random(1))[0])
 
 
 class TestSampleNext:
@@ -430,15 +429,42 @@ class TestSampleNext:
         # Many agents of two classes step at once; each class's successors
         # follow its own row, and the narrow class never lands on padding.
         wide = MarkovSource(np.full((3, 3), 1 / 3))
-        cum = stack_padded([cumulative_rows(chain_a.transition), cumulative_rows(wide.transition)], 1.0)
-        cols, bounds = candidate_columns(cum.reshape(-1, 3))
+        cums = [cumulative_rows(chain_a.transition), cumulative_rows(wide.transition)]
         n = 200_000
-        rows = np.repeat([0, 3], n)  # state 0 of each class, rows cls * 3 + x
-        nxt = step_candidates(cols, bounds, rows, np.random.default_rng(123).random(2 * n))
+        rows = np.repeat([0, 3], n)  # state 0 of each class, keys cls * 3 + x
+        nxt = table_step(cums, rows, np.random.default_rng(123).random(2 * n))
         freq_a = np.bincount(nxt[:n], minlength=3) / n
-        freq_w = np.bincount(nxt[n:], minlength=3) / n
+        freq_w = np.bincount(nxt[n:] - 3, minlength=3) / n
         assert np.abs(freq_a - (0.9, 0.1, 0.0)).max() < 0.003
         assert np.abs(freq_w - 1 / 3).max() < 0.005
+
+
+class TestSuccessorTable:
+    def test_cells_and_levels_of_mixed_widths(self):
+        # Class 0 (2 states) has levels 0.2 and 0.9, class 1 (3 states) the
+        # level 1/3 and 2/3 of its uniform rows, class 2 (one state) none:
+        # 2 x 3 + 3 x 3 + 1 x 1 cells, each class's rows from its first cell on.
+        cums = [cumulative_rows(np.array(p)) for p in
+                ([[0.9, 0.1], [0.2, 0.8]], np.full((3, 3), 1 / 3), [[1.0]])]
+        table, first, cell_key, levels = successor_table(cums, ["a", "b", "c"], 3)
+        assert [lv.tolist() for lv in levels] == [[0.2, 0.9], [1 / 3, 2 / 3], []]
+        assert table.size == cell_key.size == 16
+        assert first.tolist() == [0, 3, 0, 6, 9, 12, 15, 0, 0]
+        assert cell_key[first[[0, 1, 3, 4, 5, 6]]].tolist() == [0, 1, 3, 4, 5, 6]
+        # state 0 of class 0 stays below 0.9 (ranks 0 and 1) and moves at rank 2
+        assert table[0:3].tolist() == [0, 0, 3]
+        assert table[15] == 15  # the one-state class never moves
+
+    def test_a_table_past_the_cell_budget_names_the_class(self):
+        # A dense 170-state chain has about 170 x 169 distinct CDF levels, so
+        # its table would hold some 4.9 M cells, past SUCCESSOR_CELLS; a
+        # 100-state one fits. The check runs before any cell is built.
+        rng = np.random.default_rng(3)
+        small, dense = (cumulative_rows(rng.dirichlet(np.ones(s), size=s)) for s in (100, 170))
+        table, _, _, (level,) = successor_table([small], ["small"], 100)
+        assert table.size == 100 * (level.size + 1) <= markov.SUCCESSOR_CELLS
+        with pytest.raises(ValidationError, match=r"class dense: m_c = \d+ CDF levels on 170 states"):
+            successor_table([small, dense], ["small", "dense"], 170)
 
 
 class TestStackPadded:

@@ -18,13 +18,13 @@ from aoi_guard import (
     run_sweep,
     solve_system,
 )
-from aoi_guard.markov import build_grid_walk, candidate_columns, cumulative_rows, stack_padded, step_candidates
+from aoi_guard.markov import build_grid_walk, candidate_columns, cumulative_rows, stack_padded, successor_table
 from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys
 from aoi_guard.simulate import resolve_workers
 
-from conftest import identity_safety_map, make_grid_classes, mgf_select, select_keys
-from oracles import ReferenceWorld, random_queue_oracle, reference_records
+from conftest import identity_safety_map, make_grid_classes, mgf_select, select_keys, table_step
+from oracles import ReferenceWorld, random_queue_oracle, reference_records, step_candidates
 
 
 class TestSweepParallelism:
@@ -213,12 +213,14 @@ class TestDualBound:
 
 
 class TestSparseStep:
-    """The candidate-column step against the dense count over the whole CDF row."""
+    """The successor-table step against the dense count over the whole CDF row."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sparse_step_equals_dense_count(self, data):
-        # `rows` and `u` come flat and as (lanes, N), the shape the world passes.
+        # Classes of different widths share keys cls * width + x, as in the
+        # world; `keys` and `u` come flat and as (lanes, N), the shape the
+        # world steps. The replaced candidate-column step must agree too.
         widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
         shape = data.draw(st.sampled_from([(400,), (1, 400), (4, 100)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -227,15 +229,18 @@ class TestSparseStep:
             p = rng.dirichlet(np.ones(w), size=w) * (rng.random((w, w)) < 0.5)
             p[:, 0] += p.sum(axis=1) == 0.0  # an emptied row keeps all its mass on column 0
             cums.append(cumulative_rows(p / p.sum(axis=1, keepdims=True)))
-        cum = stack_padded(cums, 1.0).reshape(-1, max(widths))
-        cols, bounds = candidate_columns(cum)
-        rows = rng.integers(0, len(cum), size=400)
+        width = max(widths)
+        cum = stack_padded(cums, 1.0).reshape(-1, width)
+        cls = rng.integers(0, len(widths), size=400)
+        keys = cls * width + (rng.random(400) * np.array(widths)[cls]).astype(int)
         u = rng.random(400)
         u[:100] = 0.0
-        u[100:200] = cum[rows[100:200], rng.integers(0, cum.shape[1], size=100)]  # CDF values
+        u[100:200] = cum[keys[100:200], rng.integers(0, width, size=100)]  # CDF values
         u = np.minimum(u, np.nextafter(1.0, 0.0))
-        dense = (u[:, None] > cum[rows]).sum(axis=1)
-        assert (step_candidates(cols, bounds, rows.reshape(shape), u.reshape(shape)) == dense.reshape(shape)).all()
+        dense = cls * width + (u[:, None] > cum[keys]).sum(axis=1)
+        cols, bounds = candidate_columns(cum)
+        assert (step_candidates(cols, bounds, keys, u) + cls * width == dense).all()
+        assert (table_step(cums, keys.reshape(shape), u.reshape(shape)) == dense.reshape(shape)).all()
 
     @pytest.mark.parametrize("transitions, bound_rows", [
         # every row's CDF is 1 from column 0 on: one candidate, no bounds
@@ -244,16 +249,38 @@ class TestSparseStep:
         ([np.roll(np.eye(5), 1, axis=1)], 1),
         # an interior grid cell stays or makes one of four moves, none to column 0
         ([build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2).transition, np.eye(3)], 5),
+        # grid400's walk, whose CDF reaches 0.6000000000000001, one ulp above 0.6
+        ([build_grid_walk(20, 20, 0.2, 0.2, 0.2, 0.2).transition, np.ones((1, 1))], 5),
     ])
     def test_lane_shaped_step_at_the_candidate_extremes(self, transitions, bound_rows):
         width = max(len(p) for p in transitions)
-        cum = stack_padded([cumulative_rows(p) for p in transitions], 1.0).reshape(-1, width)
-        cols, bounds = candidate_columns(cum)
+        cums = [cumulative_rows(p) for p in transitions]
+        cum = stack_padded(cums, 1.0).reshape(-1, width)
+        _, bounds = candidate_columns(cum)
         assert bounds.shape == (bound_rows, len(cum))
         rng = np.random.default_rng(bound_rows)
-        rows = rng.integers(0, len(cum), size=(3, 200))
-        u = rng.random((3, 200))
-        u[0] = cum[rows[0], rng.integers(0, width, size=200)]  # CDF values
+        cls = rng.integers(0, len(transitions), size=(4, 200))
+        keys = cls * width + (rng.random((4, 200)) * np.array([len(p) for p in transitions])[cls]).astype(int)
+        values = np.unique(cum[cum < 1.0])
+        u = rng.random((4, 200))
+        u[0] = cum[keys[0], rng.integers(0, width, size=200)]  # CDF values of the agent's own row
         u[1, :50] = 0.0
+        u[2] = values[rng.integers(0, values.size, size=200)] if values.size else 0.0  # any row's CDF values
+        u[3] = np.nextafter(u[2], 1.0)  # one ulp above them
         u = np.minimum(u, np.nextafter(1.0, 0.0))
-        assert (step_candidates(cols, bounds, rows, u) == (u[..., None] > cum[rows]).sum(axis=2)).all()
+        dense = cls * width + (u[..., None] > cum[keys]).sum(axis=2)
+        assert (table_step(cums, keys, u) == dense).all()
+
+    def test_levels_one_ulp_apart_stay_apart(self):
+        # grid400's walk sums three moves of 0.2 to 0.6000000000000001, one
+        # ulp above 0.6. Here one row's CDF reaches 0.6 and another's that
+        # sum: two levels, and uniforms at and around them step every row as
+        # the dense count does.
+        p = np.array([[0.6, 0.0, 0.0, 0.4], [0.2, 0.2, 0.2, 0.4], [0.0, 0.6, 0.0, 0.4], [0.25] * 4])
+        cum = cumulative_rows(p)
+        (level,) = successor_table([cum], ["near"], 4)[3]
+        above = 0.2 + 0.2 + 0.2
+        assert above == np.nextafter(0.6, 1.0) and {0.6, above} <= set(level)
+        rows = np.repeat(np.arange(4), 5)
+        u = np.tile([np.nextafter(0.6, 0.0), 0.6, above, np.nextafter(above, 1.0), 0.0], 4)
+        assert (table_step([cum], rows, u) == (u[:, None] > cum[rows]).sum(axis=1)).all()
