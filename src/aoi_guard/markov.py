@@ -274,70 +274,41 @@ def stack_padded(arrays, fill) -> np.ndarray:
     return out
 
 
-def candidate_columns(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each CDF row's candidate columns and the CDF bounds between them.
-
-    `cum` holds CDF rows that end at 1.0, such as `cumulative_rows`. A row's
-    candidates are column 0 and every column where its CDF strictly rises.
-    The first column whose CDF is >= u is always one of them, so the number
-    of a row's bounds below u picks the same column as the dense count
-    (u > cum).sum() for every u in [0, 1). Returns `cols`, (K, rows):
-    candidate k of each row, and `bounds`, (K - 1, rows): the CDF at
-    candidate k. The last candidate's CDF is at least 1.0, which no uniform
-    exceeds, so it is left out. Rows with fewer candidates are padded with
-    column 0 at bound 1.0.
-    """
-    rises = np.ones(cum.shape, dtype=bool)
-    rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
-    rank = np.cumsum(rises, axis=1) - 1
-    cols = np.zeros((int(rank[:, -1].max()) + 1, cum.shape[0]), dtype=np.intp)
-    bounds = np.ones(cols.shape)
-    r, c = np.nonzero(rises)
-    cols[rank[r, c], r] = c
-    bounds[rank[r, c], r] = cum[r, c]
-    return cols, bounds[:-1]
-
-
-SUCCESSOR_CELLS = 1 << 22  # 32 MiB of table; a dense chain of about 160 states reaches it
+SUCCESSOR_CELLS = 1 << 22  # 32 MiB of table; a dense chain of some 160 states passes it
 
 
 def successor_table(cums, names, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Every class's inverse-CDF step as a table indexed by the uniform's rank.
 
-    `cums[c]` holds the CDF rows of class c (`cumulative_rows`), whose
-    state x has the key c * width + x. The class's levels are the distinct
-    bounds below 1.0 of its rows' candidate columns (`candidate_columns`),
-    sorted; m_c counts them. A uniform u in [0, 1) with exactly r levels
-    below it has, in every row, exactly the bounds <= level r - 1 below it
-    (every bound below 1.0 is a level, and no other bound is below u), so
-    the step's successor, the first column whose CDF is >= u, depends only
-    on the row and r. Class c's rows own cells x * (m_c + 1) + r, r = 0 ..
-    m_c, from the class's first cell on, and each cell holds the first cell
-    of its successor's row. So a step adds u's rank to the row's first cell
-    and takes the table there, whatever m_c is.
+    Class c's state x has the key c * width + x and the CDF row cums[c][x]
+    (`cumulative_rows`). The class's levels are its distinct CDF values
+    below 1.0, sorted; m_c counts them. The successor of x for a uniform u,
+    the number of its CDF values below u, depends only on the number r of
+    levels below u: those values are the ones <= level r - 1. Class c's
+    rows own cells x * (m_c + 1) + r, r = 0 .. m_c, from the class's first
+    cell on, and each cell holds its successor's first cell, so a step adds
+    u's rank to the state's first cell and takes the table there.
 
-    Returns the table, `first`: every key's first cell (0 for keys of no
-    state), `cell_key`: every cell's key, and each class's levels. A table
-    of more than SUCCESSOR_CELLS cells raises ValidationError naming the
-    class that overflows it and its m_c.
+    Returns the table, every key's first cell (0 for keys of no state),
+    every cell's key, and each class's levels. A table past SUCCESSOR_CELLS
+    cells raises ValidationError naming the class and its m_c.
     """
     table, cell_key, levels = [], [], []
     first = np.zeros(len(cums) * width, dtype=np.intp)
     start = 0
     for c, (cum, name) in enumerate(zip(cums, names)):
-        cols, bounds = candidate_columns(cum)
-        level = np.unique(bounds[bounds < 1.0])
+        level = np.unique(cum[cum < 1.0])
         states, row = cum.shape[0], level.size + 1
         if start + states * row > SUCCESSOR_CELLS:
             raise ValidationError(
                 f"class {name or c}: m_c = {level.size} CDF levels on {states} states take the successor "
                 f"table past its {SUCCESSOR_CELLS} cells"
             )
-        # below[x, r] = #{bounds of row x <= level r - 1}: a histogram of each
-        # bound's level position + 1, summed up; bounds >= 1.0 fall off the end
-        at = np.searchsorted(level, bounds) + 1 + np.arange(states) * (row + 1)
-        below = np.bincount(at.ravel(), minlength=states * (row + 1)).reshape(states, row + 1).cumsum(axis=1)
-        table.append(start + np.take_along_axis(cols.T, below[:, :-1], axis=1).ravel() * row)
+        # successor[x, r] = #{CDF values of row x <= level r - 1}: a histogram of
+        # each value's level position + 1, summed; values >= 1.0 fall off the end
+        at = np.searchsorted(level, cum) + 1 + np.arange(states)[:, None] * (row + 1)
+        successor = np.bincount(at.ravel(), minlength=states * (row + 1)).reshape(states, -1).cumsum(axis=1)
+        table.append(start + successor[:, :-1].ravel() * row)
         first[c * width : c * width + states] = start + np.arange(states) * row
         cell_key.append(np.repeat(np.arange(c * width, c * width + states, dtype=np.int32), row))
         levels.append(level)

@@ -135,12 +135,10 @@ class _WorldStream:
     cls * S + x, with S the largest state count, which indexes the stacked
     per-class tables flattened to 2-D; `key` holds slot 0's keys. `keys`
     holds the `history` slots before the current chunk and then the chunk:
-    row r is slot t0 - history + r. The motion step goes through each
-    class's successor table (`markov.successor_table`): a chunk first counts
-    the class's levels below each motion uniform, in the layout the
-    uniforms are drawn in, and `walk` carries every agent's table cell
-    (row 0 the cell carried into the chunk), so a slot adds its ranks and
-    takes the table there; one `cell_key` take per chunk then writes `keys`.
+    row r is slot t0 - history + r. A motion step goes through the class's
+    `markov.successor_table`: each chunk ranks all its motion uniforms at
+    once, `walk` carries every agent's table cell (row 0: the cell carried
+    into the chunk), and one take of `cell_key` writes the chunk's `keys`.
     `streams` holds every agent generator, lane by lane in spawn order
     (agent i's motion, then its channel), each drawing `random(chunk)` per
     chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
@@ -216,11 +214,9 @@ class _WorldStream:
         if t0 == 0:
             walk[1] = walk[0]  # slot 0 holds the initial states
             start = 2
-        prev = walk[start - 1]
-        for row in walk[start : length + 1]:
+        for prev, row in zip(walk[start - 1 : length], walk[start : length + 1]):
             np.add(prev, row, out=row)
             table.take(row, out=row)
-            prev = row
         np.take(self.cell_key, walk[1 : length + 1], out=self.keys[h : h + length])
         walk[0] = walk[length]
         self.t0, self.t1 = t0, t1

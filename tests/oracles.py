@@ -323,11 +323,34 @@ class ReferenceWorld:
         self.y_path = safety[cls_idx, self.x_path]
 
 
+def candidate_columns(cum):
+    """Each CDF row's candidate columns and the CDF bounds between them.
+
+    `cum` holds CDF rows that end at 1.0, such as `stack_padded` over
+    `cumulative_rows` with fill 1.0, flattened to 2-D. A row's candidates
+    are column 0 and every column where its CDF strictly rises. The first
+    column whose CDF is >= u is always one of them. Returns `cols`, (K,
+    rows): candidate k of each row, and `bounds`, (K - 1, rows): the CDF at
+    candidate k. The last candidate's CDF is at least 1.0, which no uniform
+    exceeds, so it is left out. Rows with fewer candidates are padded with
+    column 0 at bound 1.0.
+    """
+    rises = np.ones(cum.shape, dtype=bool)
+    rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
+    rank = np.cumsum(rises, axis=1) - 1
+    cols = np.zeros((int(rank[:, -1].max()) + 1, cum.shape[0]), dtype=np.intp)
+    bounds = np.ones(cols.shape)
+    r, c = np.nonzero(rises)
+    cols[rank[r, c], r] = c
+    bounds[rank[r, c], r] = cum[r, c]
+    return cols, bounds[:-1]
+
+
 def step_candidates(cols, bounds, rows, u):
     """The sparse inverse-CDF step that the successor table replaced.
 
-    `cols` and `bounds` come from `markov.candidate_columns`; the result is
-    the column of the first candidate whose CDF is >= u, found by counting
+    `cols` and `bounds` come from `candidate_columns`; the result is the
+    column of the first candidate whose CDF is >= u, found by counting
     every row's candidate bounds below u. `rows` and `u` share any shape.
     """
     count = (bounds.take(rows, axis=1) < u).sum(axis=0)

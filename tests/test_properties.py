@@ -18,13 +18,13 @@ from aoi_guard import (
     run_sweep,
     solve_system,
 )
-from aoi_guard.markov import build_grid_walk, candidate_columns, cumulative_rows, stack_padded, successor_table
+from aoi_guard.markov import build_grid_walk, cumulative_rows, stack_padded, successor_table
 from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys
 from aoi_guard.simulate import resolve_workers
 
 from conftest import identity_safety_map, make_grid_classes, mgf_select, select_keys, table_step
-from oracles import ReferenceWorld, random_queue_oracle, reference_records, step_candidates
+from oracles import ReferenceWorld, candidate_columns, random_queue_oracle, reference_records, step_candidates
 
 
 class TestSweepParallelism:
