@@ -297,7 +297,8 @@ def successor_table(cums, names, width: int) -> tuple[np.ndarray, np.ndarray, np
     first = np.zeros(len(cums) * width, dtype=np.intp)
     start = 0
     for c, (cum, name) in enumerate(zip(cums, names)):
-        level = np.unique(cum[cum < 1.0])
+        level = np.sort(cum[cum < 1.0])  # np.unique would import numpy.ma, 1.1 MB of modules
+        level = level[np.diff(level, prepend=-1.0) > 0.0]
         states, row = cum.shape[0], level.size + 1
         if start + states * row > SUCCESSOR_CELLS:
             raise ValidationError(

@@ -137,8 +137,8 @@ class _WorldStream:
     holds the `history` slots before the current chunk and then the chunk:
     row r is slot t0 - history + r. A motion step goes through the class's
     `markov.successor_table`: each chunk ranks all its motion uniforms at
-    once, `walk` carries every agent's table cell (row 0: the cell carried
-    into the chunk), and one take of `cell_key` writes the chunk's `keys`.
+    once and walks every agent's table cell from `cell`, the cell of the
+    last slot drawn, and one take of `cell_key` writes the chunk's `keys`.
     `streams` holds every agent generator, lane by lane in spawn order
     (agent i's motion, then its channel), each drawing `random(chunk)` per
     chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
@@ -181,9 +181,8 @@ class _WorldStream:
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
         self.uniforms = np.empty((lanes, n, 2, CHUNK_SLOTS))
-        self.rank = np.empty((lanes, n, CHUNK_SLOTS), dtype=np.min_scalar_type(max(map(len, self.levels))))
-        self.walk = np.empty((CHUNK_SLOTS + 1, lanes, n), dtype=np.intp)
-        self.walk[0] = first[self.key]
+        self.rank_type = np.min_scalar_type(max(map(len, self.levels)))
+        self.cell = first[self.key]
         self.draws = [(rng.random, out) for rng, out in zip(self.streams, self.uniforms.reshape(-1, CHUNK_SLOTS))]
         self.ok = np.empty((CHUNK_SLOTS, lanes, n), dtype=bool)
 
@@ -203,22 +202,22 @@ class _WorldStream:
             for draw, out in self.draws:
                 draw(out=out[:length])
         self.ok[:length] = (self.uniforms[:, :, 1, :length] < self.success).transpose(2, 0, 1)
-        motion, rank, walk, table = self.uniforms[:, :, 0, :length], self.rank[:, :, :length], self.walk, self.table
-        rank.fill(0)
+        rank = np.zeros((*self.cell.shape, length), dtype=self.rank_type)
         for block, level in zip(self.blocks, self.levels):
-            u, below = motion[:, block], rank[:, block]
+            u, below = self.uniforms[:, block, 0, :length], rank[:, block]
             for v in level:  # the number of the class's levels below u
                 below += u > v
-        walk[1 : length + 1] = rank.transpose(2, 0, 1)
+        walk = np.empty((length + 1, *self.cell.shape), dtype=np.intp)
+        walk[0], walk[1:] = self.cell, rank.transpose(2, 0, 1)
         start = 1
         if t0 == 0:
             walk[1] = walk[0]  # slot 0 holds the initial states
             start = 2
-        for prev, row in zip(walk[start - 1 : length], walk[start : length + 1]):
+        for prev, row in zip(walk[start - 1 : -1], walk[start:]):
             np.add(prev, row, out=row)
-            table.take(row, out=row)
-        np.take(self.cell_key, walk[1 : length + 1], out=self.keys[h : h + length])
-        walk[0] = walk[length]
+            self.table.take(row, out=row)
+        np.take(self.cell_key, walk[1:], out=self.keys[h : h + length])
+        self.cell[...] = walk[-1]
         self.t0, self.t1 = t0, t1
         return True
 

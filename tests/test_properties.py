@@ -284,3 +284,36 @@ class TestSparseStep:
         rows = np.repeat(np.arange(4), 5)
         u = np.tile([np.nextafter(0.6, 0.0), 0.6, above, np.nextafter(above, 1.0), 0.0], 4)
         assert (table_step([cum], rows, u) == (u[:, None] > cum[rows]).sum(axis=1)).all()
+
+    def test_world_steps_uniforms_on_the_levels_as_the_dense_count(self):
+        # The simulator's own world over two chunks, its motion draws replaced
+        # by CDF values, the floats next to them and 0.0, on four classes:
+        # a grid walk, the one-ulp pair of levels above, a 5-cycle and one
+        # state. Each slot's keys must be the dense count's successors.
+        near = [[0.6, 0.0, 0.0, 0.4], [0.2, 0.2, 0.2, 0.4], [0.0, 0.6, 0.0, 0.4], [0.25] * 4]
+        sources = [build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2), MarkovSource(near),
+                   MarkovSource(np.roll(np.eye(5), 1, axis=1)), MarkovSource([[1.0]])]
+        classes = tuple(AgentClassSpec(src, identity_safety_map(src.state_count), loss_01(src.state_count),
+                                       1.0, members, name=f"c{i}") for i, (src, members) in
+                        enumerate(zip(sources, (3, 2, 2, 1))))
+        world = simulate._WorldStream(SimConfig(classes, channels=1, slots=400, delta_bound=5), [3, 4], 1)
+        cums = [cumulative_rows(src.transition) for src in sources]
+        values = np.unique(np.concatenate([cum[cum < 1.0] for cum in cums]))
+        pool = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0]])
+        pool = np.minimum(pool, np.nextafter(1.0, 0.0))
+        rng = np.random.default_rng(5)
+
+        def draw(out):
+            out[...] = pool[rng.integers(0, pool.size, size=out.shape)]
+
+        world.draws = [(draw, out) for _, out in world.draws]
+        cum, cls, width = stack_padded(cums, 1.0), world.cls_idx, 25
+        key, slots = world.key.copy(), 0
+        while world.advance():
+            u = world.uniforms[:, :, 0]
+            for i in range(world.t1 - world.t0):
+                if world.t0 + i > 0:
+                    key = cls * width + (u[:, :, i, None] > cum[cls, key - cls * width]).sum(axis=-1)
+                assert (world.keys[world.history + i] == key).all()
+                slots += 1
+        assert slots == 400
