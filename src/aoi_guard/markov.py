@@ -283,7 +283,7 @@ def successor_table(cums, names, width: int) -> tuple[np.ndarray, np.ndarray, np
     Class c's state x has the key c * width + x and the CDF row cums[c][x]
     (`cumulative_rows`). The class's levels are its distinct CDF values
     below 1.0, sorted; m_c counts them. The successor of x for a uniform u,
-    the number of its CDF values below u, depends only on the number r of
+    the number of x's CDF values below u, depends only on the number r of
     levels below u: those values are the ones <= level r - 1. Class c's
     rows own cells x * (m_c + 1) + r, r = 0 .. m_c, from the class's first
     cell on, and each cell holds its successor's first cell, so a step adds

@@ -442,7 +442,7 @@ class TestSampleNext:
 class TestSuccessorTable:
     def test_cells_and_levels_of_mixed_widths(self):
         # Class 0 (2 states) has levels 0.2 and 0.9, class 1 (3 states) the
-        # level 1/3 and 2/3 of its uniform rows, class 2 (one state) none:
+        # levels 1/3 and 2/3 of its uniform rows, class 2 (one state) none:
         # 2 x 3 + 3 x 3 + 1 x 1 cells, each class's rows from its first cell on.
         cums = [cumulative_rows(np.array(p)) for p in
                 ([[0.9, 0.1], [0.2, 0.8]], np.full((3, 3), 1 / 3), [[1.0]])]
