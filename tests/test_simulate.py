@@ -439,7 +439,7 @@ MIXED_WIDTHS = SimConfig((
                    loss_01(2), 0.9, 4, name="grid"),
     AgentClassSpec(build_grid_walk(4, 1, 0.3, 0.1), identity_safety_map(4), loss_01(4), 0.7, 3, name="row"),
     AgentClassSpec(MarkovSource([[1.0]]), identity_safety_map(1), loss_01(1), 1.0, 2, name="still"),
-), channels=3, slots=1, seed=17, delta_bound=30)
+), channels=3, slots=700, seed=17, delta_bound=30)
 
 
 class TestRecordsPinned:
@@ -455,7 +455,7 @@ class TestRecordsPinned:
          "d1d44b50ab444d9d3725eb69ac7193612b82d24524f9e8f459fdba3e7e347556"),
         ("grid400.yaml", ("mgf",), {"slots": 2000, "delta_bound": 40}, 1,
          "d8bab835d5bdad2e16b017d04ba68a27824069c376525a6e5090d90a6e15bcf5"),
-        (MIXED_WIDTHS, POLICY_KEYS, {"slots": 700}, 2,
+        (MIXED_WIDTHS, POLICY_KEYS, {}, 2,
          "f59186b1e0f24102c2773466423f84ebcb32b136930b3ed81d349478a14ed522"),
     ])
     def test_records_digest(self, config, policies, size, replications, digest):
