@@ -7,12 +7,13 @@ positive). `gain_keys` ranks every table cell once per run, equal gains
 sharing a rank and passive cells keyed -1, so MGF and Maximum Age First
 both select through the simulator's one kernel, `top_positive_ids`, on
 `unique_keys` (value * N + N - 1 - id, so no two agents of a row tie):
-one partition threshold per row, clamped at key 0 to leave passive agents
-out (MAF's values, ages >= 1, never meet the clamp). The simulator builds
-the keys itself, MGF's from its gain keys stored times N and MAF's as its
-pick state, which steps by N a slot, and calls the kernel once per slot
-with buffers it allocated once. `top_ids` is the threshold unclamped on
-any integer values, kept for the tests and the tracer.
+one partition threshold per row, taken over the row's keys and M zero
+sentinel keys, so it is never below 0 and passive agents (keys <= -1) stay
+out (MAF's keys are positive and never meet it). The simulator builds the
+keys itself, MGF's from its gain keys stored times N and MAF's as its pick
+state, in rows that end in the sentinels, and calls the kernel once per
+slot. `top_ids` is the threshold on any integer values, without
+sentinels, kept for the tests and the tracer.
 The other baselines pick uniformly at random, or uniformly at random with
 a FIFO queue of stale updates (the simulator keeps each agent's queue of
 at most QUEUE_CAPACITY packets as the stamp of its oldest packet).
@@ -61,23 +62,20 @@ def tie_ids(count: int) -> np.ndarray:
     return ids
 
 
-def top_positive_ids(keys: np.ndarray, budget: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Per row of `unique_keys`, mark in `out` up to `budget` largest nonnegative keys.
+def top_positive_ids(keys: np.ndarray, budget: int, out: np.ndarray) -> np.ndarray:
+    """Per row of `unique_keys` and `budget` zeros after them, mark in `out` up to `budget` largest nonnegative keys.
 
-    One partition threshold per row picks the set without sorting it, and
-    the threshold is clamped at key 0: a value of -1 has a key below 0, so
-    passive cells fall below the threshold and eligibility costs no mask of
-    its own. The partition runs in `scratch`, an array of the keys' shape,
-    so a call allocates nothing.
+    The zeros are sentinels: the budget-th largest of a row's N keys and
+    the zeros is max(budget-th largest key, 0). One partition threshold per
+    row thus picks the set without sorting it, and passive cells, keyed at
+    most -1, fall below it without a mask of their own; a budget of N or
+    more selects every nonnegative key the same way. `out` has the N
+    agent columns.
     """
-    if budget >= keys.shape[1]:
-        return np.greater_equal(keys, 0, out=out)
     kth = keys.shape[1] - budget
-    np.copyto(scratch, keys)
-    scratch.partition(kth, axis=1)
-    threshold = scratch[:, kth, None]
-    np.maximum(threshold, 0, out=threshold)
-    return np.greater_equal(keys, threshold, out=out)
+    part = keys.copy()
+    part.partition(kth, axis=1)
+    return np.greater_equal(keys[:, :kth], part[:, kth, None], out=out)
 
 
 def top_ids(values: np.ndarray, budget: int) -> np.ndarray:

@@ -11,9 +11,10 @@ a row: the receiver state is one set of (P, lanes, N) arrays in one form
 for every row, the stamp g of the true state the receiver holds and that
 state's key, so the age at slot t is t - g. Each chunk first fills every
 row's picks. Only MGF and MAF, whose picks read the receiver state, pick
-slot by slot: one loop steps both on all lanes and carries only what the
-pick reads (MGF's index into its priority table, MAF's age key), with one
-selection call for both per slot. randomized and random_queue pick a whole
+slot by slot: one loop runs both on all lanes and carries only what the
+pick reads (MGF's index into its priority table, MAF's age key), each in a
+frame that moves one age a slot so that neither steps, with one selection
+call for both per slot. randomized and random_queue pick a whole
 chunk before any slot is stepped. One pass over every row then derives the
 chunk's stamps, ages and observations with chunk-wide scans: g is a
 running maximum of the stamps that landed, and random_queue's oldest
@@ -245,10 +246,11 @@ class _Lanes:
     The first `top` rows (MGF, MAF, whichever run) pick on the receiver
     state, so `_step_top` steps them slot by slot on only what the pick
     reads. `pick` holds MGF's flat (age, key) index into its priority
-    table, MGF's keys and MAF's key age * N + N - 1 - id, less the rows of
-    a policy that does not run: every other row is a pick state, and the
-    rows after the index are the `unique_keys` that `top_positive_ids`
-    selects on. A landed packet was sent fresh: g = t.
+    table, MGF's keys and MAF's key, less the rows of a policy that does
+    not run: every other row is a pick state, in a frame that moves one age
+    a slot, and the rows after the index are the `unique_keys` that
+    `top_positive_ids` selects on, followed by `budget` = min(M, N) zero
+    sentinel keys. A landed packet was sent fresh: g = t.
 
     The other rows (randomized, random_queue) are oblivious: their picks,
     one uniform subset per slot from the lane's policy stream
@@ -264,7 +266,7 @@ class _Lanes:
     carried `oldest`.
     """
 
-    def __init__(self, policies: list[str], world: _WorldStream):
+    def __init__(self, policies: list[str], world: _WorldStream, channels: int):
         self.policies = [p for p in POLICY_KEYS if p in policies]
         mgf = "mgf" in self.policies
         self.top = mgf + ("maf" in self.policies)
@@ -273,8 +275,8 @@ class _Lanes:
         shape = (len(self.policies), lanes, n)
         self.stamp = np.full(shape, -1, dtype=np.int64)
         self.seen = np.broadcast_to(world.key, shape).copy()
-        self.pick = np.empty((mgf + self.top, lanes, n), dtype=np.int64)
-        self.scratch = np.empty((self.top * lanes, n), dtype=np.int64)
+        self.budget = min(channels, n)
+        self.pick = np.zeros((mgf + self.top, lanes, n + self.budget), dtype=np.int64)
         self.landed = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
         self.scan = np.empty((CHUNK_SLOTS + 1, *shape), dtype=np.int32)
         self.oldest = np.zeros((lanes, n), dtype=np.int64)
@@ -282,53 +284,50 @@ class _Lanes:
         self.aoi_sum = np.zeros(shape, dtype=np.int64)
         self.deliveries = np.zeros(shape[:2], dtype=np.int64)
         self.activations = np.zeros(shape[:2], dtype=np.int64)
-        # int32 holds every age and stamp (SimConfig caps slots below 2**31),
-        # the flat (age, key) index that the tally folds into `ages` for any
-        # estimator table of fewer than 2**31 cells (16 GiB of int64), and
-        # the flat index into `world.keys` that `_receive` folds into `scan`
-        # for any window of fewer than 2**31 cells (8 GiB of int32).
+        # int32 holds every age and stamp (SimConfig caps slots below 2**31)
+        # and the flat indices folded into these buffers, of (age, key) into
+        # `est` and (true key, estimate) into `loss` by the tally and into
+        # `world.keys` by `_receive`, for any of fewer than 2**31 cells.
         self.ages = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.observed = np.empty((CHUNK_SLOTS, *shape), dtype=np.int32)
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
 
 
-def _step_top(config: SimConfig, world: _WorldStream, state: _Lanes, priority: np.ndarray | None, db: int) -> None:
+def _step_top(world: _WorldStream, state: _Lanes, views: list[np.ndarray] | None, est_shape) -> None:
     """MGF's and MAF's picks of the current chunk, one slot at a time (see `_Lanes`).
 
     Each row's pick state starts from its receiver state at the chunk's
-    first slot and, each slot, is reset where a packet landed and then
-    steps one age on: MGF's index by one table row, MAF's key by N. A
-    chunk's ages run at most CHUNK_SLOTS past D, where `priority` repeats
-    its age-D row, so no slot clamps an age.
+    first slot and is reset where a packet landed, and never steps: slot i
+    reads MGF's index through `views[i]`, the priority table shifted by i
+    rows, and holds MAF's keys age * N + N - 1 - id plus (C - i) * N, the
+    same for every agent. A packet that lands after slot i gives age 1 at
+    slot i + 1, so the reset stores (C - i) * width + key, nonnegative
+    behind the table's C front rows, or (C - i) * N + N - 1 - id. Ages run
+    at most C past D, where the table repeats its age-D row.
     """
-    t0, length, h, top, mgf = world.t0, world.t1 - world.t0, world.history, state.top, priority is not None
-    lanes, n = world.key.shape
-    rows, keys, ties = state.pick[::2], state.pick[mgf:].reshape(top * lanes, n), tie_ids(n)
-    age = t0 - state.stamp[:top]
-    steps = np.full((top, 1, 1), n)
-    # Until `_receive` writes them, the top rows' observations hold the
-    # value each row resets to where a packet lands, its pick state at age 0:
-    # MGF's the key it sent, MAF's the tie term.
+    t0, length, h, top, mgf = world.t0, world.t1 - world.t0, world.history, state.top, views is not None
+    (lanes, n), db, width = world.key.shape, est_shape[0] - 1, est_shape[1]
+    rows, keys, ties = state.pick[::2, :, :n], state.pick[mgf:].reshape(top * lanes, -1), tie_ids(n)
+    age = t0 - state.stamp[:top] + CHUNK_SLOTS
+    # Until `_receive` writes them, the top rows' observations hold the resets.
     resets = state.observed[:length, :top]
-    resets[:, mgf:] = ties
+    frame = (CHUNK_SLOTS - np.arange(length)).reshape(-1, 1, 1, 1)
+    np.add(frame * n, ties, out=resets[:, mgf:])
     rows[mgf:] = unique_keys(age[mgf:])
     if mgf:
-        width = priority.shape[1]
-        rows[0] = np.minimum(age[0], db) * width + state.seen[0]
-        resets[:, 0] = world.keys[h : h + length]
-        steps[0] = width
-        table, head, gather = priority.reshape(-1), state.pick[1], state.pick[0]
-    budget, ok = config.channels, world.ok[:, None]  # same-rank operands broadcast faster
-    picked, landed = state.picked[:, :top], state.landed[:, :top]
-    top_picked = state.picked.reshape(CHUNK_SLOTS, -1, n)[:, : top * lanes]
-    for i in range(length):
+        rows[0] = (np.minimum(age[0], db + CHUNK_SLOTS) * width) + state.seen[0]
+        np.add(world.keys[h : h + length], frame[:, 0] * width, out=resets[:, 0])
+        head, gather = state.pick[1, :, :n], state.pick[0, :, :n]
+    budget, ok = state.budget, world.ok[:length, None]  # same-rank operands broadcast faster
+    picked, landed = state.picked[:length, :top], state.landed[:length, :top]
+    top_picked = state.picked.reshape(CHUNK_SLOTS, -1, n)[:length, : top * lanes]
+    for view, select, pick, ok_i, land, reset in zip(views or [None] * length, top_picked, picked, ok, landed, resets):
         if mgf:
-            table.take(gather, out=head)
+            view.take(gather, out=head)
             head += ties
-        top_positive_ids(keys, budget, top_picked[i], state.scratch)
-        np.logical_and(picked[i], ok[i], out=landed[i])
-        np.copyto(rows, resets[i], where=landed[i])
-        rows += steps
+        top_positive_ids(keys, budget, select)
+        np.logical_and(pick, ok_i, out=land)
+        np.copyto(rows, reset, where=land)
 
 
 def _step_oblivious(config: SimConfig, world: _WorldStream, state: _Lanes) -> None:
@@ -398,18 +397,19 @@ def _run_policy(
     policies the state steps with "+"; the benchmark's tracer names the
     loop's span by it. `tables` holds the estimator choices flattened to
     (age, key), the loss of every (true key, estimate) pair and, when MGF
-    runs (else None), its priority table: the `gain_keys` of the
-    estimator's (age, key) cells, each cell's gain rank or -1 where the
-    relaxed policy's `active_mask` leaves it passive (so the eligible
-    agents are exactly the relaxed policy's active set), times N and with
-    CHUNK_SLOTS more copies of its age-D row. The age bound D is the
-    estimator's row count less one. random_queue's queue capacity is the
-    world's history window, which its stamps never reach past.
+    runs (else None), one flat view per chunk slot of its priority table
+    (see `_step_top`): the `gain_keys` of the estimator's (age, key) cells,
+    each cell's gain rank or -1 where the relaxed policy's `active_mask`
+    leaves it passive (so the eligible agents are exactly the relaxed
+    policy's active set), times N and padded in `run_paired`. The age
+    bound D is the estimator's row count less one. random_queue's queue
+    capacity is the world's history window, which its stamps never reach
+    past.
     """
-    est, loss, priority = tables
+    est, loss, views = tables
     t0, length, budget, db = world.t0, world.t1 - world.t0, config.channels, est.shape[0] - 1
     if state.top:
-        _step_top(config, world, state, priority, db)
+        _step_top(world, state, views, est.shape)
     if state.top < len(state.policies):
         _step_oblivious(config, world, state)
     _receive(world, state)
@@ -433,8 +433,9 @@ def _run_policy(
         ages *= est.shape[1]
         ages += estimates
         np.take(est, ages, out=estimates)
-        truth = world.keys[world.history + first : world.history + length, None]
-        per_slot = loss[truth, estimates].sum(axis=3)
+        # and estimates become flat (true key, estimate) indices of `loss`
+        estimates += world.keys[world.history + first : world.history + length, None] * loss.shape[1]
+        per_slot = loss.ravel()[estimates].sum(axis=3)  # indexing reads int32 indices in place; take copies them
         # slot by slot, in the order a running total adds them
         state.total_loss = np.cumsum(np.concatenate((state.total_loss[None], per_slot)), axis=0)[-1]
 
@@ -485,16 +486,17 @@ def run_paired(
     label = stack_padded([c.safety.assignment for c in config.classes], 0).reshape(-1)
     losses = stack_padded([c.loss.entries for c in config.classes], 0.0)
     loss = losses[np.arange(label.size) // max(states), label]  # (true key, estimate)
-    priority = None
+    views = None
     if "mgf" in policies:
         gain_key = gain_keys(flat([np.nan_to_num(s.gain, nan=0.0) for s in system.solutions], 0.0),
                              flat([s.active_mask() for s in system.solutions], False))
         if gain_key.shape != est.shape:
             raise ValidationError(f"gain tables have (age, key) shape {gain_key.shape}, the estimators {est.shape}")
-        priority = np.concatenate([gain_key, np.repeat(gain_key[-1:], CHUNK_SLOTS, axis=0)])
-        priority *= world.cls_idx.size
-    tables = (est, loss, priority)
-    state = _Lanes(policies, world)
+        # CHUNK_SLOTS front rows that no age maps to, and CHUNK_SLOTS copies of the age-D row
+        table = np.pad(gain_key * world.cls_idx.size, ((CHUNK_SLOTS, CHUNK_SLOTS), (0, 0)), mode="edge").ravel()
+        views = [table[i * est.shape[1] :] for i in range(CHUNK_SLOTS)]
+    tables = (est, loss, views)
+    state = _Lanes(policies, world, config.channels)
     name = "+".join(state.policies)
     while world.advance():
         if state.policies:

@@ -24,10 +24,15 @@ def identity_safety_map(state_count: int) -> SafetyMap:
     return SafetyMap(state_count, np.arange(state_count))
 
 
+def with_sentinels(keys: np.ndarray, budget: int) -> np.ndarray:
+    """Rows of keys followed by `budget` zero sentinel keys, the layout `top_positive_ids` takes."""
+    return np.concatenate([keys, np.zeros((len(keys), budget), dtype=keys.dtype)], axis=1)
+
+
 def select_keys(values, budget: int) -> np.ndarray:
-    """`top_positive_ids` on the `unique_keys` of integer values, with fresh buffers."""
+    """`top_positive_ids` on the `unique_keys` of integer values, with a fresh `out`."""
     keys = unique_keys(np.asarray(values))
-    return top_positive_ids(keys, budget, np.empty(keys.shape, dtype=bool), np.empty_like(keys))
+    return top_positive_ids(with_sentinels(keys, budget), budget, np.empty(keys.shape, dtype=bool))
 
 
 def mgf_select(gains, budget: int) -> np.ndarray:

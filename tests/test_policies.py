@@ -7,7 +7,7 @@ from aoi_guard import AgentClassSpec, MarkovSource, SimConfig, loss_01
 from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import gain_keys, top_ids, top_positive_ids, uniform_subset, unique_keys
 
-from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select
+from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select, with_sentinels
 from oracles import _top_ids, _top_positive_ids
 
 
@@ -69,10 +69,10 @@ class TestMgfSelect:
 
 
 class TestTopPositiveIds:
-    """MGF's partition threshold clamped at key 0, against the sort oracles where eligibility binds.
+    """MGF's partition threshold over M zero sentinel keys, against the sort oracles where eligibility binds.
 
-    The kernel takes `unique_keys` and fills a caller's `out` mask, and
-    partitions in a caller's `scratch` buffer, as the simulator calls it
+    The kernel takes `unique_keys` followed by `budget` zeros and fills a
+    caller's `out` mask of the agent columns, as the simulator calls it
     once per slot.
     """
 
@@ -97,49 +97,53 @@ class TestTopPositiveIds:
         return gains
 
     @staticmethod
-    def mgf_keys(gains: np.ndarray) -> np.ndarray:
-        return unique_keys(gain_keys(gains, gains > GAIN_TIE_EPS))
+    def mgf_keys(gains: np.ndarray, budget: int) -> np.ndarray:
+        return with_sentinels(unique_keys(gain_keys(gains, gains > GAIN_TIE_EPS)), budget)
 
     def test_all_passive_rows_select_nobody(self):
-        keys = unique_keys(np.full((3, 6), -1))
         for budget in range(1, 8):
-            assert not top_positive_ids(keys, budget, np.ones(keys.shape, dtype=bool), np.empty_like(keys)).any()
+            keys = with_sentinels(unique_keys(np.full((3, 6), -1)), budget)
+            assert not top_positive_ids(keys, budget, np.ones((3, 6), dtype=bool)).any()
         gains = np.array([[0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0]])
         assert (mgf_select(gains, 2) == self.oracle_mask(gains, 2, _top_positive_ids)).all()
 
     def test_all_passive_row_among_eligible_rows(self):
-        # The clamp raises only the all-passive row's threshold, in place in
-        # `scratch`; the eligible rows keep their own thresholds and the
-        # keys are left as they were.
+        # The sentinels raise only the all-passive row's threshold, to 0:
+        # the budget-th largest of its keys and zeros is a zero, and every
+        # row's is max(budget-th largest key, 0), so the eligible rows keep
+        # their own thresholds. The keys and their sentinels are left as
+        # they were.
         gains = np.array([[0.5, 0.25, -0.25, 0.5, 0.0, 0.25],
                           [0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0],
                           [0.25, 0.5, 0.25, 0.5, 0.25, 0.5]])
-        keys = self.mgf_keys(gains)
-        before = keys.copy()
         for budget in range(1, 6):
-            scratch = np.empty_like(keys)
-            got = top_positive_ids(keys, budget, np.empty(keys.shape, dtype=bool), scratch)
+            keys = self.mgf_keys(gains, budget)
+            before = keys.copy()
+            got = top_positive_ids(keys, budget, np.empty(gains.shape, dtype=bool))
             assert (got == self.oracle_mask(gains, budget, _top_positive_ids)).all()
-            assert not got[1].any() and scratch[1, keys.shape[1] - budget] == 0
+            thresholds = np.sort(keys, axis=1)[:, -budget]
+            assert thresholds[1] == 0 and not got[1].any()
+            assert (thresholds == np.maximum(np.sort(keys[:, :6], axis=1)[:, -budget], 0)).all()
             assert (keys == before).all()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_fills_the_callers_buffers(self, data):
-        # `out` and `scratch` start with arbitrary contents and are reused
-        # across calls, as the simulator reuses them every slot.
+    def test_sentinel_kernel_matches_the_sort_oracle(self, data):
+        # Rows with 0..N eligible cells, all-passive rows beside eligible
+        # ones, budgets 1..N + 1, and one `out` with arbitrary contents
+        # reused across calls, as the simulator reuses it every slot.
         count = data.draw(st.integers(1, 12))
-        rows = data.draw(st.integers(1, 3))
+        rows = data.draw(st.integers(1, 4))
         out = np.array(data.draw(st.lists(st.booleans(), min_size=rows * count, max_size=rows * count)))
         out = out.reshape(rows, count)
-        scratch = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=rows * count, max_size=rows * count)))
-        scratch = scratch.reshape(rows, count)
         for _ in range(2):
-            budget = data.draw(st.integers(1, count - 1)) if count > 1 else 1
+            budget = data.draw(st.integers(1, count + 1))
             gains = self.draw_gains(data, rows, count, count)
-            keys = self.mgf_keys(gains)
+            passive = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            gains[np.array(passive)] = -0.25
+            keys = self.mgf_keys(gains, budget)
             before = keys.copy()
-            assert top_positive_ids(keys, budget, out, scratch) is out
+            assert top_positive_ids(keys, budget, out) is out
             assert (out == self.oracle_mask(gains, budget, _top_positive_ids)).all()
             assert (keys == before).all()
 
@@ -149,9 +153,8 @@ class TestTopPositiveIds:
         count = data.draw(st.integers(1, 12))
         budget = data.draw(st.integers(count, count + 3))
         gains = self.draw_gains(data, data.draw(st.integers(1, 3)), count, count)
-        keys = self.mgf_keys(gains)
-        out = np.zeros(keys.shape, dtype=bool)
-        assert top_positive_ids(keys, budget, out, np.empty_like(keys)) is out
+        out = np.zeros(gains.shape, dtype=bool)
+        assert top_positive_ids(self.mgf_keys(gains, budget), budget, out) is out
         assert (out == self.oracle_mask(gains, budget, _top_positive_ids)).all()
         assert (out == (gains > GAIN_TIE_EPS)).all()
 
@@ -168,15 +171,15 @@ class TestTopPositiveIds:
     def test_mgf_keys_stacked_over_maf_ages(self, data):
         # The simulator's one selection call: MGF's keys on its lanes' rows
         # (none when MAF runs alone), MAF's age keys (ages >= 1) on the rest,
-        # into one `out` mask through one `scratch` buffer.
+        # each row followed by the sentinels, into one `out` mask.
         mgf_lanes, lanes = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
         count = data.draw(st.integers(1, 12))
         budget = data.draw(st.integers(1, count + 1))
         gains = self.draw_gains(data, mgf_lanes, count, count).reshape(mgf_lanes, count)
         ages = np.array(data.draw(st.lists(st.lists(st.integers(1, 4), min_size=count, max_size=count),
                                            min_size=lanes, max_size=lanes)))
-        stacked = np.concatenate([self.mgf_keys(gains), unique_keys(ages)])
-        mask = top_positive_ids(stacked, budget, np.empty(stacked.shape, dtype=bool), np.empty_like(stacked))
+        stacked = np.concatenate([self.mgf_keys(gains, budget), with_sentinels(unique_keys(ages), budget)])
+        mask = top_positive_ids(stacked, budget, np.empty((mgf_lanes + lanes, count), dtype=bool))
         assert (mask[:mgf_lanes] == self.oracle_mask(gains, budget, _top_positive_ids)).all()
         assert (mask[mgf_lanes:] == self.oracle_mask(ages, budget, _top_ids)).all()
 

@@ -111,8 +111,8 @@ class TestRunSimulation:
         # policy's, with one lane), so the check must name that row.
         select = simulate.top_positive_ids
 
-        def over_last_row(keys, budget, out, scratch):
-            mask = select(keys, budget, out, scratch)
+        def over_last_row(keys, budget, out):
+            mask = select(keys, budget, out)
             mask[-1] = True
             return mask
 
@@ -316,8 +316,8 @@ class TestChunking:
             picks["randomized"][t, _uniform_subset(30, cfg.channels, rng)] = True
         select, masks = simulate.top_positive_ids, []
 
-        def recorded(keys, budget, out, scratch):
-            masks.append(select(keys, budget, out, scratch).copy())
+        def recorded(keys, budget, out):
+            masks.append(select(keys, budget, out).copy())
             return out
 
         with monkeypatch.context() as patch:
@@ -331,6 +331,50 @@ class TestChunking:
         for policies in (["randomized"], ["randomized", "random_queue"], ["maf"], ["mgf"], ["mgf", "maf"]):
             got = run_paired(cfg, policies, system, cfg.seed)
             assert [astuple(r) for r in got] == reference_records(cfg, policies, system, cfg.seed)
+
+
+class TestPickFrame:
+    """MGF's and MAF's pick states live in a frame that moves one age a slot and never read outside it."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_unreachable_priority_cells_are_never_read(self, monkeypatch, chunk):
+        # Every priority row that no (min(age, D), key) reaches (the chunk's
+        # front rows and age 0, as every age is >= 1) and every column past
+        # a class's states holds a key above every real key, so a pick that
+        # read one would take that agent first. The frozen class's agents
+        # are passive in every state, so MGF leaves them unpicked for the
+        # whole run, more than D + CHUNK_SLOTS slots: their indices walk the
+        # repeated age-D rows across every chunk. One channel that delivers
+        # 2% of the slow class's packets lets MAF's ages grow past a chunk.
+        slow = AgentClassSpec(MarkovSource([[0.97, 0.03], [0.06, 0.94]], name="slow"), identity_safety_map(2),
+                              loss_01(2), success_prob=0.02, member_count=12)
+        frozen = AgentClassSpec(MarkovSource(np.eye(3), name="frozen"), identity_safety_map(3), loss_01(3),
+                                success_prob=0.9, member_count=2)
+        cfg = SimConfig((slow, frozen), channels=1, slots=1200, seed=3, delta_bound=10)
+        system = solve_system(cfg, with_gains=True)
+        monkeypatch.setattr(simulate, "CHUNK_SLOTS", chunk)
+        run_policy, select, masks = simulate._run_policy, simulate.top_positive_ids, []
+
+        def poisoned(config, world, name, state, tables):
+            est, _, views = tables
+            if views is not None:
+                table = views[0].reshape(-1, est.shape[1])  # views[0] is the whole padded table
+                table[: chunk + 1] = 10**12
+                table[:, 2] = 10**12  # the slow class's cells past its 2 states
+            return run_policy(config, world, name, state, tables)
+
+        def recorded(keys, budget, out):
+            masks.append(select(keys, budget, out).copy())
+            return out
+
+        monkeypatch.setattr(simulate, "_run_policy", poisoned)
+        monkeypatch.setattr(simulate, "top_positive_ids", recorded)
+        for policies in (["mgf"], ["maf"], ["mgf", "maf"]):
+            got = run_paired(cfg, policies, system, cfg.seed)
+            assert [astuple(r) for r in got] == reference_records(cfg, policies, system, cfg.seed)
+        mgf_picks = np.array(masks[: cfg.slots])[:, 0]
+        assert not mgf_picks[:, 12:].any() and cfg.slots > 10 + chunk
+        assert max(max(r.agent_mean_aoi) for r in got if r.policy == "maf") > chunk
 
 
 class TestRunSweep:
