@@ -244,7 +244,7 @@ class _Lanes:
     the observations and the carried `stamp` and `seen`.
 
     The first `top` rows (MGF, MAF, whichever run) pick on the receiver
-    state, so `_step_top` steps them slot by slot on only what the pick
+    state, so `_step_top` runs them slot by slot on only what the pick
     reads. `pick` holds MGF's flat (age, key) index into its priority
     table, MGF's keys and MAF's key, less the rows of a policy that does
     not run: every other row is a pick state, in a frame that moves one age
@@ -293,14 +293,14 @@ class _Lanes:
         self.picked = np.empty((CHUNK_SLOTS, *shape), dtype=bool)
 
 
-def _step_top(world: _WorldStream, state: _Lanes, views: list[np.ndarray] | None, est_shape) -> None:
+def _step_top(world: _WorldStream, state: _Lanes, views: list[np.ndarray] | None, est_shape: tuple[int, int]) -> None:
     """MGF's and MAF's picks of the current chunk, one slot at a time (see `_Lanes`).
 
     Each row's pick state starts from its receiver state at the chunk's
-    first slot and is reset where a packet landed, and never steps: slot i
-    reads MGF's index through `views[i]`, the priority table shifted by i
-    rows, and holds MAF's keys age * N + N - 1 - id plus (C - i) * N, the
-    same for every agent. A packet that lands after slot i gives age 1 at
+    first slot, is reset where a packet landed and never steps: with C =
+    CHUNK_SLOTS, slot i reads MGF's index through `views[i]`, the table
+    shifted by i rows, and MAF's keys as age * N + N - 1 - id plus (C - i)
+    * N for every agent. A packet that lands after slot i gives age 1 at
     slot i + 1, so the reset stores (C - i) * width + key, nonnegative
     behind the table's C front rows, or (C - i) * N + N - 1 - id. Ages run
     at most C past D, where the table repeats its age-D row.
@@ -315,7 +315,7 @@ def _step_top(world: _WorldStream, state: _Lanes, views: list[np.ndarray] | None
     np.add(frame * n, ties, out=resets[:, mgf:])
     rows[mgf:] = unique_keys(age[mgf:])
     if mgf:
-        rows[0] = (np.minimum(age[0], db + CHUNK_SLOTS) * width) + state.seen[0]
+        rows[0] = np.minimum(age[0], db + CHUNK_SLOTS) * width + state.seen[0]
         np.add(world.keys[h : h + length], frame[:, 0] * width, out=resets[:, 0])
         head, gather = state.pick[1, :, :n], state.pick[0, :, :n]
     budget, ok = state.budget, world.ok[:length, None]  # same-rank operands broadcast faster

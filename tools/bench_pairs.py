@@ -1,12 +1,13 @@
 """Run the benchmark in two checkouts in alternating pairs and summarize its end-to-end metrics.
 
 Usage: python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 --out PAIRS.json
-           [--workload all] [--seconds 30] [--seed S] [--claim WORKLOAD.METRIC]
+           [--workload all] [--seed S] [--claim WORKLOAD.METRIC]
 
 Each pair runs `perfbench/run.py --workload all --seconds 30 --trace 0` once
 in each checkout with this interpreter, one run at a time; odd pairs run
-the parent first, even pairs the change first. The metric names, their
-better direction and their bounds come from CHANGE_DIR's BENCHMARK.json.
+the parent first, even pairs the change first. The run length, the metric
+names, their better direction and their bounds come from CHANGE_DIR's
+BENCHMARK.json.
 OUT gets, per pair, every end-to-end metric of both sides, each run's
 failed checks and the seeds whose record or table digests differ between
 the sides; per metric, each side's median and quartiles, the pairs the
@@ -120,17 +121,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", default="all")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=None, help="default: each config's own seed")
     parser.add_argument("--claim", default=None, help="the claimed metric, as workload.metric")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    end_to_end = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
 
     pairs = []
     for number in range(1, args.pairs + 1):
         order = SIDES if number % 2 else SIDES[::-1]
-        runs = {side: run_side(checkouts[side], args.workload, args.seconds, args.seed) for side in order}
+        runs = {side: run_side(checkouts[side], args.workload, seconds, args.seed) for side in order}
         pairs.append({
             "pair": number,
             "first": order[0],
@@ -140,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         })
         print(f"pair {number}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
         report = {
-            "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0"
+            "command": f"perfbench/run.py --workload {args.workload} --seconds {seconds:g} --trace 0"
                        + (f" --seed {args.seed}" if args.seed is not None else ""),
             **summarize(pairs, end_to_end, args.claim),
             "pairs": pairs,
