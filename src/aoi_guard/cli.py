@@ -195,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
                 deltas = [int(v) for v in str(args.deltas).split(",") if v.strip()]
             except ValueError:
                 raise ValidationError(f"--deltas must be comma-separated integers, got {args.deltas!r}")
+            if not deltas or len(set(deltas)) < len(deltas):
+                raise ValidationError(f"--deltas must list distinct ages, got {args.deltas!r}")
             for delta in deltas:
                 if not 1 <= delta <= manifest.sim.delta_bound:
                     raise ValidationError(f"profile delta {delta} outside [1, {manifest.sim.delta_bound}]")

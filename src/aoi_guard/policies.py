@@ -12,11 +12,9 @@ sentinel keys, so it is never below 0 and passive agents (keys <= -1) stay
 out (MAF's keys are positive and never meet it). The simulator builds the
 keys itself, MGF's from its gain keys stored times N and MAF's as its pick
 state, in rows that end in the sentinels, and calls the kernel once per
-slot. `top_ids` is the threshold on any integer values, without
-sentinels, kept for the tests and the tracer.
-The other baselines pick uniformly at random, or uniformly at random with
-a FIFO queue of stale updates (the simulator keeps each agent's queue of
-at most QUEUE_CAPACITY packets as the stamp of its oldest packet).
+slot. The other baselines pick uniformly at random, or uniformly at random
+with a FIFO queue of stale updates (the simulator keeps each agent's queue
+of at most QUEUE_CAPACITY packets as the stamp of its oldest packet).
 
 Every kernel works on a batch: one row per lane (or per lane and slot), one
 column per agent, and returns (or, for `top_positive_ids`, fills) a boolean
@@ -25,8 +23,6 @@ toward the lower agent id so runs are reproducible.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -41,8 +37,8 @@ POLICY_KEYS = ("mgf", "maf", "randomized", "random_queue")
 def gain_keys(gains: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Integer key of every gain cell: its rank among the distinct gains, -1 where `active` is False.
 
-    Equal gains share a rank, so `top_ids` on the keys orders as a stable
-    sort of the gains would.
+    Equal gains share a rank, so `top_positive_ids` on their `unique_keys`
+    orders as a stable sort of the gains would.
     """
     ranks = np.unique(gains, return_inverse=True)[1].reshape(gains.shape)
     return np.where(active, ranks, -1)
@@ -54,12 +50,9 @@ def unique_keys(values: np.ndarray) -> np.ndarray:
     return values * count + tie_ids(count)
 
 
-@cache
 def tie_ids(count: int) -> np.ndarray:
-    """The tie term N - 1 - id of `unique_keys`, built once per N."""
-    ids = np.arange(count - 1, -1, -1)
-    ids.flags.writeable = False
-    return ids
+    """The tie term N - 1 - id of `unique_keys`."""
+    return np.arange(count - 1, -1, -1)
 
 
 def top_positive_ids(keys: np.ndarray, budget: int, out: np.ndarray) -> np.ndarray:
@@ -76,15 +69,6 @@ def top_positive_ids(keys: np.ndarray, budget: int, out: np.ndarray) -> np.ndarr
     part = keys.copy()
     part.partition(kth, axis=1)
     return np.greater_equal(keys[:, :kth], part[:, kth, None], out=out)
-
-
-def top_ids(values: np.ndarray, budget: int) -> np.ndarray:
-    """Per row, a mask of up to `budget` largest integer entries regardless of sign, id tie-break."""
-    if budget >= values.shape[1]:
-        return np.ones(values.shape, dtype=bool)
-    keys = unique_keys(values)
-    kth = values.shape[1] - budget
-    return keys >= np.partition(keys, kth, axis=1)[:, kth, None]
 
 
 def uniform_subset(u: np.ndarray, count: int) -> np.ndarray:

@@ -44,11 +44,14 @@ import numpy as np
 from .bandit import BanditSolution, DualTrace, dual_ascent
 from .errors import ValidationError
 from .markov import cumulative_rows, is_primitive, stack_padded, stationary_distribution, successor_table
-# top_ids is unused here, but perfbench's tracer wraps it at this name too.
-from .policies import (  # noqa: F401
-    POLICY_KEYS, QUEUE_CAPACITY, gain_keys, tie_ids, top_ids, top_positive_ids, uniform_subset, unique_keys,
+from .policies import (
+    POLICY_KEYS, QUEUE_CAPACITY, gain_keys, tie_ids, top_positive_ids, uniform_subset, unique_keys,
 )
 from .tables import AgentClassSpec, PenaltyTable, build_tables
+
+# perfbench's tracer also wraps the selection kernel's former name, which
+# the simulator never calls (ROADMAP item 7 deletes this alias).
+top_ids = top_positive_ids
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,8 @@ class _WorldStream:
     (agent i's motion, then its channel), each drawing `random(chunk)` per
     chunk into its row of one (lanes, N, 2, chunk) buffer: the numbers one
     `random(slots)` call would give. `draws` binds each generator's `random`
-    method to its full-chunk row once; only a shorter last chunk slices them.
-    `policy_rngs` are the lanes' policy generators.
+    method to its full-chunk row once; a shorter last chunk reads only the
+    first numbers of each row. `policy_rngs` are the lanes' policy generators.
     """
 
     def __init__(self, config: SimConfig, seeds: list[int], history: int):
@@ -161,6 +164,8 @@ class _WorldStream:
             else np.full(c.source.state_count, 1.0 / c.source.state_count)
             for c in classes
         ]
+        ends = np.cumsum([c.member_count for c in classes])
+        self.blocks = [slice(end - c.member_count, end) for c, end in zip(classes, ends)]
         x0 = np.empty((lanes, n), dtype=np.intp)
         self.streams, self.policy_rngs = [], []
         for lane, seed in enumerate(seeds):
@@ -169,15 +174,12 @@ class _WorldStream:
             self.streams += map(np.random.default_rng, seq.spawn(2 * n))
             self.policy_rngs.append(np.random.default_rng(policy_seq))
             rng_init = np.random.default_rng(init_seq)
-            for i, c in enumerate(classes):
-                members = np.flatnonzero(self.cls_idx == i)
-                x0[lane, members] = rng_init.choice(c.source.state_count, size=members.size, p=laws[i])
+            for c, block, law in zip(classes, self.blocks, laws):
+                x0[lane, block] = rng_init.choice(c.source.state_count, size=c.member_count, p=law)
         self.key = x0 + self.cls_idx * width
 
         cums = [cumulative_rows(c.source.transition) for c in classes]
         self.table, first, self.cell_key, self.levels = successor_table(cums, [c.name for c in classes], width)
-        ends = np.cumsum([c.member_count for c in classes])
-        self.blocks = [slice(end - c.member_count, end) for c, end in zip(classes, ends)]
         self.success = np.array([classes[i].success_prob for i in self.cls_idx])[:, None]
 
         self.keys = np.zeros((history + CHUNK_SLOTS, lanes, n), dtype=np.int32)
@@ -194,14 +196,10 @@ class _WorldStream:
             return False
         t1 = min(t0 + CHUNK_SLOTS, self.slots)
         length, h = t1 - t0, self.history
-        if t0 > 0:
-            self.keys[:h] = self.keys[self.t1 - self.t0 : self.t1 - self.t0 + h]
-        if length == CHUNK_SLOTS:
-            for draw, out in self.draws:
-                draw(out=out)
-        else:
-            for draw, out in self.draws:
-                draw(out=out[:length])
+        # Before the first chunk (t1 = t0 = 0) this is a self-copy.
+        self.keys[:h] = self.keys[self.t1 - self.t0 : self.t1 - self.t0 + h]
+        for draw, out in self.draws:
+            draw(out=out)
         self.ok[:length] = (self.uniforms[:, :, 1, :length] < self.success).transpose(2, 0, 1)
         rank = np.zeros((*self.cell.shape, length), dtype=self.rank_type)
         for block, level in zip(self.blocks, self.levels):
@@ -330,11 +328,11 @@ def _step_top(world: _WorldStream, state: _Lanes, views: list[np.ndarray] | None
         np.copyto(rows, reset, where=land)
 
 
-def _step_oblivious(config: SimConfig, world: _WorldStream, state: _Lanes) -> None:
+def _step_oblivious(world: _WorldStream, state: _Lanes) -> None:
     """randomized's and random_queue's picks of the current chunk, and random_queue's stamps (see `_Lanes`)."""
     t0, top = world.t0, state.top
     length, (lanes, n) = world.t1 - t0, world.key.shape
-    draws = np.concatenate([rng.random((length, min(config.channels, n))) for rng in world.policy_rngs])
+    draws = np.concatenate([rng.random((length, state.budget)) for rng in world.policy_rngs])
     picks = uniform_subset(draws, n).reshape(lanes, length, n).transpose(1, 0, 2)
     state.picked[:length, top:] = picks[:, None]
     np.logical_and(state.picked[:length, top:], world.ok[:length, None], out=state.landed[:length, top:])
@@ -411,7 +409,7 @@ def _run_policy(
     if state.top:
         _step_top(world, state, views, est.shape)
     if state.top < len(state.policies):
-        _step_oblivious(config, world, state)
+        _step_oblivious(world, state)
     _receive(world, state)
 
     picked = state.picked[:length]

@@ -54,3 +54,18 @@ def test_unequal_outputs_compare_only_seeds_both_sides_ran():
     parent = {"w": {"1": "a", "1001": "b", "2001": "c"}}
     change = {"w": {"1": "a", "1001": "x"}}
     assert bench_pairs.unequal_outputs(parent, change) == ["w:1001"]
+
+
+def test_src_lines_counts_each_checkouts_package_modules(tmp_path):
+    # Lines as `wc -l` counts them (a last line without a newline is not
+    # one), over src/aoi_guard/*.py only.
+    trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
+             "change": {"a.py": "x = 1\n", "notes.txt": "1\n2\n3\n"}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "aoi_guard"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "change" / "src" / "other.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(tmp_path / "parent") == 2
+    assert bench_pairs.src_lines(tmp_path / "change") == 1

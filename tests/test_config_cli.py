@@ -578,6 +578,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["profile", "--config", str(cfg), "--deltas", "1,x"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("deltas,message", [
+        (",", "distinct ages"),
+        ("", "distinct ages"),
+        ("1,1", "distinct ages"),
+        ("2,1,2", "distinct ages"),
+        ("0,1", "outside [1, "),
+    ], ids=["empty", "blank", "repeated", "repeated-apart", "below-one"])
+    def test_profile_deltas_fail_before_the_solve(self, tmp_path, monkeypatch, capsys, deltas, message):
+        # An empty list would write empty artifacts and a repeated age every
+        # row twice; both exit 3 before any solve, as an age outside [1, D].
+        cfg = write_config(tmp_path, MINIMAL)
+        calls = count_solves(monkeypatch, cli)
+        out = tmp_path / "profile"
+        assert main(["profile", "--config", str(cfg), "--deltas", deltas, "--output", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_zero_replications_fail_at_load(self, tmp_path, monkeypatch, capsys, command):
         text = MINIMAL + "replications: 0\nsweep: {axis: channels, values: [1, 2]}\n"

@@ -212,6 +212,43 @@ class TestDualBound:
             assert v.mean() >= bound - 4 * se, (policy, v.mean(), se, bound)
 
 
+def sparse_rows(rng, width: int) -> np.ndarray:
+    """A random transition matrix with about half its entries zero; an emptied row keeps its mass on column 0."""
+    p = rng.dirichlet(np.ones(width), size=width) * (rng.random((width, width)) < 0.5)
+    p[:, 0] += p.sum(axis=1) == 0.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def assert_world_steps_as_the_dense_count(world, cums, seed: int) -> None:
+    """Run `world` to its horizon on motion draws from the CDF values, the floats next to them and 0.0.
+
+    `cums` holds each class's CDF rows. Every slot's keys must be the dense
+    count's successors of the slot before, and after each advance the
+    history rows must hold the slots before the chunk.
+    """
+    values = np.unique(np.concatenate([cum[cum < 1.0] for cum in cums]))
+    pool = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0]])
+    pool = np.minimum(pool, np.nextafter(1.0, 0.0))
+    rng = np.random.default_rng(seed)
+
+    def draw(out):
+        out[...] = pool[rng.integers(0, pool.size, size=out.shape)]
+
+    world.draws = [(draw, out) for _, out in world.draws]
+    cum, cls, width, h = stack_padded(cums, 1.0), world.cls_idx, max(map(len, cums)), world.history
+    key, seen = world.key.copy(), []
+    while world.advance():
+        for row, slot in enumerate(range(world.t0 - h, world.t0)):
+            assert slot < 0 or (world.keys[row] == seen[slot]).all()
+        u = world.uniforms[:, :, 0]
+        for i in range(world.t1 - world.t0):
+            if world.t0 + i > 0:
+                key = cls * width + (u[:, :, i, None] > cum[cls, key - cls * width]).sum(axis=-1)
+            assert (world.keys[h + i] == key).all()
+            seen.append(key)
+    assert len(seen) == world.slots
+
+
 class TestSparseStep:
     """The successor-table step against the dense count over the whole CDF row."""
 
@@ -224,11 +261,7 @@ class TestSparseStep:
         widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
         shape = data.draw(st.sampled_from([(400,), (1, 400), (4, 100)]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cums = []
-        for w in widths:
-            p = rng.dirichlet(np.ones(w), size=w) * (rng.random((w, w)) < 0.5)
-            p[:, 0] += p.sum(axis=1) == 0.0  # an emptied row keeps all its mass on column 0
-            cums.append(cumulative_rows(p / p.sum(axis=1, keepdims=True)))
+        cums = [cumulative_rows(sparse_rows(rng, w)) for w in widths]
         width = max(widths)
         cum = stack_padded(cums, 1.0).reshape(-1, width)
         cls = rng.integers(0, len(widths), size=400)
@@ -297,23 +330,25 @@ class TestSparseStep:
                                        1.0, members, name=f"c{i}") for i, (src, members) in
                         enumerate(zip(sources, (3, 2, 2, 1))))
         world = simulate._WorldStream(SimConfig(classes, channels=1, slots=400, delta_bound=5), [3, 4], 1)
-        cums = [cumulative_rows(src.transition) for src in sources]
-        values = np.unique(np.concatenate([cum[cum < 1.0] for cum in cums]))
-        pool = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0]])
-        pool = np.minimum(pool, np.nextafter(1.0, 0.0))
-        rng = np.random.default_rng(5)
+        assert_world_steps_as_the_dense_count(world, [cumulative_rows(src.transition) for src in sources], 5)
 
-        def draw(out):
-            out[...] = pool[rng.integers(0, pool.size, size=out.shape)]
-
-        world.draws = [(draw, out) for _, out in world.draws]
-        cum, cls, width = stack_padded(cums, 1.0), world.cls_idx, 25
-        key, slots = world.key.copy(), 0
-        while world.advance():
-            u = world.uniforms[:, :, 0]
-            for i in range(world.t1 - world.t0):
-                if world.t0 + i > 0:
-                    key = cls * width + (u[:, :, i, None] > cum[cls, key - cls * width]).sum(axis=-1)
-                assert (world.keys[world.history + i] == key).all()
-                slots += 1
-        assert slots == 400
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_world_steps_drawn_classes_as_the_dense_count(self, data):
+        # The world's own rank pass and walk on the classes of
+        # `test_sparse_step_equals_dense_count`, 1-3 agents each, in chunks
+        # of 7 slots over a horizon that ends in a shorter chunk (or is one),
+        # with a history window shorter or longer than a chunk.
+        widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sources = [MarkovSource(sparse_rows(rng, w)) for w in widths]
+        classes = tuple(AgentClassSpec(src, identity_safety_map(src.state_count), loss_01(src.state_count),
+                                       1.0, data.draw(st.integers(1, 3)), name=f"c{i}")
+                        for i, src in enumerate(sources))
+        slots = 7 * data.draw(st.integers(0, 3)) + data.draw(st.integers(1, 6))
+        config = SimConfig(classes, channels=1, slots=slots, delta_bound=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "CHUNK_SLOTS", 7)
+            world = simulate._WorldStream(config, [0, 1], data.draw(st.integers(1, 10)))
+            assert_world_steps_as_the_dense_count(world, [cumulative_rows(src.transition) for src in sources],
+                                                  data.draw(st.integers(0, 2**32 - 1)))

@@ -15,7 +15,8 @@ change won (ties count for neither side) and whether the change's median is
 worse than the parent's by more than the metric's bound. A claimed metric
 is met when the change wins at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the distance between
-the parent's quartiles.
+the parent's quartiles. OUT's `src_lines` holds each side's line count of
+`src/aoi_guard/*.py`.
 
 The script only reads the checkouts' results: it imports nothing from
 `src/` and writes nothing under `perfbench/` (the benchmark itself keeps
@@ -57,6 +58,11 @@ def run_side(checkout: Path, workload: str, seconds: float, seed: int | None) ->
         "failed": f"{final['failed']}/{final['attempted']}",
         "outputs_sha256": outputs,
     }
+
+
+def src_lines(checkout: Path) -> int:
+    """The total line count of `checkout`'s `src/aoi_guard/*.py`, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "aoi_guard").glob("*.py"))
 
 
 def unequal_outputs(parent: dict, change: dict) -> list[str]:
@@ -127,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
+    lines = {side: src_lines(checkouts[side]) for side in SIDES}
 
     pairs = []
     for number in range(1, args.pairs + 1):
@@ -143,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": f"perfbench/run.py --workload {args.workload} --seconds {seconds:g} --trace 0"
                        + (f" --seed {args.seed}" if args.seed is not None else ""),
+            "src_lines": lines,
             **summarize(pairs, end_to_end, args.claim),
             "pairs": pairs,
         }
