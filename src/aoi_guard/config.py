@@ -163,9 +163,14 @@ def _build_loss(spec, where: str) -> LossMatrix:
     raise ConfigError(f"{where}.name: unknown loss {spec.get('name')!r} (zero_one, quadratic, safety_example)")
 
 
-def _build_class(spec, where: str) -> AgentClassSpec:
-    spec = _expect_map(spec, where)
-    name = spec.get("name", where)
+def _file_name(value, where: str) -> str:
+    """A run or class name, which names output files: a non-empty string that is one path component."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
+        raise ConfigError(f"{where}: expected a non-empty name without '/' that is not '.' or '..', got {value!r}")
+    return value
+
+
+def _build_class(spec: dict, where: str, name: str) -> AgentClassSpec:
     source, cols = _build_source(_need(spec, "source", where), f"{where}.source", name)
     safety = _build_safety(_need(spec, "safety", where), f"{where}.safety", source.state_count // cols, cols)
     loss = _build_loss(_need(spec, "loss", where), f"{where}.loss")
@@ -194,7 +199,15 @@ def load_config(path) -> RunManifest:
     class_specs = _need(doc, "classes", where)
     if not isinstance(class_specs, list) or not class_specs:
         raise ConfigError(f"{where}.classes: expected a nonempty list")
-    classes = tuple(_build_class(spec, f"{where}.classes[{i}]") for i, spec in enumerate(class_specs))
+    names = []
+    for i, spec in enumerate(class_specs):
+        at = f"{where}.classes[{i}]"
+        name = _file_name(_expect_map(spec, at).get("name", str(i)), f"{at}.name")  # unnamed: its index
+        if name in names:
+            raise ConfigError(f"{at}.name: {name!r} already names classes[{names.index(name)}]")
+        names.append(name)
+    classes = tuple(_build_class(spec, f"{where}.classes[{i}]", name)
+                    for i, (spec, name) in enumerate(zip(class_specs, names)))
 
     policy = doc.get("policy")
     if policy is None:
@@ -236,5 +249,5 @@ def load_config(path) -> RunManifest:
         sweep_values=sweep_values,
         digest=digest,
         path=path,
-        name=str(doc.get("name", path.stem)),
+        name=_file_name(doc.get("name", path.stem), f"{where}.name"),
     )

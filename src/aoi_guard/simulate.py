@@ -554,9 +554,11 @@ def config_at(config: SimConfig, axis: str, value: int) -> SimConfig:
 
 
 def sweep_points(config: SimConfig, axis: str, values: Sequence[int]) -> list[SimConfig]:
-    """The base config moved to every sweep point, each with at least as many agents as channels."""
+    """The base config moved to every sweep point: distinct values, each with at least as many agents as channels."""
     if not values or any(v < 1 for v in values):
         raise ValidationError("axis values must be positive")
+    if len(set(values)) < len(values):
+        raise ValidationError(f"axis values must be distinct, got {list(values)}")
     points = [config_at(config, axis, value) for value in values]
     for value, point in zip(values, points):
         if point.agent_count < point.channels:

@@ -13,7 +13,6 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.markov import successor_table
 from aoi_guard.policies import gain_keys, top_positive_ids, unique_keys
 
 CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
@@ -22,6 +21,12 @@ CHAIN_A_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
 def identity_safety_map(state_count: int) -> SafetyMap:
     """Every state is its own label (|Y| = |X|)."""
     return SafetyMap(state_count, np.arange(state_count))
+
+
+def identity_classes(sources, members) -> tuple[AgentClassSpec, ...]:
+    """Class i: `members[i]` agents of `sources[i]`, identity labels, 0-1 loss, a channel that always delivers."""
+    return tuple(AgentClassSpec(src, identity_safety_map(src.state_count), loss_01(src.state_count), 1.0, m,
+                                name=f"c{i}") for i, (src, m) in enumerate(zip(sources, members)))
 
 
 def with_sentinels(keys: np.ndarray, budget: int) -> np.ndarray:
@@ -39,22 +44,6 @@ def mgf_select(gains, budget: int) -> np.ndarray:
     """MGF's mask on a float gain table: keys from the whole table, eligibility as `active_mask`."""
     gains = np.asarray(gains, dtype=float)
     return select_keys(gain_keys(gains, gains > GAIN_TIE_EPS), budget)
-
-
-def table_step(cums, keys, u) -> np.ndarray:
-    """The successor keys of `keys` (class * width + state) for uniforms `u`, as the world steps them.
-
-    `cums` holds each class's CDF rows. A uniform's rank counts its class's
-    levels below it; the step takes the table at the key's first cell plus
-    the rank, and the cell's key is the successor.
-    """
-    width = max(len(cum) for cum in cums)
-    table, first, cell_key, levels = successor_table(cums, [""] * len(cums), width)
-    keys, u = np.asarray(keys), np.asarray(u)
-    rank = np.zeros(keys.shape, dtype=np.intp)
-    for c, level in enumerate(levels):
-        rank += (keys // width == c) * (u[..., None] > level).sum(axis=-1)
-    return cell_key[table.take(first[keys] + rank)]
 
 
 @pytest.fixture()

@@ -265,7 +265,15 @@ def row_chain_matrix(rows, up, down):
     return p
 
 
-CHAIN_A = [[0.9, 0.1], [0.2, 0.8]]
+def dense_successor(cum, keys, u):
+    """Each key's successor for uniforms `u`: the count of its padded CDF row's values below u.
+
+    `cum` is `stack_padded` over the classes' `cumulative_rows` with fill
+    1.0, and a key is cls * width + x, as in the world. `keys` and `u` share
+    any shape.
+    """
+    width = cum.shape[-1]
+    return keys - keys % width + (u[..., None] > cum.reshape(-1, width)[keys]).sum(axis=-1)
 
 
 class ReferenceWorld:
@@ -274,8 +282,8 @@ class ReferenceWorld:
     The substreams are spawned from the seed in the simulator's order: one
     for initial states, one for the policy, then a motion and a channel
     stream per agent. `x_path` and `channel_ok` are (slots, N); every state
-    after slot 0 is one inverse-CDF step with a dense count over the whole
-    CDF row, and `y_path` holds the true labels.
+    after slot 0 is the `dense_successor` of the state before, and `y_path`
+    holds the true labels.
     """
 
     def __init__(self, config, seed):
@@ -301,16 +309,17 @@ class ReferenceWorld:
             x0[members] = rng_init.choice(c.source.state_count, size=members.size, p=law)
 
         cum = stack_padded([cumulative_rows(c.source.transition) for c in classes], 1.0)
+        cls_idx = self.cls_of_agent
+        base = cls_idx * cum.shape[-1]
         self.x_path = np.empty((t_slots, n), dtype=np.int32)
         self.x_path[0] = x0
         motion_u = np.empty((t_slots, n))
         for a in range(n):
             motion_u[:, a] = np.random.default_rng(agent_seqs[2 * a]).random(t_slots)
-        x = x0.astype(int)
-        cls_idx = self.cls_of_agent
+        key = base + x0
         for t in range(1, t_slots):
-            x = (motion_u[t][:, None] > cum[cls_idx, x]).sum(axis=1)
-            self.x_path[t] = x
+            key = dense_successor(cum, key, motion_u[t])
+            self.x_path[t] = key - base
         del motion_u
 
         p_agent = np.array([classes[i].success_prob for i in cls_idx])
@@ -321,40 +330,6 @@ class ReferenceWorld:
 
         safety = stack_padded([c.safety.assignment for c in classes], 0)
         self.y_path = safety[cls_idx, self.x_path]
-
-
-def candidate_columns(cum):
-    """Each CDF row's candidate columns and the CDF bounds between them.
-
-    `cum` holds CDF rows that end at 1.0, such as `stack_padded` over
-    `cumulative_rows` with fill 1.0, flattened to 2-D. A row's candidates
-    are column 0 and every column where its CDF strictly rises. The first
-    column whose CDF is >= u is always one of them. Returns `cols`, (K,
-    rows): candidate k of each row, and `bounds`, (K - 1, rows): the CDF at
-    candidate k. The last candidate's CDF is at least 1.0, which no uniform
-    exceeds, so it is left out. Rows with fewer candidates are padded with
-    column 0 at bound 1.0.
-    """
-    rises = np.ones(cum.shape, dtype=bool)
-    rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
-    rank = np.cumsum(rises, axis=1) - 1
-    cols = np.zeros((int(rank[:, -1].max()) + 1, cum.shape[0]), dtype=np.intp)
-    bounds = np.ones(cols.shape)
-    r, c = np.nonzero(rises)
-    cols[rank[r, c], r] = c
-    bounds[rank[r, c], r] = cum[r, c]
-    return cols, bounds[:-1]
-
-
-def step_candidates(cols, bounds, rows, u):
-    """The sparse inverse-CDF step that the successor table replaced.
-
-    `cols` and `bounds` come from `candidate_columns`; the result is the
-    column of the first candidate whose CDF is >= u, found by counting
-    every row's candidate bounds below u. `rows` and `u` share any shape.
-    """
-    count = (bounds.take(rows, axis=1) < u).sum(axis=0)
-    return cols[count, rows]
 
 
 def _top_positive_ids(gains, budget):

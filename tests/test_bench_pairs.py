@@ -58,14 +58,15 @@ def test_unequal_outputs_compare_only_seeds_both_sides_ran():
 
 def test_src_lines_counts_each_checkouts_package_modules(tmp_path):
     # Lines as `wc -l` counts them (a last line without a newline is not
-    # one), over src/aoi_guard/*.py only.
-    trees = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
-             "change": {"a.py": "x = 1\n", "notes.txt": "1\n2\n3\n"}}
+    # one), over src/aoi_guard/*.py and tests/*.py only.
+    trees = {"parent": {"src/aoi_guard/a.py": "x = 1\ny = 2\n", "src/aoi_guard/b.py": "z = 3",
+                        "tests/test_a.py": "t = 1\n"},
+             "change": {"src/aoi_guard/a.py": "x = 1\n", "src/aoi_guard/notes.txt": "1\n2\n3\n",
+                        "src/other.py": "w = 4\n", "tests/test_a.py": "t = 1\nu = 2\n", "tests/sub/c.py": "v = 5\n"}}
     for side, files in trees.items():
-        package = tmp_path / side / "src" / "aoi_guard"
-        package.mkdir(parents=True)
         for name, text in files.items():
-            (package / name).write_text(text)
-    (tmp_path / "change" / "src" / "other.py").write_text("w = 4\n")
-    assert bench_pairs.src_lines(tmp_path / "parent") == 2
-    assert bench_pairs.src_lines(tmp_path / "change") == 1
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    counts = {key: [bench_pairs.line_count(tmp_path / side, pattern) for side in trees]
+              for key, pattern in bench_pairs.LINE_COUNTS.items()}
+    assert counts == {"src_lines": [2, 1], "test_lines": [1, 2]}

@@ -281,6 +281,15 @@ class TestCliCommands:
         trace = (out / "dual_trace.csv").read_text().splitlines()
         assert trace[2] == "iteration,lambda,activation_rate"
 
+    def test_unnamed_class_is_named_by_its_index(self, tmp_path):
+        # Not by its key path, which held the config's directory.
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path / "sub", MINIMAL.replace("  - name: pair\n    members", "  - members"))
+        out = tmp_path / "solve"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["dual_trace.csv", "summary.json", "tables_0_0.csv"]
+        assert list(json.loads((out / "summary.json").read_text())["avg_costs"]) == ["0"]
+
     def test_profile_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf"))
         out = tmp_path / "prof"
@@ -574,6 +583,25 @@ class TestExitCodes:
         cfg = write_config(tmp_path, MINIMAL.replace(old, new))
         assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("name: mini", "name: a/b", "cfg.yaml.name: "),
+        ("name: mini", "name: ''", "cfg.yaml.name: "),
+        ("name: mini", "name: 5", "cfg.yaml.name: "),
+        ("name: pair", "name: ../../escaped", r"cfg.yaml.classes\[0\].name: "),
+        ("name: pair", "name: '.'", r"cfg.yaml.classes\[0\].name: "),
+        (MINIMAL[MINIMAL.index("  - name: pair"):], MINIMAL[MINIMAL.index("  - name: pair"):] * 2,
+         r"cfg.yaml.classes\[1\].name: 'pair' already names classes\[0\]"),
+    ], ids=["run-path", "run-empty", "run-not-a-string", "class-escapes", "class-dot", "class-repeated"])
+    def test_names_are_distinct_path_components(self, tmp_path, capsys, old, new, message):
+        # Outputs are named after the run and its classes: a name with '/',
+        # '.' or '..' would write elsewhere, and a repeated class name would
+        # overwrite a class's files and summary entry.
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert re.search(message, capsys.readouterr().err) and not (tmp_path / "out").exists()
+
     def test_bad_profile_deltas(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["profile", "--config", str(cfg), "--deltas", "1,x"]) == EXIT_VALIDATION
@@ -619,7 +647,8 @@ class TestExitCodes:
         ("{axis: agents, values: [1]}", "cannot spread 1 agents across 2 classes"),
         ("{axis: speed, values: [1]}", "axis must be one of agents, channels, scale; got 'speed'"),
         ("{axis: channels, values: [2, 0]}", "axis values must be positive"),
-    ], ids=["n-below-m", "agents-unspread", "unknown-axis", "nonpositive-value"])
+        ("{axis: channels, values: [1, 2, 1]}", "axis values must be distinct, got [1, 2, 1]"),
+    ], ids=["n-below-m", "agents-unspread", "unknown-axis", "nonpositive-value", "repeated-value"])
     def test_sweep_points_fail_at_load(self, tmp_path, capsys, sweep, message):
         # Two classes of two agents: every point the sweep would run is checked
         # when the config loads, so even `simulate` rejects a bad sweep section.

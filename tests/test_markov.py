@@ -10,6 +10,7 @@ from aoi_guard import (
     ConvergenceError,
     LossMatrix,
     MarkovSource,
+    SimConfig,
     ValidationError,
     banded_safety_map,
     build_grid_walk,
@@ -29,7 +30,8 @@ from aoi_guard.markov import (
 )
 
 import aoi_guard.markov as markov
-from conftest import identity_safety_map, random_primitive_source, table_step
+import aoi_guard.simulate as simulate
+from conftest import identity_classes, identity_safety_map, random_primitive_source
 from oracles import row_chain_matrix
 
 
@@ -406,35 +408,33 @@ class TestBuildGridWalk:
             build_grid_walk(rows, cols, *moves)
 
 
-def step_one(source: MarkovSource, x: int, rng: np.random.Generator) -> int:
-    """One agent's successor of x through the simulator's successor-table step."""
-    return int(table_step([cumulative_rows(source.transition)], np.array([x]), rng.random(1))[0])
+def world_path(sources, members, slots: int, seed: int) -> np.ndarray:
+    """Every slot's keys, (slots, N), of a one-lane simulator world with `members[i]` agents of `sources[i]`."""
+    world = simulate._WorldStream(SimConfig(identity_classes(sources, members), channels=1, slots=slots), [seed], 1)
+    path = []
+    while world.advance():
+        path.append(world.keys[1 : 1 + world.t1 - world.t0, 0].copy())
+    return np.concatenate(path)
 
 
 class TestSampleNext:
     def test_deterministic_row(self):
-        p = np.zeros((5, 5))
-        for i in range(5):
-            p[i, (i + 1) % 5] = 1.0
-        src = MarkovSource(p)
-        rng = np.random.default_rng(0)
-        assert [step_one(src, x, rng) for x in range(5)] == [1, 2, 3, 4, 0]
+        path = world_path([MarkovSource(np.roll(np.eye(5), 1, axis=1))], [5], 300, 0)
+        assert (path[1:] == (path[:-1] + 1) % 5).all()
 
     def test_same_seed_same_draws(self, chain_a):
-        draws1 = [step_one(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
-        draws2 = [step_one(chain_a, 0, np.random.default_rng(42)) for _ in range(5)]
-        assert draws1 == draws2
+        assert (world_path([chain_a], [5], 300, 42) == world_path([chain_a], [5], 300, 42)).all()
 
     def test_law_of_large_numbers(self, chain_a):
-        # Many agents of two classes step at once; each class's successors
-        # follow its own row, and the narrow class never lands on padding.
+        # Agents of two classes step together, keys cls * 3 + x; the
+        # transitions out of each class's state 0 follow its own row, and
+        # the narrow class never lands on padding.
         wide = MarkovSource(np.full((3, 3), 1 / 3))
-        cums = [cumulative_rows(chain_a.transition), cumulative_rows(wide.transition)]
-        n = 200_000
-        rows = np.repeat([0, 3], n)  # state 0 of each class, keys cls * 3 + x
-        nxt = table_step(cums, rows, np.random.default_rng(123).random(2 * n))
-        freq_a = np.bincount(nxt[:n], minlength=3) / n
-        freq_w = np.bincount(nxt[n:] - 3, minlength=3) / n
+        path = world_path([chain_a, wide], [300, 600], 1000, 123)
+        before, after = path[:-1].ravel(), path[1:].ravel()
+        freq_a = np.bincount(after[before == 0], minlength=3) / (before == 0).sum()
+        freq_w = np.bincount(after[before == 3] - 3, minlength=3) / (before == 3).sum()
+        assert min((before == 0).sum(), (before == 3).sum()) > 190_000
         assert np.abs(freq_a - (0.9, 0.1, 0.0)).max() < 0.003
         assert np.abs(freq_w - 1 / 3).max() < 0.005
 

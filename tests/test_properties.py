@@ -23,8 +23,8 @@ from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys
 from aoi_guard.simulate import resolve_workers
 
-from conftest import identity_safety_map, make_grid_classes, mgf_select, select_keys, table_step
-from oracles import ReferenceWorld, candidate_columns, random_queue_oracle, reference_records, step_candidates
+from conftest import identity_classes, identity_safety_map, make_grid_classes, mgf_select, select_keys
+from oracles import ReferenceWorld, dense_successor, random_queue_oracle, reference_records
 
 
 class TestSweepParallelism:
@@ -57,7 +57,8 @@ class TestSweepParallelism:
 class TestPolicyKernelEquivalence:
     def test_mgf_wrapper_matches_kernel(self):
         # The simulator ranks MGF's gains once in one padded stack of every
-        # class's table; the looked-up keys must select as the agents' own
+        # class's table. This test builds such a stack itself, of two
+        # classes, and its looked-up keys must select as the agents' own
         # gains would.
         rng = np.random.default_rng(13)
         tables = [np.vstack([np.zeros((1, w)), rng.normal(size=(9, w))]) for w in (1, 3)]
@@ -219,90 +220,84 @@ def sparse_rows(rng, width: int) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def assert_world_steps_as_the_dense_count(world, cums, seed: int) -> None:
-    """Run `world` to its horizon on motion draws from the CDF values, the floats next to them and 0.0.
+def assert_world_steps_as_the_dense_count(world, sources, seed: int) -> None:
+    """Run `world` to its horizon on motion draws from the CDF values, the floats next to them, 0.0 and random uniforms.
 
-    `cums` holds each class's CDF rows. Every slot's keys must be the dense
-    count's successors of the slot before, and after each advance the
+    `sources` are the classes' sources. Every slot's keys must be the
+    `dense_successor`s of the slot before, and after each advance the
     history rows must hold the slots before the chunk.
     """
+    cums = [cumulative_rows(src.transition) for src in sources]
     values = np.unique(np.concatenate([cum[cum < 1.0] for cum in cums]))
-    pool = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0]])
-    pool = np.minimum(pool, np.nextafter(1.0, 0.0))
     rng = np.random.default_rng(seed)
+    pool = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0), [0.0],
+                           rng.random(values.size + 1)])
+    pool = np.minimum(pool, np.nextafter(1.0, 0.0))
 
     def draw(out):
         out[...] = pool[rng.integers(0, pool.size, size=out.shape)]
 
-    world.draws = [(draw, out) for _, out in world.draws]
-    cum, cls, width, h = stack_padded(cums, 1.0), world.cls_idx, max(map(len, cums)), world.history
+    world.draws = [(draw, world.uniforms)]  # every agent's motion and channel numbers at once
+    cum, h = stack_padded(cums, 1.0), world.history
     key, seen = world.key.copy(), []
     while world.advance():
         for row, slot in enumerate(range(world.t0 - h, world.t0)):
             assert slot < 0 or (world.keys[row] == seen[slot]).all()
-        u = world.uniforms[:, :, 0]
         for i in range(world.t1 - world.t0):
             if world.t0 + i > 0:
-                key = cls * width + (u[:, :, i, None] > cum[cls, key - cls * width]).sum(axis=-1)
+                key = dense_successor(cum, key, world.uniforms[:, :, 0, i])
             assert (world.keys[h + i] == key).all()
             seen.append(key)
     assert len(seen) == world.slots
 
 
+def assert_every_state_steps_as_the_dense_count(transitions, lanes: int, seed: int, copies: int = 1) -> None:
+    """Step a world of one class per transition matrix, `copies` agents on each state in every lane, as the dense count.
+
+    Slot 0's keys and the cells the first step leaves from are set in place
+    of the drawn initial states; the world then runs 17 slots in chunks of
+    7 through `assert_world_steps_as_the_dense_count`.
+    """
+    sources = [MarkovSource(p) for p in transitions]
+    config = SimConfig(identity_classes(sources, [copies * src.state_count for src in sources]), channels=1, slots=17)
+    width = max(src.state_count for src in sources)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "CHUNK_SLOTS", 7)
+        world = simulate._WorldStream(config, list(range(lanes)), 1)
+        world.key[...] = world.cls_idx * width + np.concatenate(
+            [np.tile(np.arange(src.state_count), copies) for src in sources])
+        world.cell[...] = np.searchsorted(world.cell_key, world.key)  # cells run key by key, in key order
+        assert_world_steps_as_the_dense_count(world, sources, seed)
+
+
 class TestSparseStep:
-    """The successor-table step against the dense count over the whole CDF row."""
+    """The world's successor-table step against the dense count over the whole CDF row."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sparse_step_equals_dense_count(self, data):
-        # Classes of different widths share keys cls * width + x, as in the
-        # world; `keys` and `u` come flat and as (lanes, N), the shape the
-        # world steps. The replaced candidate-column step must agree too.
+        # Classes of different widths share keys cls * width + x; `shape` is
+        # (lanes, agents), one lane when flat, and every class repeats its
+        # states to fill the agents.
         widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
-        shape = data.draw(st.sampled_from([(400,), (1, 400), (4, 100)]))
+        lanes, agents = (1, *data.draw(st.sampled_from([(400,), (1, 400), (4, 100)])))[-2:]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cums = [cumulative_rows(sparse_rows(rng, w)) for w in widths]
-        width = max(widths)
-        cum = stack_padded(cums, 1.0).reshape(-1, width)
-        cls = rng.integers(0, len(widths), size=400)
-        keys = cls * width + (rng.random(400) * np.array(widths)[cls]).astype(int)
-        u = rng.random(400)
-        u[:100] = 0.0
-        u[100:200] = cum[keys[100:200], rng.integers(0, width, size=100)]  # CDF values
-        u = np.minimum(u, np.nextafter(1.0, 0.0))
-        dense = cls * width + (u[:, None] > cum[keys]).sum(axis=1)
-        cols, bounds = candidate_columns(cum)
-        assert (step_candidates(cols, bounds, keys, u) + cls * width == dense).all()
-        assert (table_step(cums, keys.reshape(shape), u.reshape(shape)) == dense.reshape(shape)).all()
+        transitions = [sparse_rows(rng, w) for w in widths]
+        assert_every_state_steps_as_the_dense_count(transitions, lanes, data.draw(st.integers(0, 2**32 - 1)),
+                                                    max(1, agents // sum(widths)))
 
-    @pytest.mark.parametrize("transitions, bound_rows", [
-        # every row's CDF is 1 from column 0 on: one candidate, no bounds
-        ([np.eye(5)[[0] * 5], np.ones((1, 1))], 0),
-        # column 0 is always a candidate, so the deterministic 5-cycle has two
-        ([np.roll(np.eye(5), 1, axis=1)], 1),
+    @pytest.mark.parametrize("transitions", [
+        # every row's CDF is 1 from column 0 on: no levels
+        pytest.param([np.eye(5)[[0] * 5], np.ones((1, 1))], id="all-to-col-0"),
+        # the deterministic 5-cycle: one level, 0.0
+        pytest.param([np.roll(np.eye(5), 1, axis=1)], id="5-cycle"),
         # an interior grid cell stays or makes one of four moves, none to column 0
-        ([build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2).transition, np.eye(3)], 5),
+        pytest.param([build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2).transition, np.eye(3)], id="5x5-walk"),
         # grid400's walk, whose CDF reaches 0.6000000000000001, one ulp above 0.6
-        ([build_grid_walk(20, 20, 0.2, 0.2, 0.2, 0.2).transition, np.ones((1, 1))], 5),
+        pytest.param([build_grid_walk(20, 20, 0.2, 0.2, 0.2, 0.2).transition, np.ones((1, 1))], id="grid400-walk"),
     ])
-    def test_lane_shaped_step_at_the_candidate_extremes(self, transitions, bound_rows):
-        width = max(len(p) for p in transitions)
-        cums = [cumulative_rows(p) for p in transitions]
-        cum = stack_padded(cums, 1.0).reshape(-1, width)
-        _, bounds = candidate_columns(cum)
-        assert bounds.shape == (bound_rows, len(cum))
-        rng = np.random.default_rng(bound_rows)
-        cls = rng.integers(0, len(transitions), size=(4, 200))
-        keys = cls * width + (rng.random((4, 200)) * np.array([len(p) for p in transitions])[cls]).astype(int)
-        values = np.unique(cum[cum < 1.0])
-        u = rng.random((4, 200))
-        u[0] = cum[keys[0], rng.integers(0, width, size=200)]  # CDF values of the agent's own row
-        u[1, :50] = 0.0
-        u[2] = values[rng.integers(0, values.size, size=200)] if values.size else 0.0  # any row's CDF values
-        u[3] = np.nextafter(u[2], 1.0)  # one ulp above them
-        u = np.minimum(u, np.nextafter(1.0, 0.0))
-        dense = cls * width + (u[..., None] > cum[keys]).sum(axis=2)
-        assert (table_step(cums, keys, u) == dense).all()
+    def test_lane_shaped_step_at_the_candidate_extremes(self, transitions):
+        assert_every_state_steps_as_the_dense_count(transitions, 4, len(transitions[0]))
 
     def test_levels_one_ulp_apart_stay_apart(self):
         # grid400's walk sums three moves of 0.2 to 0.6000000000000001, one
@@ -310,27 +305,22 @@ class TestSparseStep:
         # sum: two levels, and uniforms at and around them step every row as
         # the dense count does.
         p = np.array([[0.6, 0.0, 0.0, 0.4], [0.2, 0.2, 0.2, 0.4], [0.0, 0.6, 0.0, 0.4], [0.25] * 4])
-        cum = cumulative_rows(p)
-        (level,) = successor_table([cum], ["near"], 4)[3]
+        (level,) = successor_table([cumulative_rows(p)], ["near"], 4)[3]
         above = 0.2 + 0.2 + 0.2
         assert above == np.nextafter(0.6, 1.0) and {0.6, above} <= set(level)
-        rows = np.repeat(np.arange(4), 5)
-        u = np.tile([np.nextafter(0.6, 0.0), 0.6, above, np.nextafter(above, 1.0), 0.0], 4)
-        assert (table_step([cum], rows, u) == (u[:, None] > cum[rows]).sum(axis=1)).all()
+        assert_every_state_steps_as_the_dense_count([p], 2, 6, copies=25)
 
     def test_world_steps_uniforms_on_the_levels_as_the_dense_count(self):
         # The simulator's own world over two chunks, its motion draws replaced
-        # by CDF values, the floats next to them and 0.0, on four classes:
-        # a grid walk, the one-ulp pair of levels above, a 5-cycle and one
-        # state. Each slot's keys must be the dense count's successors.
+        # by CDF values, the floats next to them, 0.0 and random uniforms, on
+        # four classes: a grid walk, the one-ulp pair of levels above, a
+        # 5-cycle and one state. Each slot's keys must be the dense count's
+        # successors.
         near = [[0.6, 0.0, 0.0, 0.4], [0.2, 0.2, 0.2, 0.4], [0.0, 0.6, 0.0, 0.4], [0.25] * 4]
         sources = [build_grid_walk(5, 5, 0.2, 0.2, 0.2, 0.2), MarkovSource(near),
                    MarkovSource(np.roll(np.eye(5), 1, axis=1)), MarkovSource([[1.0]])]
-        classes = tuple(AgentClassSpec(src, identity_safety_map(src.state_count), loss_01(src.state_count),
-                                       1.0, members, name=f"c{i}") for i, (src, members) in
-                        enumerate(zip(sources, (3, 2, 2, 1))))
-        world = simulate._WorldStream(SimConfig(classes, channels=1, slots=400, delta_bound=5), [3, 4], 1)
-        assert_world_steps_as_the_dense_count(world, [cumulative_rows(src.transition) for src in sources], 5)
+        config = SimConfig(identity_classes(sources, (3, 2, 2, 1)), channels=1, slots=400, delta_bound=5)
+        assert_world_steps_as_the_dense_count(simulate._WorldStream(config, [3, 4], 1), sources, 5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -342,13 +332,10 @@ class TestSparseStep:
         widths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         sources = [MarkovSource(sparse_rows(rng, w)) for w in widths]
-        classes = tuple(AgentClassSpec(src, identity_safety_map(src.state_count), loss_01(src.state_count),
-                                       1.0, data.draw(st.integers(1, 3)), name=f"c{i}")
-                        for i, src in enumerate(sources))
+        members = [data.draw(st.integers(1, 3)) for _ in sources]
         slots = 7 * data.draw(st.integers(0, 3)) + data.draw(st.integers(1, 6))
-        config = SimConfig(classes, channels=1, slots=slots, delta_bound=5)
+        config = SimConfig(identity_classes(sources, members), channels=1, slots=slots, delta_bound=5)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "CHUNK_SLOTS", 7)
             world = simulate._WorldStream(config, [0, 1], data.draw(st.integers(1, 10)))
-            assert_world_steps_as_the_dense_count(world, [cumulative_rows(src.transition) for src in sources],
-                                                  data.draw(st.integers(0, 2**32 - 1)))
+            assert_world_steps_as_the_dense_count(world, sources, data.draw(st.integers(0, 2**32 - 1)))

@@ -423,6 +423,14 @@ class TestRunSweep:
             run_sweep(chain_a_config(), "channels", [1, 1], policies=["maf"], replications=0)
         assert solves == []
 
+    def test_rejects_repeated_values_before_any_solve(self, monkeypatch):
+        # A repeated value would run its point twice and write its records twice.
+        solves = []
+        monkeypatch.setattr(simulate, "solve_system", lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ValidationError, match=r"axis values must be distinct, got \[1, 1\]"):
+            run_sweep(chain_a_config(), "channels", [1, 1], policies=["maf"])
+        assert solves == []
+
 
 def write_records(tmp_path, cfg, records, fmt):
     """The records as the CLI writes them, in `fmt`; a CSV starts with two stamp lines."""

@@ -15,8 +15,8 @@ change won (ties count for neither side) and whether the change's median is
 worse than the parent's by more than the metric's bound. A claimed metric
 is met when the change wins at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the distance between
-the parent's quartiles. OUT's `src_lines` holds each side's line count of
-`src/aoi_guard/*.py`.
+the parent's quartiles. OUT's `src_lines` and `test_lines` hold each side's
+line count of `src/aoi_guard/*.py` and of `tests/*.py`.
 
 The script only reads the checkouts' results: it imports nothing from
 `src/` and writes nothing under `perfbench/` (the benchmark itself keeps
@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+LINE_COUNTS = {"src_lines": "src/aoi_guard/*.py", "test_lines": "tests/*.py"}
 
 
 def run_side(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict:
@@ -60,9 +61,9 @@ def run_side(checkout: Path, workload: str, seconds: float, seed: int | None) ->
     }
 
 
-def src_lines(checkout: Path) -> int:
-    """The total line count of `checkout`'s `src/aoi_guard/*.py`, as `wc -l` counts it."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "aoi_guard").glob("*.py"))
+def line_count(checkout: Path, pattern: str) -> int:
+    """The total line count of the files in `checkout` that match `pattern`, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob(pattern))
 
 
 def unequal_outputs(parent: dict, change: dict) -> list[str]:
@@ -133,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds, end_to_end = benchmark["run_seconds"], benchmark["end_to_end"]
-    lines = {side: src_lines(checkouts[side]) for side in SIDES}
+    lines = {key: {side: line_count(checkouts[side], pattern) for side in SIDES}
+             for key, pattern in LINE_COUNTS.items()}
 
     pairs = []
     for number in range(1, args.pairs + 1):
@@ -150,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": f"perfbench/run.py --workload {args.workload} --seconds {seconds:g} --trace 0"
                        + (f" --seed {args.seed}" if args.seed is not None else ""),
-            "src_lines": lines,
+            **lines,
             **summarize(pairs, end_to_end, args.claim),
             "pairs": pairs,
         }
