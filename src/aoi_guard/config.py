@@ -165,8 +165,8 @@ def _build_loss(spec, where: str) -> LossMatrix:
 
 def _file_name(value, where: str) -> str:
     """A run or class name, which names output files: a non-empty string that is one path component."""
-    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
-        raise ConfigError(f"{where}: expected a non-empty name without '/' that is not '.' or '..', got {value!r}")
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise ConfigError(f"{where}: expected a non-empty name without '/' or NUL that is not '.' or '..', got {value!r}")
     return value
 
 

@@ -337,10 +337,6 @@ def _top_positive_ids(gains, budget):
     return np.sort(order[gains[order] > GAIN_TIE_EPS])
 
 
-def _top_ids(values, budget):
-    return np.sort(np.argsort(-values, kind="stable")[:budget])
-
-
 def _uniform_subset(count, budget, rng):
     budget = min(budget, count)
     idx = np.arange(count)
@@ -370,7 +366,7 @@ def _reference_run(config, world, policy, system, seed, capacity):
     pend_pull = np.zeros(n, dtype=bool)
     pend_ok = np.zeros(n, dtype=bool)
     pend_gen = np.zeros(n, dtype=np.int64)
-    backlog = np.zeros(n, dtype=np.int64)
+    queues = [deque(maxlen=capacity) for _ in range(n)]  # random_queue's packet stamps, oldest first
     ids = np.arange(n)
 
     total_loss = 0.0
@@ -395,11 +391,12 @@ def _reference_run(config, world, policy, system, seed, capacity):
         if policy == "mgf":
             sel = _top_positive_ids(gain_stack[cls_idx, dc, x_obs], budget)
         elif policy == "maf":
-            sel = _top_ids(delta, budget)
+            sel = _top_positive_ids(delta, budget)  # ages >= 1, all eligible
         elif policy == "randomized":
             sel = _uniform_subset(n, budget, rng_policy)
-        else:  # random_queue
-            backlog = np.minimum(backlog + 1, capacity)
+        else:  # random_queue: every agent queues this slot's packet, dropping its oldest when full
+            for queue in queues:
+                queue.append(t)
             sel = _uniform_subset(n, budget, rng_policy)
         if sel.size > budget:
             raise RuntimeError(f"{policy} selected {sel.size} agents with {budget} channels")
@@ -409,8 +406,7 @@ def _reference_run(config, world, policy, system, seed, capacity):
         pend_pull[sel] = True
         pend_ok = world.channel_ok[t]
         if policy == "random_queue":
-            pend_gen[sel] = t - backlog[sel] + 1
-            backlog[sel] -= 1
+            pend_gen[sel] = [queues[a].popleft() for a in sel]
         else:
             pend_gen[sel] = t
 
@@ -431,54 +427,6 @@ def reference_records(config, policies, system, seed, capacity=1000):
     """
     world = ReferenceWorld(config, seed)
     return [_reference_run(config, world, p, system, seed, capacity) for p in policies]
-
-
-def random_queue_oracle(world, channels, slots, warmup, capacity):
-    """The random_queue policy with one bounded FIFO of stamps per agent.
-
-    Straight-line loops over a `ReferenceWorld` (`channel_ok`,
-    `policy_seq`): each slot every agent's age grows by one or, on delivery
-    of a packet generated at g, becomes t - g; every agent then queues a
-    packet stamped t (the deque drops the oldest beyond `capacity`), and the
-    agents picked by a partial Fisher-Yates shuffle on the policy stream send
-    their oldest packet. Returns deliveries, each agent's mean age over slots
-    warmup..slots-1, and the longest queue seen.
-    """
-    n = world.x_path.shape[1]
-    rng = np.random.default_rng(world.policy_seq)
-    queues = [deque(maxlen=capacity) for _ in range(n)]
-    age = [1] * n
-    aoi_sum = [0.0] * n
-    deliveries = 0
-    peak_queue = 0
-    sent = []  # (agent, generation) pulled in the previous slot
-    for t in range(slots):
-        if t > 0:
-            for a in range(n):
-                age[a] += 1
-            for a, gen in sent:
-                if world.channel_ok[t - 1, a]:
-                    age[a] = t - gen
-                    deliveries += 1
-        if t >= warmup:
-            for a in range(n):
-                aoi_sum[a] += age[a]
-        for a in range(n):
-            queues[a].append(t)
-            peak_queue = max(peak_queue, len(queues[a]))
-        k = min(channels, n)
-        order = list(range(n))
-        u = rng.random(k)
-        for i in range(k):
-            j = i + int(u[i] * (n - i))
-            order[i], order[j] = order[j], order[i]
-        sent = [(a, queues[a].popleft()) for a in sorted(order[:k])]
-    accounted = slots - warmup
-    return {
-        "deliveries": deliveries,
-        "agent_mean_aoi": tuple(s / accounted for s in aoi_sum),
-        "peak_queue": peak_queue,
-    }
 
 
 def relaxed_lp_value(classes, penalties, channels):

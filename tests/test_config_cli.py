@@ -263,6 +263,10 @@ class TestCliCommands:
         body = json.loads((tmp_path / "records.json").read_text())
         assert set(body) == {"version", "config_digest", "records"}
         assert body["records"][0]["policy"] == "maf"
+        # An existing directory gets the run's default file name inside it.
+        (tmp_path / "dir").mkdir()
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "dir"), "--format", "json"]) == 0
+        assert json.loads((tmp_path / "dir" / "mini_records.json").read_text()) == body
 
     def test_solve_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.replace("policy: maf", "policy: mgf"))
@@ -401,6 +405,9 @@ classes:
         assert rc == 0
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "policy"))]
         assert len(rows) == 2  # one policy x two channel counts x one seed
+        (tmp_path / "dir").mkdir()
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "dir")]) == 0
+        assert (tmp_path / "dir" / "mini_sweep_channels.csv").read_text() == out.read_text()
 
     @pytest.mark.parametrize("flag", [None, "maf", "all"])
     @pytest.mark.parametrize("config_policy", ["all", "maf"])
@@ -587,15 +594,19 @@ class TestExitCodes:
         ("name: mini", "name: a/b", "cfg.yaml.name: "),
         ("name: mini", "name: ''", "cfg.yaml.name: "),
         ("name: mini", "name: 5", "cfg.yaml.name: "),
+        ("name: mini", 'name: "a\\0b"', "cfg.yaml.name: "),
         ("name: pair", "name: ../../escaped", r"cfg.yaml.classes\[0\].name: "),
         ("name: pair", "name: '.'", r"cfg.yaml.classes\[0\].name: "),
+        ("name: pair", 'name: "p\\0q"', r"cfg.yaml.classes\[0\].name: "),
         (MINIMAL[MINIMAL.index("  - name: pair"):], MINIMAL[MINIMAL.index("  - name: pair"):] * 2,
          r"cfg.yaml.classes\[1\].name: 'pair' already names classes\[0\]"),
-    ], ids=["run-path", "run-empty", "run-not-a-string", "class-escapes", "class-dot", "class-repeated"])
+    ], ids=["run-path", "run-empty", "run-not-a-string", "run-nul", "class-escapes", "class-dot", "class-nul",
+            "class-repeated"])
     def test_names_are_distinct_path_components(self, tmp_path, capsys, old, new, message):
         # Outputs are named after the run and its classes: a name with '/',
-        # '.' or '..' would write elsewhere, and a repeated class name would
-        # overwrite a class's files and summary entry.
+        # '.' or '..' would write elsewhere, one with a NUL byte names no
+        # file, and a repeated class name would overwrite a class's files and
+        # summary entry.
         cfg = write_config(tmp_path, MINIMAL.replace(old, new))
         with pytest.raises(ConfigError, match=message):
             load_config(cfg)

@@ -8,7 +8,7 @@ from aoi_guard.bandit import GAIN_TIE_EPS
 from aoi_guard.policies import gain_keys, top_positive_ids, uniform_subset, unique_keys
 
 from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select, select_keys, with_sentinels
-from oracles import _top_ids, _top_positive_ids
+from oracles import _top_positive_ids
 
 
 def ids(mask: np.ndarray) -> list[int]:
@@ -50,26 +50,9 @@ class TestMgfSelect:
         keys = gain_keys(gains, gains > 0.1)
         assert keys.tolist() == [[3, -1, 2], [-1, 3, -1]]
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.data())
-    def test_matches_the_float_sort_oracle(self, data):
-        # Rounded gains and the values around the tie rule force equal keys;
-        # budgets run past the population.
-        values = st.one_of(st.sampled_from([0.0, -0.0, GAIN_TIE_EPS, -GAIN_TIE_EPS, 2 * GAIN_TIE_EPS]),
-                           st.integers(-4, 4).map(lambda k: k / 4))
-        count = data.draw(st.integers(1, 15))
-        rows = data.draw(st.lists(st.lists(values, min_size=count, max_size=count), min_size=1, max_size=3))
-        gains = np.array(rows)
-        budget = data.draw(st.integers(1, count + 1))
-        mask = mgf_select(gains, budget)
-        for row, got in zip(gains, mask):
-            expect = np.zeros(count, dtype=bool)
-            expect[_top_positive_ids(row, budget)] = True
-            assert (got == expect).all()
-
 
 class TestTopPositiveIds:
-    """MGF's partition threshold over M zero sentinel keys, against the sort oracles where eligibility binds.
+    """The one selection kernel: a partition threshold over M zero sentinel keys, against the sort oracle.
 
     The kernel takes `unique_keys` followed by `budget` zeros and fills a
     caller's `out` mask of the agent columns, as the simulator calls it
@@ -77,22 +60,22 @@ class TestTopPositiveIds:
     """
 
     @staticmethod
-    def oracle_mask(rows, budget, oracle) -> np.ndarray:
+    def oracle_mask(rows, budget) -> np.ndarray:
         mask = np.zeros(rows.shape, dtype=bool)
         for got, row in zip(mask, rows):
-            got[oracle(row, budget)] = True
+            got[_top_positive_ids(row, budget)] = True
         return mask
 
     @staticmethod
-    def draw_gains(data, rows: int, count: int, budget: int) -> np.ndarray:
-        """Gain rows with at most `budget` cells above the tie rule each, often none."""
-        gains = np.array(data.draw(st.lists(
-            st.lists(st.sampled_from([0.0, -0.0, -0.25, GAIN_TIE_EPS]), min_size=count, max_size=count),
-            min_size=rows, max_size=rows)))
+    def draw_gains(data, rows: int, count: int) -> np.ndarray:
+        """Gain rows, each with a drawn number (0..count) of cells above the tie rule."""
+        passive = st.sampled_from([0.0, -0.0, GAIN_TIE_EPS, -GAIN_TIE_EPS] + [k / 4 for k in range(-4, 0)])
+        gains = np.array(data.draw(st.lists(st.lists(passive, min_size=count, max_size=count),
+                                            min_size=rows, max_size=rows)), dtype=float).reshape(rows, count)
         for row in gains:
-            eligible = data.draw(st.integers(0, min(budget, count)))
+            eligible = data.draw(st.integers(0, count))
             cells = data.draw(st.permutations(range(count)))[:eligible]
-            row[cells] = data.draw(st.lists(st.sampled_from([0.25, 0.5, 2 * GAIN_TIE_EPS]),
+            row[cells] = data.draw(st.lists(st.sampled_from([2 * GAIN_TIE_EPS] + [k / 4 for k in range(1, 5)]),
                                             min_size=eligible, max_size=eligible))
         return gains
 
@@ -105,7 +88,7 @@ class TestTopPositiveIds:
             keys = with_sentinels(unique_keys(np.full((3, 6), -1)), budget)
             assert not top_positive_ids(keys, budget, np.ones((3, 6), dtype=bool)).any()
         gains = np.array([[0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0]])
-        assert (mgf_select(gains, 2) == self.oracle_mask(gains, 2, _top_positive_ids)).all()
+        assert (mgf_select(gains, 2) == self.oracle_mask(gains, 2)).all()
 
     def test_all_passive_row_among_eligible_rows(self):
         # The sentinels raise only the all-passive row's threshold, to 0:
@@ -120,74 +103,42 @@ class TestTopPositiveIds:
             keys = self.mgf_keys(gains, budget)
             before = keys.copy()
             got = top_positive_ids(keys, budget, np.empty(gains.shape, dtype=bool))
-            assert (got == self.oracle_mask(gains, budget, _top_positive_ids)).all()
+            assert (got == self.oracle_mask(gains, budget)).all()
             thresholds = np.sort(keys, axis=1)[:, -budget]
             assert thresholds[1] == 0 and not got[1].any()
             assert (thresholds == np.maximum(np.sort(keys[:, :6], axis=1)[:, -budget], 0)).all()
             assert (keys == before).all()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(st.data())
-    def test_sentinel_kernel_matches_the_sort_oracle(self, data):
-        # Rows with 0..N eligible cells, all-passive rows beside eligible
-        # ones, budgets 1..N + 1, and one `out` with arbitrary contents
-        # reused across calls, as the simulator reuses it every slot.
-        count = data.draw(st.integers(1, 12))
-        rows = data.draw(st.integers(1, 4))
+    def test_kernel_matches_the_sort_oracle(self, data):
+        # The simulator's one selection call: MGF's rows (none when MAF runs
+        # alone) over MAF's age rows (none when MGF runs alone), each row
+        # followed by the sentinels. Gains around the tie rule and rounded
+        # gains force equal keys, rows hold 0..N eligible cells, budgets run
+        # past the population, and one `out` with arbitrary contents is
+        # reused across two calls, as the simulator reuses it every slot.
+        count, mgf_rows = data.draw(st.integers(1, 15)), data.draw(st.integers(0, 3))
+        rows = mgf_rows + data.draw(st.integers(0 if mgf_rows else 1, 3))
         out = np.array(data.draw(st.lists(st.booleans(), min_size=rows * count, max_size=rows * count)))
         out = out.reshape(rows, count)
         for _ in range(2):
-            budget = data.draw(st.integers(1, count + 1))
-            gains = self.draw_gains(data, rows, count, count)
-            passive = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-            gains[np.array(passive)] = -0.25
-            keys = self.mgf_keys(gains, budget)
+            budget = data.draw(st.integers(1, count + 3))
+            gains = self.draw_gains(data, mgf_rows, count)
+            ages = np.array(data.draw(st.lists(st.lists(st.integers(1, 4), min_size=count, max_size=count),
+                                               min_size=rows - mgf_rows, max_size=rows - mgf_rows)),
+                            dtype=np.int64).reshape(rows - mgf_rows, count)
+            keys = np.concatenate([self.mgf_keys(gains, budget), with_sentinels(unique_keys(ages), budget)])
             before = keys.copy()
             assert top_positive_ids(keys, budget, out) is out
-            assert (out == self.oracle_mask(gains, budget, _top_positive_ids)).all()
+            assert (out == self.oracle_mask(np.concatenate([gains, ages]), budget)).all()
             assert (keys == before).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_budget_of_every_agent_selects_every_eligible_agent(self, data):
-        count = data.draw(st.integers(1, 12))
-        budget = data.draw(st.integers(count, count + 3))
-        gains = self.draw_gains(data, data.draw(st.integers(1, 3)), count, count)
-        out = np.zeros(gains.shape, dtype=bool)
-        assert top_positive_ids(self.mgf_keys(gains, budget), budget, out) is out
-        assert (out == self.oracle_mask(gains, budget, _top_positive_ids)).all()
-        assert (out == (gains > GAIN_TIE_EPS)).all()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_fewer_eligible_cells_than_the_budget(self, data):
-        count = data.draw(st.integers(1, 12))
-        budget = data.draw(st.integers(1, count + 1))
-        gains = self.draw_gains(data, data.draw(st.integers(1, 3)), count, budget)
-        assert (mgf_select(gains, budget) == self.oracle_mask(gains, budget, _top_positive_ids)).all()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_mgf_keys_stacked_over_maf_ages(self, data):
-        # The simulator's one selection call: MGF's keys on its lanes' rows
-        # (none when MAF runs alone), MAF's age keys (ages >= 1) on the rest,
-        # each row followed by the sentinels, into one `out` mask.
-        mgf_lanes, lanes = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
-        count = data.draw(st.integers(1, 12))
-        budget = data.draw(st.integers(1, count + 1))
-        gains = self.draw_gains(data, mgf_lanes, count, count).reshape(mgf_lanes, count)
-        ages = np.array(data.draw(st.lists(st.lists(st.integers(1, 4), min_size=count, max_size=count),
-                                           min_size=lanes, max_size=lanes)))
-        stacked = np.concatenate([self.mgf_keys(gains, budget), with_sentinels(unique_keys(ages), budget)])
-        mask = top_positive_ids(stacked, budget, np.empty((mgf_lanes + lanes, count), dtype=bool))
-        assert (mask[:mgf_lanes] == self.oracle_mask(gains, budget, _top_positive_ids)).all()
-        assert (mask[mgf_lanes:] == self.oracle_mask(ages, budget, _top_ids)).all()
 
 
 class TestMafSelect:
     """MAF's selection: the one kernel on the agents' ages (>= 1, as the simulator forms them).
 
-    `TestTopPositiveIds.test_mgf_keys_stacked_over_maf_ages` checks MAF's
+    `TestTopPositiveIds.test_kernel_matches_the_sort_oracle` checks MAF's
     rows against the stable sort oracle.
     """
 

@@ -19,12 +19,11 @@ from aoi_guard import (
     solve_system,
 )
 from aoi_guard.markov import build_grid_walk, cumulative_rows, stack_padded, successor_table
-from aoi_guard.bandit import GAIN_TIE_EPS
-from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY, gain_keys
+from aoi_guard.policies import POLICY_KEYS, QUEUE_CAPACITY
 from aoi_guard.simulate import resolve_workers
 
-from conftest import identity_classes, identity_safety_map, make_grid_classes, mgf_select, select_keys
-from oracles import ReferenceWorld, dense_successor, random_queue_oracle, reference_records
+from conftest import identity_classes, identity_safety_map, make_grid_classes
+from oracles import dense_successor, reference_records
 
 
 class TestSweepParallelism:
@@ -54,44 +53,21 @@ class TestSweepParallelism:
         assert [resolve_workers(tasks) for tasks in (1, 5, 100)] == [1, 5, 8]
 
 
-class TestPolicyKernelEquivalence:
-    def test_mgf_wrapper_matches_kernel(self):
-        # The simulator ranks MGF's gains once in one padded stack of every
-        # class's table. This test builds such a stack itself, of two
-        # classes, and its looked-up keys must select as the agents' own
-        # gains would.
-        rng = np.random.default_rng(13)
-        tables = [np.vstack([np.zeros((1, w)), rng.normal(size=(9, w))]) for w in (1, 3)]
-        stack = stack_padded(tables, 0.0)
-        keys = gain_keys(stack, stack > GAIN_TIE_EPS)
-        for _ in range(50):
-            cls = rng.integers(0, 2, size=6)
-            ages = rng.integers(1, 10, size=6)
-            x = np.array([rng.integers(0, tables[c].shape[1]) for c in cls])
-            gains = np.array([[tables[c][d, xi] for c, d, xi in zip(cls, ages, x)]])
-            assert (select_keys(keys[cls, ages, x][None], 3) == mgf_select(gains, 3)).all()
-
-    def test_budget_beyond_population_selects_all_positive(self):
-        rng = np.random.default_rng(14)
-        gains = rng.normal(size=(1, 10))
-        assert (mgf_select(gains, 50) == (gains > 0)).all()
-
-
 class TestQueueBookkeepingMatchesSim:
-    def test_sim_queue_trace_replayable(self):
-        # Replay the simulator's random_queue run with one bounded deque per
-        # agent, driven by the same world and policy stream. 45 agents share
-        # one channel, so every queue reaches QUEUE_CAPACITY and evicts; the
-        # per-agent ages depend on every delivered generation stamp.
+    def test_sim_queue_trace_replayable(self, monkeypatch):
+        # The reference replays the run with one bounded deque per agent,
+        # driven by the same world and policy stream. 45 agents share one
+        # channel, so queues fill; the per-agent ages depend on every
+        # delivered generation stamp. A capacity of 999 changes the records,
+        # so some queue reached QUEUE_CAPACITY packets.
         src = MarkovSource([[0.9, 0.1], [0.2, 0.8]], name="pair")
         cls = AgentClassSpec(src, identity_safety_map(2), loss_01(2), 0.8, 45)
         cfg = SimConfig((cls,), channels=1, slots=3000, seed=9, delta_bound=30)
-        (rec,) = run_paired(cfg, ["random_queue"], solve_system(cfg, with_gains=False), 9)
-
-        ref = random_queue_oracle(ReferenceWorld(cfg, 9), cfg.channels, cfg.slots, cfg.warmup, QUEUE_CAPACITY)
-        assert ref["peak_queue"] == QUEUE_CAPACITY
-        assert rec.deliveries == ref["deliveries"]
-        assert rec.agent_mean_aoi == ref["agent_mean_aoi"]
+        system = solve_system(cfg, with_gains=False)
+        (rec,) = run_paired(cfg, ["random_queue"], system, 9)
+        assert [tuple(vars(rec).values())] == reference_records(cfg, ["random_queue"], system, 9, QUEUE_CAPACITY)
+        monkeypatch.setattr(simulate, "QUEUE_CAPACITY", QUEUE_CAPACITY - 1)
+        assert run_paired(cfg, ["random_queue"], system, 9) != [rec]
 
 
 def chain(draw, states: int, kind: str) -> MarkovSource:
