@@ -11,6 +11,14 @@ from conftest import CHAIN_A_MATRIX, identity_safety_map, mgf_select, select_key
 from oracles import _top_positive_ids
 
 
+def oracle_mask(rows, budget) -> np.ndarray:
+    """The sort oracle's selection of each row, as a mask."""
+    mask = np.zeros(rows.shape, dtype=bool)
+    for got, row in zip(mask, rows):
+        got[_top_positive_ids(row, budget)] = True
+    return mask
+
+
 def ids(mask: np.ndarray) -> list[int]:
     """The selected ids of a one-row mask."""
     (row,) = mask
@@ -50,6 +58,15 @@ class TestMgfSelect:
         keys = gain_keys(gains, gains > 0.1)
         assert keys.tolist() == [[3, -1, 2], [-1, 3, -1]]
 
+    def test_matches_the_float_sort_oracle(self):
+        # Rounded gains and the values around the tie rule force equal keys
+        # across the table; budgets run past the population.
+        eps = GAIN_TIE_EPS
+        gains = np.array([[0.25, 0.25, -0.0, 2 * eps, eps, 0.5, -eps, 0.0, 0.5, -0.25],
+                          [0.75, 0.0, 0.75, 0.75, 2 * eps, 2 * eps, -1.0, 1.0, 0.25, 0.25]])
+        for budget in range(1, 12):
+            assert (mgf_select(gains, budget) == oracle_mask(gains, budget)).all()
+
 
 class TestTopPositiveIds:
     """The one selection kernel: a partition threshold over M zero sentinel keys, against the sort oracle.
@@ -58,13 +75,6 @@ class TestTopPositiveIds:
     caller's `out` mask of the agent columns, as the simulator calls it
     once per slot.
     """
-
-    @staticmethod
-    def oracle_mask(rows, budget) -> np.ndarray:
-        mask = np.zeros(rows.shape, dtype=bool)
-        for got, row in zip(mask, rows):
-            got[_top_positive_ids(row, budget)] = True
-        return mask
 
     @staticmethod
     def draw_gains(data, rows: int, count: int) -> np.ndarray:
@@ -88,7 +98,7 @@ class TestTopPositiveIds:
             keys = with_sentinels(unique_keys(np.full((3, 6), -1)), budget)
             assert not top_positive_ids(keys, budget, np.ones((3, 6), dtype=bool)).any()
         gains = np.array([[0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0]])
-        assert (mgf_select(gains, 2) == self.oracle_mask(gains, 2)).all()
+        assert (mgf_select(gains, 2) == oracle_mask(gains, 2)).all()
 
     def test_all_passive_row_among_eligible_rows(self):
         # The sentinels raise only the all-passive row's threshold, to 0:
@@ -103,11 +113,58 @@ class TestTopPositiveIds:
             keys = self.mgf_keys(gains, budget)
             before = keys.copy()
             got = top_positive_ids(keys, budget, np.empty(gains.shape, dtype=bool))
-            assert (got == self.oracle_mask(gains, budget)).all()
+            assert (got == oracle_mask(gains, budget)).all()
             thresholds = np.sort(keys, axis=1)[:, -budget]
             assert thresholds[1] == 0 and not got[1].any()
             assert (thresholds == np.maximum(np.sort(keys[:, :6], axis=1)[:, -budget], 0)).all()
             assert (keys == before).all()
+
+    def test_sentinel_kernel_matches_the_sort_oracle(self):
+        # One `out` with arbitrary contents, reused across budgets as the
+        # simulator reuses it every slot; the keys are left as they were.
+        gains = np.array([[0.5, -0.25, 0.25, 0.5, 2 * GAIN_TIE_EPS, 0.0],
+                          [-0.25, 0.0, GAIN_TIE_EPS, -0.0, -0.25, -1.0],
+                          [0.25, 0.25, 0.25, 0.75, 0.0, 0.25]])
+        out = np.array([[True, False] * 3, [True] * 6, [False, True] * 3])
+        for budget in (3, 1, 7, 2):
+            keys = self.mgf_keys(gains, budget)
+            before = keys.copy()
+            assert top_positive_ids(keys, budget, out) is out
+            assert (out == oracle_mask(gains, budget)).all()
+            assert (keys == before).all()
+
+    def test_budget_of_every_agent_selects_every_eligible_agent(self):
+        gains = np.array([[0.5, -0.25, 2 * GAIN_TIE_EPS, 0.0, 0.25],
+                          [GAIN_TIE_EPS, -0.0, -1.0, 0.0, -0.25],
+                          [0.25, 0.25, 0.25, 0.25, 0.25]])
+        for budget in range(5, 9):
+            out = np.zeros(gains.shape, dtype=bool)
+            assert top_positive_ids(self.mgf_keys(gains, budget), budget, out) is out
+            assert (out == oracle_mask(gains, budget)).all()
+            assert (out == (gains > GAIN_TIE_EPS)).all()
+
+    def test_fewer_eligible_cells_than_the_budget(self):
+        # Rows with 0, 1 and 2 eligible cells under budgets of 3 and more
+        # select exactly their eligible cells.
+        gains = np.array([[-0.25, 0.0, GAIN_TIE_EPS, -0.0, -0.5, 0.0, -1.0],
+                          [0.0, -0.25, 0.0, 0.5, -0.0, -0.25, GAIN_TIE_EPS],
+                          [0.25, -0.25, 0.0, -0.0, 0.0, 2 * GAIN_TIE_EPS, -0.5]])
+        for budget in range(3, 8):
+            got = mgf_select(gains, budget)
+            assert (got == oracle_mask(gains, budget)).all()
+            assert (got == (gains > GAIN_TIE_EPS)).all()
+
+    def test_mgf_keys_stacked_over_maf_ages(self):
+        # The simulator's one selection call: MGF's keys on its lanes' rows,
+        # MAF's age keys (ages >= 1) on the rest, each row followed by the
+        # sentinels, into one `out` mask.
+        gains = np.array([[0.5, -0.25, 0.25, 0.5, 0.0, 0.25],
+                          [0.0, -0.5, GAIN_TIE_EPS, -0.0, -1.0, 0.0]])
+        ages = np.array([[2, 4, 1, 4, 3, 2], [1, 1, 1, 1, 1, 1]])
+        for budget in range(1, 8):
+            stacked = np.concatenate([self.mgf_keys(gains, budget), with_sentinels(unique_keys(ages), budget)])
+            mask = top_positive_ids(stacked, budget, np.empty((4, 6), dtype=bool))
+            assert (mask == oracle_mask(np.concatenate([gains, ages]), budget)).all()
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -131,7 +188,7 @@ class TestTopPositiveIds:
             keys = np.concatenate([self.mgf_keys(gains, budget), with_sentinels(unique_keys(ages), budget)])
             before = keys.copy()
             assert top_positive_ids(keys, budget, out) is out
-            assert (out == self.oracle_mask(np.concatenate([gains, ages]), budget)).all()
+            assert (out == oracle_mask(np.concatenate([gains, ages]), budget)).all()
             assert (keys == before).all()
 
 
