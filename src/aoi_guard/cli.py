@@ -80,10 +80,10 @@ def _table(ages: Iterable[int], tables: Sequence[np.ndarray]) -> Iterator[tuple]
 def _report(manifest: RunManifest, records: list[SimRecord], default_name: str, output: Path | None, fmt: str) -> int:
     """Write the records sorted by (policy, r, N, M, seed), print each policy's mean (ties by name) and the path."""
     records = sorted(records, key=lambda r: (r.policy, r.scale, r.agents, r.channels, r.seed))
-    out = output or Path(f"{manifest.name}_{default_name}")
-    if out.is_dir():
-        out = out / f"{manifest.name}_{default_name}"
-    out = out.with_suffix(f".{fmt}")
+    if output is None or output.is_dir():  # the suffix is appended, so a dotted run name keeps its dots
+        out = (output or Path()) / f"{manifest.name}_{default_name}.{fmt}"
+    else:
+        out = output.with_suffix(f".{fmt}")
     header = [column for column, _ in RECORD_COLUMNS]
     rows = [[getattr(r, field) for _, field in RECORD_COLUMNS] for r in records]
     body = {"records": [dict(zip(header, row)) for row in rows]} if fmt == "json" else (header, rows)

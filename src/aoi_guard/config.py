@@ -36,6 +36,15 @@ from .simulate import SimConfig, check_run, sweep_points
 from .tables import AgentClassSpec
 
 
+# The keys a config and each of its classes may hold. The solvers are exact
+# and have no knobs: a `solver` block is ignored, so configs written for the
+# retired value iteration (tol, max_iters) and stochastic price search (beta,
+# eval_horizon, outer_iters) still load.
+_TOP_KEYS = ("name", "classes", "policy", "channels", "slots", "warmup", "seed", "delta_bound",
+            "sweep", "replications", "solver")
+_CLASS_KEYS = ("name", "members", "success_prob", "source", "safety", "loss")
+
+
 class ParseError(Exception):
     """The config file is not a well-formed YAML mapping."""
 
@@ -75,9 +84,13 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _expect_map(value, where: str) -> dict:
+def _expect_map(value, where: str, keys=None) -> dict:
+    """`value` as a mapping; with `keys`, every key it has must be one of them, so a typo fails."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+    for key in value:
+        if keys and key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key (expected one of {', '.join(keys)})")
     return value
 
 
@@ -121,14 +134,16 @@ def _build_source(spec, where: str, name: str) -> tuple[MarkovSource, int]:
     spec = _expect_map(spec, where)
     kind = spec.get("type", "matrix")
     if kind == "matrix":
-        rows = _need(spec, "rows", where)
+        rows = _need(_expect_map(spec, where, ("type", "rows")), "rows", where)
         with _blame(where):
             return MarkovSource(rows, name=name), 1
     if kind not in ("row_chain", "grid2d"):
         raise ConfigError(f"{where}.type: unknown source type {kind!r} (row_chain, grid2d, matrix)")
+    grid = kind == "grid2d"
+    moves = ("up", "down", "left", "right") if grid else ("up", "down")
+    _expect_map(spec, where, ("type", "rows", "cols", *moves) if grid else ("type", "rows", *moves))
     rows = _number(spec, "rows", where, integer=True)
-    cols = _number(spec, "cols", where, integer=True) if kind == "grid2d" else 1
-    moves = ("up", "down", "left", "right") if kind == "grid2d" else ("up", "down")
+    cols = _number(spec, "cols", where, integer=True) if grid else 1
     probs = [_number(spec, key, where) for key in moves]
     with _blame(where):
         return build_grid_walk(rows, cols, *probs, name=name), cols
@@ -138,11 +153,11 @@ def _build_safety(spec, where: str, rows: int, cols: int) -> SafetyMap:
     spec = _expect_map(spec, where)
     kind = spec.get("type", "assignment")
     if kind == "bands":
-        edges = _integers(spec, "edges", where)
+        edges = _integers(_expect_map(spec, where, ("type", "edges")), "edges", where)
         with _blame(where):
             return banded_safety_map(rows, edges, cols)
     if kind == "assignment":
-        labels = _integers(spec, "labels", where)
+        labels = _integers(_expect_map(spec, where, ("type", "labels")), "labels", where)
         with _blame(where):
             return SafetyMap(max(labels) + 1, labels)
     raise ConfigError(f"{where}.type: unknown safety type {kind!r} (bands, assignment)")
@@ -152,13 +167,14 @@ def _build_loss(spec, where: str) -> LossMatrix:
     spec = _expect_map(spec, where)
     with _blame(where):
         if "rows" in spec:
-            return LossMatrix(spec["rows"])
+            return LossMatrix(_expect_map(spec, where, ("rows",))["rows"])
         name = _need(spec, "name", where)
         if name == "zero_one":
-            return loss_01(_number(spec, "labels", where, integer=True))
+            return loss_01(_number(_expect_map(spec, where, ("name", "labels")), "labels", where, integer=True))
         if name == "quadratic":
-            return loss_quadratic(_need(spec, "values", where))
+            return loss_quadratic(_need(_expect_map(spec, where, ("name", "values")), "values", where))
         if name == "safety_example":
+            _expect_map(spec, where, ("name",))
             return loss_safety_example()
     raise ConfigError(f"{where}.name: unknown loss {spec.get('name')!r} (zero_one, quadratic, safety_example)")
 
@@ -196,13 +212,14 @@ def load_config(path) -> RunManifest:
         raise ParseError(f"{path}: top level must be a mapping, got {type(doc).__name__}")
 
     where = str(path)
+    _expect_map(doc, where, _TOP_KEYS)
     class_specs = _need(doc, "classes", where)
     if not isinstance(class_specs, list) or not class_specs:
         raise ConfigError(f"{where}.classes: expected a nonempty list")
     names = []
     for i, spec in enumerate(class_specs):
         at = f"{where}.classes[{i}]"
-        name = _file_name(_expect_map(spec, at).get("name", str(i)), f"{at}.name")  # unnamed: its index
+        name = _file_name(_expect_map(spec, at, _CLASS_KEYS).get("name", str(i)), f"{at}.name")  # unnamed: its index
         if name in names:
             raise ConfigError(f"{at}.name: {name!r} already names classes[{names.index(name)}]")
         names.append(name)
@@ -224,14 +241,10 @@ def load_config(path) -> RunManifest:
                for key in ("warmup", "seed", "delta_bound") if key in doc},
         )
 
-    # The solvers are exact and have no knobs: a `solver` block is ignored, so
-    # configs written for the retired value iteration (tol, max_iters) and
-    # stochastic price search (beta, eval_horizon, outer_iters) still load.
-
     sweep_axis = None
     sweep_values = None
     if "sweep" in doc:
-        sweep_doc = _expect_map(doc["sweep"], f"{where}.sweep")
+        sweep_doc = _expect_map(doc["sweep"], f"{where}.sweep", ("axis", "values"))
         sweep_axis = _need(sweep_doc, "axis", f"{where}.sweep")
         sweep_values = _integers(sweep_doc, "values", f"{where}.sweep")
         with _blame(f"{where}.sweep"):

@@ -14,6 +14,7 @@ from aoi_guard import AgentClassSpec, SimConfig, __version__, banded_safety_map,
 from aoi_guard.cli import EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RECORD_COLUMNS, main
 from aoi_guard.config import ParseError, load_config
 from aoi_guard.errors import ConfigError
+from aoi_guard.loss import LossMatrix, loss_quadratic
 from aoi_guard.policies import POLICY_KEYS
 from aoi_guard.simulate import run_paired
 
@@ -182,6 +183,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="greedy"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("loss,expected", [
+        ("{rows: [[0, 2, 5], [1, 0, 1], [4, 3, 0]]}", LossMatrix([[0, 2, 5], [1, 0, 1], [4, 3, 0]])),
+        ("{name: quadratic, values: [0, 1, 3]}", loss_quadratic([0, 1, 3])),
+    ], ids=["rows", "quadratic"])
+    def test_loss_formats_build_their_matrices(self, tmp_path, loss, expected):
+        text = one_class(TRIO, safety="{type: assignment, labels: [0, 1, 2]}", loss=loss)
+        got = load_config(write_config(tmp_path, text)).sim.classes[0].loss
+        assert got.entries.tolist() == expected.entries.tolist()
+
     def test_unknown_loss_rejected(self, tmp_path):
         bad = MINIMAL.replace("zero_one", "hinge")
         with pytest.raises(ConfigError, match="hinge"):
@@ -243,7 +253,7 @@ classes:
 
 
 class TestCliCommands:
-    def test_simulate_writes_stamped_csv(self, tmp_path):
+    def test_simulate_writes_stamped_csv(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "records.csv"
         rc = main(["simulate", "--config", str(cfg), "--output", str(out)])
@@ -254,6 +264,17 @@ class TestCliCommands:
         assert lines[1] == f"# config_digest={manifest.digest}"
         assert lines[2] == "policy,N,M,r,seed,slots,total_loss,normalized_penalty,activation_rate,mean_aoi"
         assert lines[3].startswith("maf,2,1,1,3,2000,")
+        # A run name's dots are kept: the format's suffix is appended to the
+        # default name, in the working directory and inside an --output one.
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        monkeypatch.chdir(runs)
+        for name, seed, output in (("exp.1", 1, []), ("exp.2", 2, ["--output", str(runs)])):
+            text = MINIMAL.replace("name: mini", f"name: {name}").replace("seed: 3", f"seed: {seed}")
+            assert main(["simulate", "--config", str(write_config(tmp_path, text))] + output) == 0
+        assert sorted(p.name for p in runs.iterdir()) == ["exp.1_records.csv", "exp.2_records.csv"]
+        for seed in (1, 2):
+            assert (runs / f"exp.{seed}_records.csv").read_text().splitlines()[3].startswith(f"maf,2,1,1,{seed},")
 
     def test_simulate_json_wrapper(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
@@ -571,6 +592,36 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--output", str(tmp_path / "bad.csv")]) == EXIT_VALIDATION
         assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("delta_bound: 250", "delta_boud: 40", r"cfg\.yaml\.delta_boud: unknown key"),
+        ("seed: 3", "sed: 9", r"cfg\.yaml\.sed: unknown key"),
+        ("policy: maf", "policy: maf\nreplicatoins: 5", r"cfg\.yaml\.replicatoins: unknown key"),
+        ("members: 2", "member: 2", r"classes\[0\]\.member: unknown key"),
+        ("success_prob: 0.9", "sucess_prob: 0.5", r"classes\[0\]\.sucess_prob: unknown key"),
+        (MINIMAL[MINIMAL.index("source:"):MINIMAL.index("    safety")], "source: {type: row_chain, rows: 2, colums: 3, "
+         "up: 0.1, down: 0.1}\n", r"classes\[0\]\.source\.colums: unknown key"),
+        ("policy: maf", "policy: maf\nsweep: {axis: channels, vaules: [1, 2]}", r"sweep\.vaules: unknown key"),
+        # A key that another type of the same mapping reads is unknown too.
+        ("labels: [0, 1]}", "labels: [0, 1], edges: [1]}", r"classes\[0\]\.safety\.edges: unknown key"),
+        ("{name: zero_one, labels: 2}", "{name: zero_one, labels: 2, values: [0, 1]}", r"loss\.values: unknown key"),
+        # The loader's other rejections of a mapping's shape.
+        ("type: matrix", "type: hex", r"classes\[0\]\.source\.type: unknown source type 'hex'"),
+        ("type: assignment", "type: ranks", r"classes\[0\]\.safety\.type: unknown safety type 'ranks'"),
+        ("    loss: {name: zero_one, labels: 2}\n", "", r"classes\[0\]: missing required key 'loss'"),
+        ("classes:\n", "classes:\n  - 5\n", r"classes\[0\]: expected a mapping, got int"),
+        ("labels: [0, 1]}", "labels: 1}", r"safety\.labels: expected a list of integers, got 1"),
+        (MINIMAL[MINIMAL.index("classes:"):], "classes: []\n", r"cfg\.yaml\.classes: expected a nonempty list"),
+    ], ids=["delta_bound", "seed", "replications", "members", "success_prob", "source-cols", "sweep-values",
+            "safety-of-another-type", "loss-of-another-name", "source-type", "safety-type", "missing-loss",
+            "class-not-a-mapping", "labels-not-a-list", "no-classes"])
+    def test_unknown_keys_exit_3(self, tmp_path, capsys, old, new, message):
+        # Without the key check the first nine configs load, the misspelled
+        # ones with the defaults their keys meant to override.
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]) == EXIT_VALIDATION
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_one_cell_grid2d_exits_3(self, tmp_path, capsys):
         # A 1 x 1 grid has one state, as a 1-row row_chain does: both are rejected.
